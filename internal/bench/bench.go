@@ -55,9 +55,9 @@ func construct(m Method, pr core.Problem) (core.Sequence, error) {
 //
 // A single construction takes well under a microsecond for small k —
 // below the timer's useful resolution — so each per-processor measurement
-// times a calibrated batch of identical constructions and divides.
+// times a batch of identical constructions, sized to the timer, and divides.
 func timeMaxOverProcs(m Method, p, k, l, s int64, reps int) (time.Duration, error) {
-	// Calibrate the batch size on processor 0 so one measurement window is
+	// Size the batch on processor 0 so one measurement window is
 	// at least ~50µs.
 	const window = 50 * time.Microsecond
 	batch := 1

@@ -35,7 +35,7 @@ package codegen
 // Every kind comes in fill/map/sum/gather/scatter op variants so the
 // section runtime (internal/hpf) executes through one dispatch instead
 // of hand-rolling per-op copies of the ShapeB walk. Selection happens
-// once, at plan-compile time (Select/Compile), and the chosen Kernel is
+// once, at plan-compile time (Select), and the chosen Kernel is
 // stored in the cached plan; steady-state traversal performs no
 // allocation and no re-selection.
 
@@ -82,7 +82,7 @@ func (k KernelKind) String() string {
 const MaxUnrollPeriod = 8
 
 // Per-kind selection and invocation counters. Selection is counted once
-// per Compile, invocation once per op call; both record through atomic
+// per Select, invocation once per op call; both record through atomic
 // counters so the warm path stays allocation free.
 var (
 	telSelected [numKernelKinds]*telemetry.Counter
@@ -159,12 +159,13 @@ func uniformGap(gaps []int64) (int64, bool) {
 	return g, true
 }
 
-// Select chooses the most specialized kernel the spec admits. It is a
-// pure function of the spec — selection for a given Problem and bounds
-// is deterministic — and performs no timing; see Compile for the
-// optionally calibrated entry point.
-func Select(sp Spec) Kernel {
-	kn := Kernel{start: sp.Start, last: sp.Last, count: sp.Count}
+// Select chooses the most specialized kernel the spec admits and counts
+// the choice in codegen.kernel_selected.<kind>. The kernel is a pure
+// function of the spec: selection for a given Problem and bounds is
+// deterministic.
+func Select(sp Spec) (kn Kernel) {
+	defer func() { telSelected[kn.kind].Inc() }()
+	kn = Kernel{start: sp.Start, last: sp.Last, count: sp.Count}
 	if sp.Count <= 0 || sp.Start < 0 {
 		kn.kind = KindNone
 		kn.count = 0
@@ -230,35 +231,11 @@ func rowStepFor(pr core.Problem) int64 {
 	return (pr.S - pk%pr.S) % pr.S
 }
 
-// Compile is the plan-compile-time entry point: Select, optionally
-// refined by the one-shot calibration probe (SetCalibration), with the
-// winning kind recorded in the selection counters. With calibration off
-// (the default) Compile is deterministic for a given spec.
-func Compile(sp Spec) Kernel {
-	kn := Select(sp)
-	if calibrationOn() {
-		kn = calibrated(sp, kn)
-	}
-	telSelected[kn.kind].Inc()
-	return kn
-}
-
-// genericKernel builds the KindGeneric fallback for a spec, used by the
-// calibrator when the probe demotes a specialized pick.
-func genericKernel(sp Spec) Kernel {
-	return Kernel{
-		kind:  KindGeneric,
-		start: sp.Start,
-		last:  sp.Last,
-		count: sp.Count,
-		gaps:  sp.Gaps,
-	}
-}
-
 // Candidates returns every kernel that is valid for the spec (the
 // selected one included), most specialized first. Differential tests
 // and the fuzz target use it to cross-check that all kernels write the
-// identical element set; it is not part of the hot path.
+// identical element set; it is not part of the hot path (its Select
+// call still counts as one selection).
 func Candidates(sp Spec) []Kernel {
 	var out []Kernel
 	sel := Select(sp)
@@ -296,7 +273,7 @@ func Candidates(sp Spec) []Kernel {
 		})
 	}
 	if sp.Gaps != nil {
-		add(genericKernel(sp))
+		add(Kernel{kind: KindGeneric, start: sp.Start, last: sp.Last, count: sp.Count, gaps: sp.Gaps})
 	}
 	return out
 }

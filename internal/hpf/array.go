@@ -17,9 +17,7 @@ import (
 	"fmt"
 
 	"repro/internal/codegen"
-	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/plancache"
 	"repro/internal/section"
 	"repro/internal/telemetry"
 )
@@ -112,85 +110,6 @@ func (a *Array) FillAll(v float64) {
 	}
 }
 
-// sectionPlan describes the per-processor node loop for a section of this
-// array: the core problem, local start/last addresses, the AM table, and
-// the specialized kernel compiled from them. The kernel is selected once
-// here, at plan-compile time; every subsequent traversal dispatches
-// straight into the specialized loop.
-type sectionPlan struct {
-	start, last int64 // local addresses; start == -1 means nothing to do
-	gaps        []int64
-	count       int64
-	problem     core.Problem
-	kernel      codegen.Kernel
-}
-
-// compileKernel selects the node-code kernel for this plan. ts supplies
-// the shared offset-indexed transition tables when the configuration has
-// them, making the Figure 8(d) dispatch kernel available at zero extra
-// storage per plan.
-func (plan *sectionPlan) compileKernel(ts *core.TableSet) {
-	sp := codegen.Spec{
-		Problem: plan.problem,
-		Start:   plan.start,
-		Last:    plan.last,
-		Count:   plan.count,
-		Gaps:    plan.gaps,
-	}
-	if ts != nil {
-		if delta, next, ok := ts.Transitions(); ok {
-			sp.Delta, sp.Next = delta, next
-		}
-	}
-	plan.kernel = codegen.Compile(sp)
-}
-
-// planSection builds the node-loop plan for processor m over the section
-// (normalized to ascending order; fill-type operations are order
-// independent). The section must lie within array bounds.
-func (a *Array) planSection(sec section.Section, m int64) (sectionPlan, error) {
-	asc, _ := sec.Ascending()
-	if asc.Empty() {
-		return sectionPlan{start: -1, last: -1}, nil
-	}
-	if asc.Lo < 0 || asc.Last() >= a.n {
-		return sectionPlan{}, fmt.Errorf("hpf: section %v outside array [0, %d)", sec, a.n)
-	}
-	pr := core.Problem{P: a.layout.P(), K: a.layout.K(), L: asc.Lo, S: asc.Stride, M: m}
-	u := asc.Last()
-	count, err := pr.Count(u)
-	if err != nil {
-		return sectionPlan{}, err
-	}
-	if count == 0 {
-		return sectionPlan{start: -1, last: -1}, nil
-	}
-	// Go through the shared TableSet (memoized process-wide) rather than
-	// core.Lattice so the uncached path sees the same transition tables —
-	// and therefore selects the same kernel — as buildSectionPlans.
-	ts, err := plancache.Tables(pr.P, pr.K, pr.L, pr.S)
-	if err != nil {
-		return sectionPlan{}, err
-	}
-	seq, err := ts.Sequence(m)
-	if err != nil {
-		return sectionPlan{}, err
-	}
-	lastGlobal, err := pr.Last(u)
-	if err != nil {
-		return sectionPlan{}, err
-	}
-	plan := sectionPlan{
-		start:   seq.StartLocal,
-		last:    a.layout.Local(lastGlobal),
-		gaps:    seq.Gaps,
-		count:   count,
-		problem: pr,
-	}
-	plan.compileKernel(ts)
-	return plan, nil
-}
-
 // kindLabel names the kernel kind the plans compiled to (the kind of
 // the first non-empty processor; all processors of a section share the
 // same (p, k, l, s) class). Access-trace step labels carry it so the
@@ -202,6 +121,24 @@ func (sp *sectionPlans) kindLabel() string {
 		}
 	}
 	return codegen.KindNone.String()
+}
+
+// beginStep returns the active access recorder and a new trace step
+// labelled op:kind, or a nil recorder when access recording is off.
+func (sp *sectionPlans) beginStep(op string) (*telemetry.AccessRecorder, uint32) {
+	ar := telemetry.ActiveAccessRecorder()
+	if ar == nil {
+		return nil, 0
+	}
+	return ar, ar.BeginStep(op + ":" + sp.kindLabel())
+}
+
+// covered checks that a kernel traversed exactly the plan's elements.
+func (pl *Plan) covered(verb string, n int64, m int) error {
+	if n == pl.count {
+		return nil
+	}
+	return fmt.Errorf("hpf: internal: %s %d of %d elements on proc %d", verb, n, pl.count, m)
 }
 
 // FillSection performs the array assignment A(sec) = v, dispatching each
@@ -219,30 +156,20 @@ func (a *Array) FillSection(sec section.Section, v float64) error {
 	if err != nil || sp == nil {
 		return err
 	}
-	if ar := telemetry.ActiveAccessRecorder(); ar != nil {
-		step := ar.BeginStep("hpf.fill_section:" + sp.kindLabel())
-		for m := range sp.plans {
-			plan := &sp.plans[m]
-			if plan.start < 0 {
-				continue
-			}
-			wrote := plan.kernel.FillTraced(a.local[m], v, ar, int32(m), step)
-			if wrote != plan.count {
-				return fmt.Errorf("hpf: internal: wrote %d of %d elements on proc %d",
-					wrote, plan.count, m)
-			}
-		}
-		return nil
-	}
+	ar, step := sp.beginStep("hpf.fill_section")
 	for m := range sp.plans {
 		plan := &sp.plans[m]
 		if plan.start < 0 {
 			continue
 		}
-		wrote := plan.kernel.Fill(a.local[m], v)
-		if wrote != plan.count {
-			return fmt.Errorf("hpf: internal: wrote %d of %d elements on proc %d",
-				wrote, plan.count, m)
+		var wrote int64
+		if ar != nil {
+			wrote = plan.kernel.FillTraced(a.local[m], v, ar, int32(m), step)
+		} else {
+			wrote = plan.kernel.Fill(a.local[m], v)
+		}
+		if err := plan.covered("wrote", wrote, m); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -259,30 +186,20 @@ func (a *Array) MapSection(sec section.Section, f func(float64) float64) error {
 	if err != nil || sp == nil {
 		return err
 	}
-	if ar := telemetry.ActiveAccessRecorder(); ar != nil {
-		step := ar.BeginStep("hpf.map_section:" + sp.kindLabel())
-		for m := range sp.plans {
-			plan := &sp.plans[m]
-			if plan.start < 0 {
-				continue
-			}
-			wrote := plan.kernel.MapTraced(a.local[m], f, ar, int32(m), step)
-			if wrote != plan.count {
-				return fmt.Errorf("hpf: internal: mapped %d of %d elements on proc %d",
-					wrote, plan.count, m)
-			}
-		}
-		return nil
-	}
+	ar, step := sp.beginStep("hpf.map_section")
 	for m := range sp.plans {
 		plan := &sp.plans[m]
 		if plan.start < 0 {
 			continue
 		}
-		wrote := plan.kernel.Map(a.local[m], f)
-		if wrote != plan.count {
-			return fmt.Errorf("hpf: internal: mapped %d of %d elements on proc %d",
-				wrote, plan.count, m)
+		var mapped int64
+		if ar != nil {
+			mapped = plan.kernel.MapTraced(a.local[m], f, ar, int32(m), step)
+		} else {
+			mapped = plan.kernel.Map(a.local[m], f)
+		}
+		if err := plan.covered("mapped", mapped, m); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -295,36 +212,26 @@ func (a *Array) SumSection(sec section.Section) (float64, error) {
 	if tr := telemetry.ActiveTracer(); tr != nil {
 		defer tr.EndSpan(telemetry.HostRank, "hpf.sum_section", tr.Now())
 	}
-	var total float64
 	sp, err := a.cachedSectionPlans(sec)
 	if err != nil || sp == nil {
 		return 0, err
 	}
-	if ar := telemetry.ActiveAccessRecorder(); ar != nil {
-		step := ar.BeginStep("hpf.sum_section:" + sp.kindLabel())
-		for m := range sp.plans {
-			plan := &sp.plans[m]
-			if plan.start < 0 {
-				continue
-			}
-			part, saw := plan.kernel.SumTraced(a.local[m], ar, int32(m), step)
-			if saw != plan.count {
-				return 0, fmt.Errorf("hpf: internal: summed %d of %d elements on proc %d",
-					saw, plan.count, m)
-			}
-			total += part
-		}
-		return total, nil
-	}
+	ar, step := sp.beginStep("hpf.sum_section")
+	var total float64
 	for m := range sp.plans {
 		plan := &sp.plans[m]
 		if plan.start < 0 {
 			continue
 		}
-		part, saw := plan.kernel.Sum(a.local[m])
-		if saw != plan.count {
-			return 0, fmt.Errorf("hpf: internal: summed %d of %d elements on proc %d",
-				saw, plan.count, m)
+		var part float64
+		var saw int64
+		if ar != nil {
+			part, saw = plan.kernel.SumTraced(a.local[m], ar, int32(m), step)
+		} else {
+			part, saw = plan.kernel.Sum(a.local[m])
+		}
+		if err := plan.covered("summed", saw, m); err != nil {
+			return 0, err
 		}
 		total += part
 	}

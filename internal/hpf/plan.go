@@ -1,0 +1,88 @@
+package hpf
+
+import (
+	"repro/internal/codegen"
+	"repro/internal/core"
+	"repro/internal/dist"
+	"repro/internal/section"
+)
+
+// Plan is one processor's node loop over a section (paper, Section
+// 6.1): the start of its access sequence, the local address of its last
+// element, its element count, its AM gap table, and the specialized
+// kernel selected from them. A processor that owns nothing has start
+// -1 and a KindNone kernel. Plans are immutable; the gap table aliases
+// the sequence the TableSet produced.
+type Plan struct {
+	global      int64 // global index of the first owned element, -1 if none
+	start, last int64 // local addresses; start == -1 means nothing to do
+	count       int64
+	gaps        []int64
+	kernel      codegen.Kernel
+}
+
+// GlobalStart returns the global index of the first owned element, or
+// -1 if the processor owns none.
+func (pl *Plan) GlobalStart() int64 { return pl.global }
+
+// LocalStart returns the local address of the first owned element, or
+// -1 if the processor owns none.
+func (pl *Plan) LocalStart() int64 { return pl.start }
+
+// Count returns the number of section elements the processor owns.
+func (pl *Plan) Count() int64 { return pl.count }
+
+// Gaps returns the processor's AM table (cyclic; nil if it owns nothing).
+func (pl *Plan) Gaps() []int64 { return pl.gaps }
+
+// Kernel returns the node-code kernel selected for the plan.
+func (pl *Plan) Kernel() *codegen.Kernel { return &pl.kernel }
+
+// BuildPlans builds every processor's plan for the non-empty ascending
+// section asc under layout. ts must be the table set of (p, k, asc.Lo,
+// asc.Stride), as plancache.Tables returns it: the basis vectors and the
+// offset-indexed transition tables are shared, so only the O(k)
+// per-processor start scans and kernel selections run here.
+func BuildPlans(ts *core.TableSet, layout dist.Layout, asc section.Section) ([]Plan, error) {
+	p, k := layout.P(), layout.K()
+	delta, next, _ := ts.Transitions()
+	u := asc.Last()
+	plans := make([]Plan, p)
+	for m := int64(0); m < p; m++ {
+		pr := core.Problem{P: p, K: k, L: asc.Lo, S: asc.Stride, M: m}
+		count, err := pr.Count(u)
+		if err != nil {
+			return nil, err
+		}
+		if count == 0 {
+			plans[m] = Plan{global: -1, start: -1, last: -1}
+			continue
+		}
+		seq, err := ts.Sequence(m)
+		if err != nil {
+			return nil, err
+		}
+		lastGlobal, err := pr.Last(u)
+		if err != nil {
+			return nil, err
+		}
+		last := layout.Local(lastGlobal)
+		plans[m] = Plan{
+			global: seq.Start,
+			start:  seq.StartLocal,
+			last:   last,
+			count:  count,
+			gaps:   seq.Gaps,
+			kernel: codegen.Select(codegen.Spec{
+				Problem: pr,
+				Start:   seq.StartLocal,
+				Last:    last,
+				Count:   count,
+				Gaps:    seq.Gaps,
+				Delta:   delta,
+				Next:    next,
+			}),
+		}
+	}
+	return plans, nil
+}

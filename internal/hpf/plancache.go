@@ -3,7 +3,6 @@ package hpf
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/plancache"
 	"repro/internal/section"
 )
@@ -18,7 +17,7 @@ import (
 
 // sectionKey identifies one array-section node-loop pattern. The
 // section is keyed in ascending normal form (fill-type operations are
-// order independent, exactly as planSection normalizes).
+// order independent).
 type sectionKey struct {
 	p, k, n        int64
 	lo, hi, stride int64
@@ -33,7 +32,7 @@ func hashSectionKey(k sectionKey) uint64 {
 // cached pattern. Immutable after construction; gap tables are shared
 // read-only across all users.
 type sectionPlans struct {
-	plans []sectionPlan // indexed by processor rank
+	plans []Plan // indexed by processor rank
 }
 
 var sectionPlanCache = plancache.New[sectionKey, *sectionPlans](512, hashSectionKey)
@@ -68,48 +67,14 @@ func (a *Array) cachedSectionPlans(sec section.Section) (*sectionPlans, error) {
 		lo: asc.Lo, hi: asc.Hi, stride: asc.Stride,
 	}
 	return sectionPlanCache.GetOrCompute(key, func() (*sectionPlans, error) {
-		return a.buildSectionPlans(asc)
+		ts, err := plancache.Tables(key.p, key.k, asc.Lo, asc.Stride)
+		if err != nil {
+			return nil, err
+		}
+		plans, err := BuildPlans(ts, a.layout, asc)
+		if err != nil {
+			return nil, err
+		}
+		return &sectionPlans{plans: plans}, nil
 	})
-}
-
-// buildSectionPlans constructs every processor's plan through the
-// shared TableSet: the basis vectors and the offset-indexed transition
-// table are fetched (or built once) from the table cache, and only the
-// O(k) per-processor start scans run here.
-func (a *Array) buildSectionPlans(asc section.Section) (*sectionPlans, error) {
-	p, k := a.layout.P(), a.layout.K()
-	ts, err := plancache.Tables(p, k, asc.Lo, asc.Stride)
-	if err != nil {
-		return nil, err
-	}
-	u := asc.Last()
-	sp := &sectionPlans{plans: make([]sectionPlan, p)}
-	for m := int64(0); m < p; m++ {
-		pr := core.Problem{P: p, K: k, L: asc.Lo, S: asc.Stride, M: m}
-		count, err := pr.Count(u)
-		if err != nil {
-			return nil, err
-		}
-		if count == 0 {
-			sp.plans[m] = sectionPlan{start: -1, last: -1, problem: pr}
-			continue
-		}
-		seq, err := ts.Sequence(m)
-		if err != nil {
-			return nil, err
-		}
-		lastGlobal, err := pr.Last(u)
-		if err != nil {
-			return nil, err
-		}
-		sp.plans[m] = sectionPlan{
-			start:   seq.StartLocal,
-			last:    a.layout.Local(lastGlobal),
-			gaps:    seq.Gaps,
-			count:   count,
-			problem: pr,
-		}
-		sp.plans[m].compileKernel(ts)
-	}
-	return sp, nil
 }

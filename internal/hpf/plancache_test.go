@@ -3,17 +3,59 @@ package hpf
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/codegen"
+	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/plancache"
 	"repro/internal/section"
 )
 
-// TestCachedPlansMatchPlanSection checks the cached per-processor plans
-// against the direct (uncached) planner over a seeded sweep.
-func TestCachedPlansMatchPlanSection(t *testing.T) {
+// checkPlansAgainstOracle builds the cached plans for sec and checks
+// every processor's plan against the paper's definition: the kernel
+// walks exactly core.Problem.Addresses, and the start, last and count
+// fields agree with it.
+func checkPlansAgainstOracle(t *testing.T, a *Array, sec section.Section) {
+	t.Helper()
+	sp, err := a.cachedSectionPlans(sec)
+	if err != nil {
+		t.Fatalf("%v: cachedSectionPlans: %v", sec, err)
+	}
+	asc, _ := sec.Ascending()
+	for m := range sp.plans {
+		pl := &sp.plans[m]
+		pr := core.Problem{P: a.layout.P(), K: a.layout.K(), L: asc.Lo, S: asc.Stride, M: int64(m)}
+		want, err := pr.Addresses(asc.Last())
+		if err != nil {
+			t.Fatalf("%v proc %d: Addresses: %v", sec, m, err)
+		}
+		var got []int64
+		if n := pl.Kernel().Walk(func(addr int64) { got = append(got, addr) }); n != pl.Count() {
+			t.Fatalf("%v proc %d: walk visited %d, plan count %d", sec, m, n, pl.Count())
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%v proc %d (%v kernel): walk %v, oracle %v", sec, m, pl.Kernel().Kind(), got, want)
+		}
+		if len(want) == 0 {
+			if pl.LocalStart() != -1 || pl.GlobalStart() != -1 || pl.Kernel().Kind() != codegen.KindNone {
+				t.Fatalf("%v proc %d: empty plan %+v", sec, m, *pl)
+			}
+			continue
+		}
+		g := pl.GlobalStart()
+		if pl.LocalStart() != want[0] || pl.last != want[len(want)-1] ||
+			a.layout.Owner(g) != int64(m) || a.layout.Local(g) != want[0] || !asc.Contains(g) {
+			t.Fatalf("%v proc %d: plan bounds %+v disagree with oracle %v", sec, m, *pl, want)
+		}
+	}
+}
+
+// TestPlansWalkMatchOracle checks every processor's cached plan against
+// the oracle over a seeded sweep of layouts and sections.
+func TestPlansWalkMatchOracle(t *testing.T) {
 	ResetSectionPlanCache()
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
@@ -28,30 +70,10 @@ func TestCachedPlansMatchPlanSection(t *testing.T) {
 		if sec.Last() >= n {
 			continue
 		}
-		sp, err := a.cachedSectionPlans(sec)
-		if err != nil {
-			t.Fatalf("trial %d: cachedSectionPlans: %v", trial, err)
-		}
-		for m := int64(0); m < p; m++ {
-			want, err := a.planSection(sec, m)
-			if err != nil {
-				t.Fatalf("trial %d: planSection: %v", trial, err)
-			}
-			got := sp.plans[m]
-			if got.start != want.start || got.last != want.last || got.count != want.count {
-				t.Fatalf("trial %d proc %d: cached plan %+v != fresh %+v", trial, m, got, want)
-			}
-			if want.start >= 0 {
-				if len(got.gaps) != len(want.gaps) {
-					t.Fatalf("trial %d proc %d: gap table lengths differ", trial, m)
-				}
-				for i := range want.gaps {
-					if got.gaps[i] != want.gaps[i] {
-						t.Fatalf("trial %d proc %d: gaps differ at %d", trial, m, i)
-					}
-				}
-			}
-		}
+		checkPlansAgainstOracle(t, a, sec)
+	}
+	for _, tc := range kernelFamilies() {
+		checkPlansAgainstOracle(t, MustNewArray(dist.MustNew(tc.p, tc.k), tc.n), tc.sec)
 	}
 }
 

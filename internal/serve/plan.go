@@ -7,9 +7,8 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"repro/internal/codegen"
-	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/hpf"
 	"repro/internal/plancache"
 	"repro/internal/section"
 	"repro/internal/telemetry"
@@ -54,13 +53,16 @@ func (r PlanRequest) normalize() (PlanRequest, error) {
 		return r, fmt.Errorf("section upper bound %d outside array [0, %d)", r.U, r.N)
 	}
 	// Hard caps keep one hostile request from pinning a compile worker:
-	// the response carries O(p·k) gap entries.
-	const maxP, maxK, maxN = 1 << 16, 1 << 20, 1 << 40
+	// the response carries O(p·k) gap entries, so p·k is capped too.
+	const maxP, maxK, maxPK, maxN = 1 << 16, 1 << 20, 1 << 22, 1 << 40
 	if r.P > maxP {
 		return r, fmt.Errorf("p = %d exceeds the service limit %d", r.P, maxP)
 	}
 	if r.K > maxK {
 		return r, fmt.Errorf("k = %d exceeds the service limit %d", r.K, maxK)
+	}
+	if r.P*r.K > maxPK {
+		return r, fmt.Errorf("p·k = %d exceeds the service limit %d", r.P*r.K, maxPK)
 	}
 	if r.N > maxN {
 		return r, fmt.Errorf("n = %d exceeds the service limit %d", r.N, maxN)
@@ -113,7 +115,7 @@ type compiledPlan struct {
 
 // compile builds the full plan document for a normalized request: the
 // shared AM-table set (through the process-wide coalescing table
-// cache), every rank's access sequence and selected kernel, and the
+// cache), every rank's plan and kernel from hpf.BuildPlans, and the
 // serialized body with its deterministic ETag. Each phase records a
 // child span of the caller's build span (hpfd.tables, hpfd.select,
 // hpfd.encode) so per-phase attribution is visible in request traces.
@@ -137,20 +139,26 @@ func compile(ctx context.Context, req PlanRequest) (*compiledPlan, error) {
 		SingleCycle: ts.SingleCycle(),
 		Ranks:       make([]RankPlan, req.P),
 	}
-	delta, next, hasTables := ts.Transitions()
-	if hasTables {
+	if delta, next, ok := ts.Transitions(); ok {
 		doc.Transitions = &Transitions{Delta: delta, Next: next}
 	}
-	u := asc.Last()
 	_, sspan := telemetry.StartSpan(ctx, "hpfd.select")
-	for m := int64(0); m < req.P; m++ {
-		rp, err := compileRank(ts, layout, asc, u, m, delta, next)
-		if err != nil {
-			sspan.End()
-			return nil, err
+	plans, err := hpf.BuildPlans(ts, layout, asc)
+	if err != nil {
+		sspan.End()
+		return nil, err
+	}
+	for m := range plans {
+		pl := &plans[m]
+		doc.Ranks[m] = RankPlan{
+			Rank:       int64(m),
+			Start:      pl.GlobalStart(),
+			StartLocal: pl.LocalStart(),
+			Count:      pl.Count(),
+			Kernel:     pl.Kernel().Kind().String(),
+			Gaps:       pl.Gaps(),
 		}
-		doc.Ranks[m] = rp
-		doc.TotalCount += rp.Count
+		doc.TotalCount += pl.Count()
 	}
 	sspan.End()
 	_, espan := telemetry.StartSpan(ctx, "hpfd.encode")
@@ -165,44 +173,4 @@ func compile(ctx context.Context, req PlanRequest) (*compiledPlan, error) {
 		body: body,
 		etag: `"` + hex.EncodeToString(sum[:16]) + `"`,
 	}, nil
-}
-
-// compileRank computes one processor's bounded sequence and runs the
-// kernel selector over it, mirroring what internal/hpf stores in its
-// cached section plans.
-func compileRank(ts *core.TableSet, layout dist.Layout, asc section.Section,
-	u, m int64, delta, next []int64) (RankPlan, error) {
-	pr := core.Problem{P: layout.P(), K: layout.K(), L: asc.Lo, S: asc.Stride, M: m}
-	count, err := pr.Count(u)
-	if err != nil {
-		return RankPlan{}, err
-	}
-	rp := RankPlan{Rank: m, Start: -1, StartLocal: -1}
-	if count == 0 {
-		rp.Kernel = codegen.KindNone.String()
-		return rp, nil
-	}
-	seq, err := ts.Sequence(m)
-	if err != nil {
-		return RankPlan{}, err
-	}
-	lastGlobal, err := pr.Last(u)
-	if err != nil {
-		return RankPlan{}, err
-	}
-	kernel := codegen.Select(codegen.Spec{
-		Problem: pr,
-		Start:   seq.StartLocal,
-		Last:    layout.Local(lastGlobal),
-		Count:   count,
-		Gaps:    seq.Gaps,
-		Delta:   delta,
-		Next:    next,
-	})
-	rp.Start = seq.Start
-	rp.StartLocal = seq.StartLocal
-	rp.Count = count
-	rp.Kernel = kernel.Kind().String()
-	rp.Gaps = seq.Gaps
-	return rp, nil
 }

@@ -165,6 +165,7 @@ func TestBadRequests(t *testing.T) {
 		"out of bounds":  {P: 4, K: 8, L: 0, U: 99, S: 3, N: 50},
 		"oversized p":    {P: 1 << 20, K: 8, L: 0, U: 99, S: 3},
 		"negative lower": {P: 4, K: 8, L: -1, U: 99, S: 3},
+		"oversized p·k":  {P: 1 << 16, K: 1 << 20, L: 0, U: 1<<40 - 1, S: 3},
 	} {
 		resp := postPlan(t, ts.URL, req, nil)
 		var doc map[string]string
