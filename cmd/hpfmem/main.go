@@ -7,10 +7,9 @@
 //
 //	jacobi -memtrace access.json && hpfmem access.json   # per-rank tables
 //	hpfmem -json access.json > locality.json             # machine-readable (hpfmem/v1)
-//	hpfmem -caches 1024,65536 -chunks 8 access.bin       # custom LRU sizes, Parda chunks
+//	hpfmem -caches 1024,65536 -chunks 8 access.json      # custom LRU sizes, Parda chunks
 //
-// Both accesstrace/v1 encodings (JSON and the binary spill framing) are
-// auto-detected; "-" reads stdin.
+// The input is an accesstrace/v1 JSON document; "-" reads stdin.
 package main
 
 import (
@@ -38,7 +37,7 @@ func main() {
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: hpfmem [flags] <access-trace>\n\nAnalyzes an accesstrace/v1 file (JSON or binary; \"-\" reads stdin).\n\n")
+			"usage: hpfmem [flags] <access-trace>\n\nAnalyzes an accesstrace/v1 JSON file (\"-\" reads stdin).\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()

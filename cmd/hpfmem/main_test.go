@@ -11,11 +11,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// accessFiles records a small two-rank access trace and writes it in
-// both accesstrace/v1 encodings, returning their paths.
-func accessFiles(t *testing.T) (jsonPath, binPath string) {
+// accessFile records a small two-rank access trace and writes it as an
+// accesstrace/v1 document, returning its path.
+func accessFile(t *testing.T) string {
 	t.Helper()
-	r := telemetry.NewAccessRecorder(2, 1024, 1)
+	r := telemetry.NewAccessRecorder(2, 1024)
 	step := r.BeginStep("hpf.fill_section:constgap")
 	for rank := int32(0); rank < 2; rank++ {
 		for sweep := 0; sweep < 2; sweep++ {
@@ -24,56 +24,42 @@ func accessFiles(t *testing.T) (jsonPath, binPath string) {
 			}
 		}
 	}
-	dir := t.TempDir()
-	jsonPath = filepath.Join(dir, "access.json")
-	binPath = filepath.Join(dir, "access.bin")
-	jf, err := os.Create(jsonPath)
+	path := filepath.Join(t.TempDir(), "access.json")
+	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.WriteJSON(jf); err != nil {
+	if err := r.WriteJSON(f); err != nil {
 		t.Fatal(err)
 	}
-	jf.Close()
-	bf, err := os.Create(binPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.WriteBinary(bf); err != nil {
-		t.Fatal(err)
-	}
-	bf.Close()
-	return jsonPath, binPath
+	f.Close()
+	return path
 }
 
 func TestTextReport(t *testing.T) {
-	jsonPath, binPath := accessFiles(t)
-	for name, path := range map[string]string{"json": jsonPath, "binary": binPath} {
-		var out, errOut bytes.Buffer
-		if err := run(&out, &errOut, path, 4, "", false); err != nil {
-			t.Fatalf("%s: %v", name, err)
+	var out, errOut bytes.Buffer
+	if err := run(&out, &errOut, accessFile(t), 4, "", false); err != nil {
+		t.Fatal(err)
+	}
+	report := out.String()
+	for _, want := range []string{
+		"Reuse-distance locality report (2 ranks",
+		"per rank:",
+		"per operation label:",
+		"hpf.fill_section:constgap",
+	} {
+		if !strings.Contains(report, want) {
+			t.Errorf("report missing %q:\n%s", want, report)
 		}
-		report := out.String()
-		for _, want := range []string{
-			"Reuse-distance locality report (2 ranks",
-			"per rank:",
-			"per operation label:",
-			"hpf.fill_section:constgap",
-		} {
-			if !strings.Contains(report, want) {
-				t.Errorf("%s: report missing %q:\n%s", name, want, report)
-			}
-		}
-		if strings.Contains(report, "WARNING") {
-			t.Errorf("%s: unexpected truncation warning:\n%s", name, report)
-		}
+	}
+	if strings.Contains(report, "WARNING") {
+		t.Errorf("unexpected truncation warning:\n%s", report)
 	}
 }
 
 func TestJSONReport(t *testing.T) {
-	jsonPath, _ := accessFiles(t)
 	var out, errOut bytes.Buffer
-	if err := run(&out, &errOut, jsonPath, 2, "16,1024", true); err != nil {
+	if err := run(&out, &errOut, accessFile(t), 2, "16,1024", true); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -118,7 +104,7 @@ func TestJSONReport(t *testing.T) {
 // A trace whose rings overwrote records must shout — on stderr in -json
 // mode so stdout stays machine-readable, inline in text mode.
 func TestDroppedWarning(t *testing.T) {
-	r := telemetry.NewAccessRecorder(1, 64, 1)
+	r := telemetry.NewAccessRecorder(1, 64)
 	step := r.BeginStep("hpf.fill_section:generic")
 	for a := int64(0); a < 200; a++ {
 		r.Record(0, a, telemetry.AccessRead, step)
@@ -170,9 +156,9 @@ func TestBadInputs(t *testing.T) {
 	if err := run(&bytes.Buffer{}, &bytes.Buffer{}, bad, 4, "", false); err == nil {
 		t.Error("no error for non-trace input")
 	}
-	jsonPath, _ := accessFiles(t)
+	path := accessFile(t)
 	for _, caches := range []string{"zero", "-1", "12,"} {
-		if err := run(&bytes.Buffer{}, &bytes.Buffer{}, jsonPath, 4, caches, false); err == nil {
+		if err := run(&bytes.Buffer{}, &bytes.Buffer{}, path, 4, caches, false); err == nil {
 			t.Errorf("no error for -caches %q", caches)
 		}
 	}

@@ -20,7 +20,6 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/reuse"
 	"repro/internal/telemetry"
 	"repro/internal/traceanalysis"
 )
@@ -28,10 +27,6 @@ import (
 // ReportSchema tags the -json output so downstream consumers can
 // detect format drift.
 const ReportSchema = "hpfprof/v1"
-
-// MemReportSchema tags -mem -json output (hpfmem's format; hpfprof -mem
-// is a convenience alias for the hpfmem CLI).
-const MemReportSchema = "hpfmem/v1"
 
 // ServeReportSchema tags -serve -json output: the hpfd request-phase
 // attribution.
@@ -42,12 +37,11 @@ func main() {
 		top      = flag.Int("top", 10, "rows to show in the per-operation tables (0 = all)")
 		jsonOut  = flag.Bool("json", false, "emit the full analysis as "+ReportSchema+" JSON instead of text")
 		maxSteps = flag.Int("steps", 0, "with -json, cap critical_path.steps at this many entries (0 = all; totals and by_op stay complete)")
-		mem      = flag.Bool("mem", false, "treat the input as an accesstrace/v1 memory trace and run the reuse-distance locality analysis (like hpfmem)")
 		serve    = flag.Bool("serve", false, "treat the input as an hpfd trace/v1 dump and report per-request phase attribution and the coalescing tree")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: hpfprof [flags] <trace-file>\n\nAnalyzes a trace/v1 or Chrome trace_event JSON file (\"-\" reads stdin).\nWith -mem, analyzes an accesstrace/v1 memory trace instead.\nWith -serve, analyzes an hpfd trace/v1 dump (curl /trace | hpfprof -serve -).\n\n")
+			"usage: hpfprof [flags] <trace-file>\n\nAnalyzes a trace/v1 or Chrome trace_event JSON file (\"-\" reads stdin).\nWith -serve, analyzes an hpfd trace/v1 dump (curl /trace | hpfprof -serve -).\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -57,8 +51,6 @@ func main() {
 	}
 	var err error
 	switch {
-	case *mem:
-		err = runMem(os.Stdout, os.Stderr, flag.Arg(0), *jsonOut)
 	case *serve:
 		err = runServe(os.Stdout, flag.Arg(0), *jsonOut)
 	default:
@@ -97,38 +89,6 @@ func runServe(w io.Writer, path string, jsonOut bool) error {
 		Schema string `json:"schema"`
 		*traceanalysis.ServeAnalysis
 	}{ServeReportSchema, a}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
-// runMem is the hpfmem analysis inlined: locality tables from a memory
-// access trace.
-func runMem(w, ew io.Writer, path string, jsonOut bool) error {
-	var r io.Reader = os.Stdin
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		r = f
-	}
-	doc, err := telemetry.ReadAccessTrace(r)
-	if err != nil {
-		return err
-	}
-	rep := reuse.BuildReport(doc, reuse.Options{Chunks: 4})
-	if !jsonOut {
-		return rep.WriteText(w)
-	}
-	if rep.Dropped > 0 {
-		fmt.Fprintf(ew, "hpfprof: WARNING: access rings overwrote %d records; distances near the start of the run are missing or inflated\n", rep.Dropped)
-	}
-	out := struct {
-		Schema string `json:"schema"`
-		*reuse.Report
-	}{MemReportSchema, rep}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)

@@ -148,84 +148,6 @@ func TestDroppedWarning(t *testing.T) {
 	}
 }
 
-// hpfprof -mem is the hpfmem analysis inlined; it must keep the same
-// stdout/stderr discipline: hpfmem/v1 JSON clean on stdout, truncation
-// warnings on stderr only.
-func TestMemReport(t *testing.T) {
-	rec := telemetry.NewAccessRecorder(1, 64, 1)
-	step := rec.BeginStep("hpf.map_section:constgap")
-	for a := int64(0); a < 50; a++ {
-		rec.Record(0, a%32, telemetry.AccessRead, step)
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "access.json")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rec.WriteJSON(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	var out, errOut bytes.Buffer
-	if err := runMem(&out, &errOut, path, false); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"Reuse-distance locality report", "hpf.map_section:constgap"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("text report missing %q:\n%s", want, out.String())
-		}
-	}
-
-	out.Reset()
-	errOut.Reset()
-	if err := runMem(&out, &errOut, path, true); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Schema  string `json:"schema"`
-		Ranks   int    `json:"ranks"`
-		PerRank []any  `json:"per_rank"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
-		t.Fatalf("-mem -json output is not JSON: %v\n%s", err, out.String())
-	}
-	if doc.Schema != MemReportSchema || doc.Ranks != 1 || len(doc.PerRank) != 1 {
-		t.Errorf("-mem -json doc = %+v", doc)
-	}
-	if strings.Contains(out.String(), "WARNING") {
-		t.Errorf("-mem -json stdout polluted by warning:\n%s", out.String())
-	}
-	if errOut.Len() != 0 {
-		t.Errorf("unexpected stderr output for a complete trace: %q", errOut.String())
-	}
-
-	// Overflow the 64-record ring; the warning must land on stderr only.
-	for a := int64(0); a < 200; a++ {
-		rec.Record(0, a, telemetry.AccessRead, step)
-	}
-	f, err = os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rec.WriteJSON(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	out.Reset()
-	errOut.Reset()
-	if err := runMem(&out, &errOut, path, true); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(errOut.String(), "WARNING") {
-		t.Errorf("-mem -json mode did not warn on stderr: %q", errOut.String())
-	}
-	if strings.Contains(out.String(), "WARNING") {
-		t.Errorf("-mem -json stdout polluted by warning:\n%s", out.String())
-	}
-}
-
 func TestBadInputs(t *testing.T) {
 	if err := run(&bytes.Buffer{}, &bytes.Buffer{}, "/no/such/file.json", 10, 0, false); err == nil {
 		t.Error("no error for missing file")

@@ -56,7 +56,7 @@ func run(procs, k, n int64, sweeps int, tracePath, memPath string) {
 	if memPath != "" {
 		// Ring capacity 2^20 records per rank (16 MiB); very long runs keep
 		// the most recent window and the hpfmem report warns about the rest.
-		telemetry.StartAccessRecording(int(procs), 1<<20, 1)
+		telemetry.StartAccessRecording(int(procs), 1<<20)
 	}
 	layout := dist.MustNew(procs, k)
 	m := machine.MustNew(int(procs))

@@ -67,7 +67,7 @@ func profileLayout(p, k, s, elems int64, sweeps int, tablesOnly bool, sizes []in
 		kernels[m] = kn
 	}
 	// Capacity covers every record so the profile sees the whole run.
-	ar := telemetry.NewAccessRecorder(int(p), sweeps*int(elems), 1)
+	ar := telemetry.NewAccessRecorder(int(p), sweeps*int(elems))
 	step := ar.BeginStep("bench.fill:" + kernels[0].Kind().String())
 	for sw := 0; sw < sweeps; sw++ {
 		for m := int64(0); m < p; m++ {

@@ -61,7 +61,7 @@ func TestKernelTracedOpsMatchUntraced(t *testing.T) {
 			cap := int(2*n) + 64
 
 			// Fill: writes only.
-			ar := telemetry.NewAccessRecorder(1, cap, 1)
+			ar := telemetry.NewAccessRecorder(1, cap)
 			f.verify(t, label+"/fill-traced", kn.FillTraced(f.mem, 1.0, ar, 0, 7))
 			recs := recorded(t, ar)
 			if int64(len(recs)) != n {
@@ -74,7 +74,7 @@ func TestKernelTracedOpsMatchUntraced(t *testing.T) {
 			}
 
 			// Map: read then write per element.
-			ar = telemetry.NewAccessRecorder(1, cap, 1)
+			ar = telemetry.NewAccessRecorder(1, cap)
 			f.verify(t, label+"/map-traced", kn.MapTraced(f.mem, func(x float64) float64 { return x + 1 }, ar, 0, 1))
 			recs = recorded(t, ar)
 			if int64(len(recs)) != 2*n {
@@ -93,7 +93,7 @@ func TestKernelTracedOpsMatchUntraced(t *testing.T) {
 				f.mem[a] = float64(i + 1)
 				want += float64(i + 1)
 			}
-			ar = telemetry.NewAccessRecorder(1, cap, 1)
+			ar = telemetry.NewAccessRecorder(1, cap)
 			got, cnt := kn.SumTraced(f.mem, ar, 0, 2)
 			if cnt != n || math.Abs(got-want) > 1e-9 {
 				t.Fatalf("%s: SumTraced = (%v, %d), want (%v, %d)", label, got, cnt, want, n)
@@ -110,7 +110,7 @@ func TestKernelTracedOpsMatchUntraced(t *testing.T) {
 
 			// Gather reads; Scatter writes; both round-trip.
 			buf := make([]float64, n)
-			ar = telemetry.NewAccessRecorder(1, cap, 1)
+			ar = telemetry.NewAccessRecorder(1, cap)
 			if got := kn.GatherTraced(f.mem, buf, ar, 0, 3); got != n {
 				t.Fatalf("%s: GatherTraced count = %d, want %d", label, got, n)
 			}
@@ -124,7 +124,7 @@ func TestKernelTracedOpsMatchUntraced(t *testing.T) {
 				t.Fatalf("%s: gather records = %d (first write=%v)", label, len(recs), n > 0 && recs[0].Write)
 			}
 			mem2 := make([]float64, len(f.mem))
-			ar = telemetry.NewAccessRecorder(1, cap, 1)
+			ar = telemetry.NewAccessRecorder(1, cap)
 			if got := kn.ScatterTraced(mem2, buf, ar, 0, 4); got != n {
 				t.Fatalf("%s: ScatterTraced count = %d, want %d", label, got, n)
 			}

@@ -24,7 +24,7 @@ func TestExecuteRecordsPackUnpackAccesses(t *testing.T) {
 	dstSec := section.MustNew(4, 300, 9)
 	srcSec := section.MustNew(0, int64(8*(dstSec.Count()-1)), 8)
 
-	ar := telemetry.StartAccessRecording(4, 1<<16, 1)
+	ar := telemetry.StartAccessRecording(4, 1<<16)
 	defer telemetry.StopAccessRecording()
 	if err := Copy(m, dst, dstSec, src, srcSec); err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestExecuteWithRecordsCombineAccesses(t *testing.T) {
 	dst := hpf.MustNewArray(layout, 100)
 	sec := section.MustNew(0, 99, 1)
 
-	ar := telemetry.StartAccessRecording(3, 1<<16, 1)
+	ar := telemetry.StartAccessRecording(3, 1<<16)
 	defer telemetry.StopAccessRecording()
 	if err := Accumulate(m, dst, sec, src, sec, Add); err != nil {
 		t.Fatal(err)

@@ -13,7 +13,7 @@ import (
 // gone when the test ends.
 func startRecording(t *testing.T, ranks int) *telemetry.AccessRecorder {
 	t.Helper()
-	ar := telemetry.StartAccessRecording(ranks, 1<<16, 1)
+	ar := telemetry.StartAccessRecording(ranks, 1<<16)
 	t.Cleanup(func() { telemetry.StopAccessRecording() })
 	return ar
 }

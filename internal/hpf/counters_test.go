@@ -89,7 +89,7 @@ func TestKernelCountersExactPerOp(t *testing.T) {
 
 			// Traced path: with a recorder active the ops run the traced
 			// kernels, which must count identically (not double).
-			telemetry.StartAccessRecording(int(tc.p), 1<<16, 1)
+			telemetry.StartAccessRecording(int(tc.p), 1<<16)
 			checkOp("cached+traced", "fill", func() {
 				if err := a.FillSection(tc.sec, 2); err != nil {
 					t.Fatal(err)

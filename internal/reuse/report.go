@@ -148,13 +148,20 @@ func BuildReport(doc *telemetry.AccessDoc, opts Options) *Report {
 	wg.Wait()
 
 	// Per-label slices: each access's distance, attributed to the label
-	// of the step it was recorded under.
+	// of the step it was recorded under. A step listed twice keeps its
+	// first label.
+	stepLabel := make(map[uint32]string, len(doc.Steps))
+	for _, s := range doc.Steps {
+		if _, ok := stepLabel[s.Step]; !ok {
+			stepLabel[s.Step] = s.Label
+		}
+	}
 	labelHist := map[string]*Histogram{}
 	labelDists := map[string][]int64{}
 	for i := range doc.Seqs {
 		seq := &doc.Seqs[i]
 		for j, a := range seq.Accesses {
-			label := doc.StepLabel(a.Step)
+			label := stepLabel[a.Step]
 			if label == "" {
 				label = "(unlabeled)"
 			}

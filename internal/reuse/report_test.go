@@ -3,6 +3,7 @@ package reuse
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,7 +13,7 @@ import (
 
 // testDoc builds a small two-rank trace with two labeled steps.
 func testDoc() *telemetry.AccessDoc {
-	r := telemetry.NewAccessRecorder(2, 1024, 1)
+	r := telemetry.NewAccessRecorder(2, 1024)
 	s1 := r.BeginStep("hpf.fill_section:constgap")
 	s2 := r.BeginStep("comm.pack")
 	// Rank 0: a b a b under step 1, then b a under step 2.
@@ -69,6 +70,22 @@ func TestBuildReportProfiles(t *testing.T) {
 	}
 	if fill.Accesses != 4 || fill.Hist.Cold != 2 {
 		t.Fatalf("fill profile = %+v", fill)
+	}
+}
+
+// A step listed twice keeps its first label; an access whose step has
+// no entry is attributed to "(unlabeled)".
+func TestBuildReportStepLabels(t *testing.T) {
+	doc := testDoc()
+	doc.Steps = append(doc.Steps, telemetry.AccessStep{Step: 1, Label: "repeated"})
+	doc.Seqs[1].Accesses = append(doc.Seqs[1].Accesses, telemetry.AccessRec{Addr: 9, Step: 7})
+	var got []string
+	for _, l := range BuildReport(doc, Options{}).PerLabel {
+		got = append(got, fmt.Sprintf("%s:%d", l.Label, l.Accesses))
+	}
+	want := []string{"(unlabeled):1", "comm.pack:5", "hpf.fill_section:constgap:4"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("per-label accesses = %v, want %v", got, want)
 	}
 }
 

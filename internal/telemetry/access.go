@@ -7,9 +7,8 @@ package telemetry
 // AccessRecorder captures the sequence: every instrumented kernel walk,
 // section op and pack/unpack loop can stream its (addr, rw, step)
 // records into per-rank buffers, exported as a self-describing
-// accesstrace/v1 document (JSON for tools, a compact binary framing for
-// long runs) and consumed by internal/reuse and cmd/hpfmem for
-// reuse-distance locality analysis.
+// accesstrace/v1 JSON document and consumed by internal/reuse and
+// cmd/hpfmem for reuse-distance locality analysis.
 //
 // The recorder follows the tracer's guard discipline: a process-wide
 // atomic pointer that is nil when recording is off, so the disabled hot
@@ -19,9 +18,6 @@ package telemetry
 // while recording is active.
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -67,85 +63,26 @@ type AccessStep struct {
 	Label string `json:"label"`
 }
 
-// accessRing is one rank's buffer. In ring mode (no spill writer) the
-// oldest records are overwritten when it fills; with a spill writer the
-// full buffer is flushed as a binary segment and reset, so nothing is
-// lost.
-type accessRing struct {
-	mu      sync.Mutex
-	buf     []Access
-	n       uint64 // total records ever accepted; buf[(n-1)%cap] is newest
-	flushed uint64 // records already written to the spill writer
-	seen    int64  // sampling countdown state: accesses observed since last kept
-}
-
-// AccessRecorder records per-rank memory access sequences. One extra
-// ring (index ranks) absorbs host-side or out-of-range records, exactly
-// like the event tracer's host timeline.
+// AccessRecorder records per-rank memory access sequences. The host ring
+// absorbs host-side or out-of-range records, exactly like the event
+// tracer's host timeline.
 type AccessRecorder struct {
-	ranks  int
-	sample int64 // keep 1 of every sample accesses (1 = all)
-
 	stepMu sync.Mutex
 	step   uint32
 	steps  []AccessStep
 
-	rings []accessRing
-
-	spillMu  sync.Mutex
-	spillW   *bufio.Writer
-	spilled  []int64 // per-ring record counts flushed to the spill writer
-	spillErr error
+	rings rankRings[Access]
 }
 
 // NewAccessRecorder creates a recorder for the given number of ranks
-// with capacity records retained per rank (minimum 64) keeping 1 of
-// every sample accesses (values < 1 mean keep everything).
-func NewAccessRecorder(ranks, capacity int, sample int64) *AccessRecorder {
-	if ranks < 0 {
-		ranks = 0
-	}
-	if capacity < 64 {
-		capacity = 64
-	}
-	if sample < 1 {
-		sample = 1
-	}
-	r := &AccessRecorder{ranks: ranks, sample: sample}
-	r.rings = make([]accessRing, ranks+1)
-	r.spilled = make([]int64, ranks+1)
-	for i := range r.rings {
-		r.rings[i].buf = make([]Access, capacity)
-	}
-	return r
+// with capacity records retained per rank (minimum 64).
+func NewAccessRecorder(ranks, capacity int) *AccessRecorder {
+	return &AccessRecorder{rings: newRankRings[Access](ranks, max(capacity, 64))}
 }
 
 // Ranks returns the number of per-rank sequences (excluding the host
 // overflow ring).
-func (r *AccessRecorder) Ranks() int { return r.ranks }
-
-// Sample returns the sampling period: 1 means every access is kept.
-func (r *AccessRecorder) Sample() int64 { return r.sample }
-
-// SpillTo switches the recorder from ring mode (overwrite oldest) to
-// spill mode: whenever a rank's buffer fills, it is flushed to w as a
-// binary accesstrace segment and reset, so arbitrarily long sequences
-// are retained. Call FinishSpill when recording is done to flush
-// partial buffers and the trailer. Must be called before recording
-// starts.
-func (r *AccessRecorder) SpillTo(w io.Writer) error {
-	r.spillMu.Lock()
-	defer r.spillMu.Unlock()
-	if r.spillW != nil {
-		return fmt.Errorf("telemetry: spill writer already set")
-	}
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if err := writeBinaryHeader(bw, r.ranks, r.sample); err != nil {
-		return err
-	}
-	r.spillW = bw
-	return nil
-}
+func (r *AccessRecorder) Ranks() int { return r.rings.ranks }
 
 // BeginStep registers a new step with the given label and returns its
 // number, to be passed to Record for every access of the operation.
@@ -159,143 +96,14 @@ func (r *AccessRecorder) BeginStep(label string) uint32 {
 	return s
 }
 
-// ring maps a rank (or HostRank) onto its buffer; out-of-range ranks
-// fold onto the overflow ring.
-func (r *AccessRecorder) ring(rank int32) *accessRing {
-	if rank >= 0 && int(rank) < r.ranks {
-		return &r.rings[rank]
-	}
-	return &r.rings[r.ranks]
-}
-
-// Record appends one access to rank's sequence, honouring the sampling
-// period. It never allocates in ring mode; in spill mode a full buffer
-// is flushed to the spill writer before the record lands.
+// Record appends one access to rank's sequence. It never allocates.
 func (r *AccessRecorder) Record(rank int32, addr int64, op AccessOp, step uint32) {
-	ring := r.ring(rank)
-	ring.mu.Lock()
-	ring.seen++
-	if ring.seen < r.sample {
-		ring.mu.Unlock()
-		return
-	}
-	ring.seen = 0
-	if r.spillW != nil && ring.n > 0 && ring.n%uint64(len(ring.buf)) == 0 {
-		r.flushRing(rank, ring)
-	}
-	ring.buf[ring.n%uint64(len(ring.buf))] = Access{Addr: addr, Step: step, Op: op}
-	ring.n++
-	ring.mu.Unlock()
-}
-
-// flushRing writes ring's not-yet-spilled records as a binary segment
-// (caller holds ring.mu; only called when the buffer is exactly full, so
-// everything since the last flush is contiguous in recording order). The
-// first spill error sticks and later flushes are dropped.
-func (r *AccessRecorder) flushRing(rank int32, ring *accessRing) {
-	idx := r.ringIndex(rank)
-	c := uint64(len(ring.buf))
-	start := ring.flushed % c
-	recs := append(ring.buf[start:], ring.buf[:start]...)
-	recs = recs[:ring.n-ring.flushed]
-	r.spillMu.Lock()
-	if r.spillErr == nil {
-		r.spillErr = writeBinarySegment(r.spillW, rank, recs)
-		if r.spillErr == nil {
-			r.spilled[idx] += int64(len(recs))
-			ring.flushed = ring.n
-		}
-	}
-	r.spillMu.Unlock()
-}
-
-func (r *AccessRecorder) ringIndex(rank int32) int {
-	if rank >= 0 && int(rank) < r.ranks {
-		return int(rank)
-	}
-	return r.ranks
-}
-
-// FinishSpill flushes every rank's partial buffer, the step table and
-// the trailer to the spill writer, completing the binary document. The
-// recorder must not record concurrently with or after FinishSpill.
-func (r *AccessRecorder) FinishSpill() error {
-	r.spillMu.Lock()
-	defer r.spillMu.Unlock()
-	if r.spillW == nil {
-		return fmt.Errorf("telemetry: no spill writer set")
-	}
-	if r.spillErr != nil {
-		return r.spillErr
-	}
-	for i := range r.rings {
-		ring := &r.rings[i]
-		ring.mu.Lock()
-		c := uint64(len(ring.buf))
-		kept := ring.n - ring.flushed // flushes keep this ≤ cap
-		if kept > c {
-			kept = c
-		}
-		recs := make([]Access, 0, kept)
-		for j := uint64(0); j < kept; j++ {
-			recs = append(recs, ring.buf[(ring.n-kept+j)%c])
-		}
-		ring.flushed = ring.n
-		ring.mu.Unlock()
-		rank := int32(i)
-		if i == r.ranks {
-			rank = HostRank
-		}
-		if len(recs) > 0 {
-			if err := writeBinarySegment(r.spillW, rank, recs); err != nil {
-				r.spillErr = err
-				return err
-			}
-			r.spilled[i] += int64(len(recs))
-		}
-	}
-	r.stepMu.Lock()
-	steps := append([]AccessStep(nil), r.steps...)
-	r.stepMu.Unlock()
-	if err := writeBinaryTrailer(r.spillW, steps, 0); err != nil {
-		r.spillErr = err
-		return err
-	}
-	if err := r.spillW.Flush(); err != nil {
-		r.spillErr = err
-		return err
-	}
-	return nil
+	r.rings.push(rank, Access{Addr: addr, Step: step, Op: op})
 }
 
 // Dropped returns how many records were overwritten because a ring was
-// full (always 0 in spill mode).
-func (r *AccessRecorder) Dropped() int64 {
-	var d int64
-	for i := range r.rings {
-		ring := &r.rings[i]
-		ring.mu.Lock()
-		c := uint64(len(ring.buf))
-		if live := ring.n - ring.flushed; live > c {
-			d += int64(live - c)
-		}
-		ring.mu.Unlock()
-	}
-	return d
-}
-
-// Recorded returns the total number of records accepted across all
-// ranks (retained or not).
-func (r *AccessRecorder) Recorded() int64 {
-	var n int64
-	for i := range r.rings {
-		ring := &r.rings[i]
-		ring.mu.Lock()
-		n += int64(ring.n)
-		ring.mu.Unlock()
-	}
-	return n
-}
+// full.
+func (r *AccessRecorder) Dropped() int64 { return r.rings.dropped() }
 
 // ---------------------------------------------------------------------
 // The process-wide recorder guard, mirroring the event tracer's.
@@ -303,10 +111,9 @@ func (r *AccessRecorder) Recorded() int64 {
 var activeAccess atomic.Pointer[AccessRecorder]
 
 // StartAccessRecording installs a new process-wide access recorder for
-// ranks sequences with the given per-rank capacity, keeping 1 of every
-// sample accesses, and returns it.
-func StartAccessRecording(ranks, capacity int, sample int64) *AccessRecorder {
-	r := NewAccessRecorder(ranks, capacity, sample)
+// ranks sequences with the given per-rank capacity and returns it.
+func StartAccessRecording(ranks, capacity int) *AccessRecorder {
+	r := NewAccessRecorder(ranks, capacity)
 	activeAccess.Store(r)
 	return r
 }
@@ -345,59 +152,37 @@ type RankAccesses struct {
 type AccessDoc struct {
 	Schema  string         `json:"schema"`
 	Ranks   int            `json:"ranks"`
-	Sample  int64          `json:"sample"`
+	Sample  int64          `json:"sample"` // always 1: every access is kept
 	Dropped int64          `json:"dropped"`
 	Steps   []AccessStep   `json:"steps,omitempty"`
 	Seqs    []RankAccesses `json:"sequences"`
 }
 
-// StepLabel returns the label registered for a step number ("" when
-// unknown).
-func (d *AccessDoc) StepLabel(step uint32) string {
-	for _, s := range d.Steps {
-		if s.Step == step {
-			return s.Label
-		}
-	}
-	return ""
-}
-
 // Doc captures the recorder's retained records as an accesstrace/v1
-// document (ring mode only — spilled records live in the spill writer's
-// output, not in memory). Ranks that recorded nothing are omitted.
+// document. Ranks that recorded nothing are omitted.
 func (r *AccessRecorder) Doc() AccessDoc {
 	doc := AccessDoc{
 		Schema:  AccessSchema,
-		Ranks:   r.ranks,
-		Sample:  r.sample,
+		Ranks:   r.rings.ranks,
+		Sample:  1,
 		Dropped: r.Dropped(),
 	}
 	r.stepMu.Lock()
 	doc.Steps = append([]AccessStep(nil), r.steps...)
 	r.stepMu.Unlock()
-	for i := range r.rings {
-		ring := &r.rings[i]
-		ring.mu.Lock()
-		c := uint64(len(ring.buf))
-		kept := ring.n - ring.flushed // spilled records live in the writer
-		if kept > c {
-			kept = c
-		}
-		if kept == 0 {
-			ring.mu.Unlock()
+	var recs []Access
+	for i := range r.rings.rings {
+		recs = r.rings.snapshot(recs[:0], i)
+		if len(recs) == 0 {
 			continue
 		}
-		ra := RankAccesses{Rank: int32(i), Accesses: make([]AccessRec, 0, kept)}
-		if i == r.ranks {
+		ra := RankAccesses{Rank: int32(i), Accesses: make([]AccessRec, len(recs))}
+		if i == r.rings.ranks {
 			ra.Rank = HostRank
 		}
-		for j := uint64(0); j < kept; j++ {
-			a := ring.buf[(ring.n-kept+j)%c]
-			ra.Accesses = append(ra.Accesses, AccessRec{
-				Addr: a.Addr, Step: a.Step, Write: a.Op == AccessWrite,
-			})
+		for j, a := range recs {
+			ra.Accesses[j] = AccessRec{Addr: a.Addr, Step: a.Step, Write: a.Op == AccessWrite}
 		}
-		ring.mu.Unlock()
 		doc.Seqs = append(doc.Seqs, ra)
 	}
 	return doc
@@ -415,132 +200,8 @@ func (r *AccessRecorder) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// WriteBinary writes the retained records in the compact binary
-// accesstrace framing (see the binary constants below) — the format the
-// spill path streams incrementally.
-func (r *AccessRecorder) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if err := writeBinaryHeader(bw, r.ranks, r.sample); err != nil {
-		return err
-	}
-	doc := r.Doc()
-	for _, seq := range doc.Seqs {
-		recs := make([]Access, len(seq.Accesses))
-		for i, a := range seq.Accesses {
-			op := AccessRead
-			if a.Write {
-				op = AccessWrite
-			}
-			recs[i] = Access{Addr: a.Addr, Step: a.Step, Op: op}
-		}
-		if err := writeBinarySegment(bw, seq.Rank, recs); err != nil {
-			return err
-		}
-	}
-	if err := writeBinaryTrailer(bw, doc.Steps, doc.Dropped); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ---------------------------------------------------------------------
-// Binary framing. A document is:
-//
-//	header : magic "HPFMACC1" | u32 version | u32 ranks | i64 sample
-//	blocks : (blockRecords u8=2 | i32 rank | u32 count | count × record)*
-//	         one rank may contribute many blocks (the spill path emits
-//	         one per flushed buffer); records are 16 bytes each:
-//	         i64 addr | u32 step | u8 op | 3 pad bytes
-//	trailer: blockSteps u8=1 | u32 count | count × (u32 step | u16 len | label)
-//	         blockEnd u8=0 | i64 dropped
-//
-// Everything is little-endian.
-
-var accessMagic = [8]byte{'H', 'P', 'F', 'M', 'A', 'C', 'C', '1'}
-
-const (
-	accessBinVersion = 1
-	blockEnd         = 0
-	blockSteps       = 1
-	blockRecords     = 2
-	accessRecSize    = 16
-)
-
-func writeBinaryHeader(w io.Writer, ranks int, sample int64) error {
-	if _, err := w.Write(accessMagic[:]); err != nil {
-		return err
-	}
-	var hdr [16]byte
-	binary.LittleEndian.PutUint32(hdr[0:], accessBinVersion)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(ranks))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(sample))
-	_, err := w.Write(hdr[:])
-	return err
-}
-
-func writeBinarySegment(w io.Writer, rank int32, recs []Access) error {
-	var hdr [9]byte
-	hdr[0] = blockRecords
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(rank))
-	binary.LittleEndian.PutUint32(hdr[5:], uint32(len(recs)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	var rec [accessRecSize]byte
-	for _, a := range recs {
-		binary.LittleEndian.PutUint64(rec[0:], uint64(a.Addr))
-		binary.LittleEndian.PutUint32(rec[8:], a.Step)
-		rec[12] = byte(a.Op)
-		if _, err := w.Write(rec[:]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writeBinaryTrailer(w io.Writer, steps []AccessStep, dropped int64) error {
-	var hdr [5]byte
-	hdr[0] = blockSteps
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(steps)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	for _, s := range steps {
-		if len(s.Label) > 0xFFFF {
-			s.Label = s.Label[:0xFFFF]
-		}
-		var sh [6]byte
-		binary.LittleEndian.PutUint32(sh[0:], s.Step)
-		binary.LittleEndian.PutUint16(sh[4:], uint16(len(s.Label)))
-		if _, err := w.Write(sh[:]); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(w, s.Label); err != nil {
-			return err
-		}
-	}
-	var end [9]byte
-	end[0] = blockEnd
-	binary.LittleEndian.PutUint64(end[1:], uint64(dropped))
-	_, err := w.Write(end[:])
-	return err
-}
-
-// ReadAccessTrace parses an accesstrace document in either encoding,
-// auto-detected from the first bytes (the binary magic vs JSON's '{').
+// ReadAccessTrace parses an accesstrace/v1 JSON document.
 func ReadAccessTrace(r io.Reader) (*AccessDoc, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	head, err := br.Peek(len(accessMagic))
-	if err != nil && len(head) == 0 {
-		return nil, fmt.Errorf("telemetry: empty access trace: %w", err)
-	}
-	if bytes.Equal(head, accessMagic[:]) {
-		return readAccessBinary(br)
-	}
-	return readAccessJSON(br)
-}
-
-func readAccessJSON(r io.Reader) (*AccessDoc, error) {
 	var doc AccessDoc
 	if err := json.NewDecoder(r).Decode(&doc); err != nil {
 		return nil, fmt.Errorf("telemetry: parse access trace: %w", err)
@@ -549,91 +210,4 @@ func readAccessJSON(r io.Reader) (*AccessDoc, error) {
 		return nil, fmt.Errorf("telemetry: access trace schema %q, want %q", doc.Schema, AccessSchema)
 	}
 	return &doc, nil
-}
-
-func readAccessBinary(r *bufio.Reader) (*AccessDoc, error) {
-	var magic [8]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, err
-	}
-	var hdr [16]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("telemetry: truncated access trace header: %w", err)
-	}
-	if v := binary.LittleEndian.Uint32(hdr[0:]); v != accessBinVersion {
-		return nil, fmt.Errorf("telemetry: access trace version %d, want %d", v, accessBinVersion)
-	}
-	doc := &AccessDoc{
-		Schema: AccessSchema,
-		Ranks:  int(binary.LittleEndian.Uint32(hdr[4:])),
-		Sample: int64(binary.LittleEndian.Uint64(hdr[8:])),
-	}
-	// Rank segments may be interleaved (the spill path flushes buffers
-	// as they fill); concatenate per rank in stream order.
-	byRank := map[int32]*RankAccesses{}
-	var order []int32
-	for {
-		bt, err := r.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("telemetry: truncated access trace: %w", err)
-		}
-		switch bt {
-		case blockRecords:
-			var sh [8]byte
-			if _, err := io.ReadFull(r, sh[:]); err != nil {
-				return nil, fmt.Errorf("telemetry: truncated records block: %w", err)
-			}
-			rank := int32(binary.LittleEndian.Uint32(sh[0:]))
-			count := binary.LittleEndian.Uint32(sh[4:])
-			seq := byRank[rank]
-			if seq == nil {
-				seq = &RankAccesses{Rank: rank}
-				byRank[rank] = seq
-				order = append(order, rank)
-			}
-			var rec [accessRecSize]byte
-			for i := uint32(0); i < count; i++ {
-				if _, err := io.ReadFull(r, rec[:]); err != nil {
-					return nil, fmt.Errorf("telemetry: truncated record: %w", err)
-				}
-				seq.Accesses = append(seq.Accesses, AccessRec{
-					Addr:  int64(binary.LittleEndian.Uint64(rec[0:])),
-					Step:  binary.LittleEndian.Uint32(rec[8:]),
-					Write: AccessOp(rec[12]) == AccessWrite,
-				})
-			}
-		case blockSteps:
-			var cb [4]byte
-			if _, err := io.ReadFull(r, cb[:]); err != nil {
-				return nil, fmt.Errorf("telemetry: truncated step table: %w", err)
-			}
-			count := binary.LittleEndian.Uint32(cb[:])
-			for i := uint32(0); i < count; i++ {
-				var sh [6]byte
-				if _, err := io.ReadFull(r, sh[:]); err != nil {
-					return nil, fmt.Errorf("telemetry: truncated step entry: %w", err)
-				}
-				label := make([]byte, binary.LittleEndian.Uint16(sh[4:]))
-				if _, err := io.ReadFull(r, label); err != nil {
-					return nil, fmt.Errorf("telemetry: truncated step label: %w", err)
-				}
-				doc.Steps = append(doc.Steps, AccessStep{
-					Step:  binary.LittleEndian.Uint32(sh[0:]),
-					Label: string(label),
-				})
-			}
-		case blockEnd:
-			var db [8]byte
-			if _, err := io.ReadFull(r, db[:]); err != nil {
-				return nil, fmt.Errorf("telemetry: truncated trailer: %w", err)
-			}
-			doc.Dropped = int64(binary.LittleEndian.Uint64(db[:]))
-			for _, rank := range order {
-				doc.Seqs = append(doc.Seqs, *byRank[rank])
-			}
-			return doc, nil
-		default:
-			return nil, fmt.Errorf("telemetry: unknown access trace block type %d", bt)
-		}
-	}
 }

@@ -2,11 +2,12 @@ package telemetry
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
 func TestAccessRecorderRoundTripJSON(t *testing.T) {
-	r := NewAccessRecorder(2, 64, 1)
+	r := NewAccessRecorder(2, 64)
 	s1 := r.BeginStep("hpf.fill_section:constgap")
 	s2 := r.BeginStep("comm.pack")
 	r.Record(0, 10, AccessWrite, s1)
@@ -25,26 +26,6 @@ func TestAccessRecorderRoundTripJSON(t *testing.T) {
 	checkDoc(t, doc)
 }
 
-func TestAccessRecorderRoundTripBinary(t *testing.T) {
-	r := NewAccessRecorder(2, 64, 1)
-	s1 := r.BeginStep("hpf.fill_section:constgap")
-	s2 := r.BeginStep("comm.pack")
-	r.Record(0, 10, AccessWrite, s1)
-	r.Record(0, 13, AccessWrite, s1)
-	r.Record(1, 7, AccessRead, s2)
-	r.Record(HostRank, 99, AccessRead, 0)
-
-	var buf bytes.Buffer
-	if err := r.WriteBinary(&buf); err != nil {
-		t.Fatalf("WriteBinary: %v", err)
-	}
-	doc, err := ReadAccessTrace(&buf)
-	if err != nil {
-		t.Fatalf("ReadAccessTrace: %v", err)
-	}
-	checkDoc(t, doc)
-}
-
 func checkDoc(t *testing.T, doc *AccessDoc) {
 	t.Helper()
 	if doc.Schema != AccessSchema {
@@ -53,7 +34,8 @@ func checkDoc(t *testing.T, doc *AccessDoc) {
 	if doc.Ranks != 2 || doc.Sample != 1 || doc.Dropped != 0 {
 		t.Fatalf("header = %d ranks, sample %d, dropped %d", doc.Ranks, doc.Sample, doc.Dropped)
 	}
-	if len(doc.Steps) != 2 || doc.StepLabel(1) != "hpf.fill_section:constgap" || doc.StepLabel(2) != "comm.pack" {
+	wantSteps := []AccessStep{{1, "hpf.fill_section:constgap"}, {2, "comm.pack"}}
+	if !slices.Equal(doc.Steps, wantSteps) {
 		t.Fatalf("steps = %+v", doc.Steps)
 	}
 	byRank := map[int32][]AccessRec{}
@@ -74,29 +56,8 @@ func checkDoc(t *testing.T, doc *AccessDoc) {
 	}
 }
 
-func TestAccessRecorderSampling(t *testing.T) {
-	r := NewAccessRecorder(1, 1024, 4)
-	for i := 0; i < 100; i++ {
-		r.Record(0, int64(i), AccessRead, 0)
-	}
-	doc := r.Doc()
-	if len(doc.Seqs) != 1 {
-		t.Fatalf("sequences = %d", len(doc.Seqs))
-	}
-	got := doc.Seqs[0].Accesses
-	if len(got) != 25 {
-		t.Fatalf("kept %d of 100 at sample=4, want 25", len(got))
-	}
-	// Every 4th access is the one retained.
-	for i, a := range got {
-		if want := int64(4*i + 3); a.Addr != want {
-			t.Fatalf("kept[%d].Addr = %d, want %d", i, a.Addr, want)
-		}
-	}
-}
-
 func TestAccessRecorderOverwriteDropped(t *testing.T) {
-	r := NewAccessRecorder(1, 64, 1)
+	r := NewAccessRecorder(1, 64)
 	for i := 0; i < 200; i++ {
 		r.Record(0, int64(i), AccessRead, 0)
 	}
@@ -113,52 +74,11 @@ func TestAccessRecorderOverwriteDropped(t *testing.T) {
 	}
 }
 
-func TestAccessRecorderSpill(t *testing.T) {
-	var spill bytes.Buffer
-	r := NewAccessRecorder(1, 64, 1)
-	if err := r.SpillTo(&spill); err != nil {
-		t.Fatalf("SpillTo: %v", err)
-	}
-	s := r.BeginStep("hpf.map_section:generic")
-	const total = 300 // 4 full flushes + a 44-record tail
-	for i := 0; i < total; i++ {
-		r.Record(0, int64(i), AccessWrite, s)
-	}
-	if d := r.Dropped(); d != 0 {
-		t.Fatalf("Dropped in spill mode = %d", d)
-	}
-	if err := r.FinishSpill(); err != nil {
-		t.Fatalf("FinishSpill: %v", err)
-	}
-	doc, err := ReadAccessTrace(&spill)
-	if err != nil {
-		t.Fatalf("ReadAccessTrace: %v", err)
-	}
-	if doc.Dropped != 0 {
-		t.Fatalf("doc.Dropped = %d", doc.Dropped)
-	}
-	if len(doc.Seqs) != 1 {
-		t.Fatalf("sequences = %d", len(doc.Seqs))
-	}
-	got := doc.Seqs[0].Accesses
-	if len(got) != total {
-		t.Fatalf("spilled %d records, want %d", len(got), total)
-	}
-	for i, a := range got {
-		if a.Addr != int64(i) || a.Step != s || !a.Write {
-			t.Fatalf("record %d = %+v", i, a)
-		}
-	}
-	if doc.StepLabel(s) != "hpf.map_section:generic" {
-		t.Fatalf("steps = %+v", doc.Steps)
-	}
-}
-
 func TestAccessRecorderGuard(t *testing.T) {
 	if ActiveAccessRecorder() != nil {
 		t.Fatal("recorder active at test start")
 	}
-	r := StartAccessRecording(2, 128, 1)
+	r := StartAccessRecording(2, 128)
 	if ActiveAccessRecorder() != r {
 		t.Fatal("ActiveAccessRecorder did not return the started recorder")
 	}
@@ -184,14 +104,14 @@ func TestAccessDisabledPathZeroAllocs(t *testing.T) {
 	}
 }
 
-// Ring-mode recording itself is allocation-free too: records land in
+// Recording itself is allocation-free too: records land in
 // preallocated buffers.
 func TestAccessRecordZeroAllocs(t *testing.T) {
-	r := NewAccessRecorder(1, 256, 1)
+	r := NewAccessRecorder(1, 256)
 	allocs := testing.AllocsPerRun(1000, func() {
 		r.Record(0, 42, AccessWrite, 1)
 	})
 	if allocs != 0 {
-		t.Fatalf("ring-mode Record allocates %v allocs/op", allocs)
+		t.Fatalf("Record allocates %v allocs/op", allocs)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -158,63 +157,29 @@ func MatchMessages(events []Event) []MessagePair {
 
 // Tracer records SPMD events into fixed-capacity per-rank ring buffers:
 // one ring per processor rank plus one for HostRank. Recording takes the
-// ring's mutex (uncontended in SPMD use — each rank records from its own
-// goroutine) and never allocates; when a ring is full the oldest events
-// are overwritten.
+// ring's mutex and never allocates; when a ring is full the oldest
+// events are overwritten.
 type Tracer struct {
 	epoch time.Time
-	ranks int
-	rings []eventRing // rings[0..ranks-1] per rank, rings[ranks] is the host
-}
-
-type eventRing struct {
-	mu  sync.Mutex
-	buf []Event
-	n   uint64 // total events ever recorded; buf[(n-1)%cap] is newest
+	rings rankRings[Event]
 }
 
 // NewTracer creates a tracer for the given number of processor ranks
 // with capacity events retained per rank (minimum 16).
 func NewTracer(ranks, capacity int) *Tracer {
-	if ranks < 0 {
-		ranks = 0
-	}
-	if capacity < 16 {
-		capacity = 16
-	}
-	t := &Tracer{epoch: time.Now(), ranks: ranks}
-	t.rings = make([]eventRing, ranks+1)
-	for i := range t.rings {
-		t.rings[i].buf = make([]Event, capacity)
-	}
-	return t
+	return &Tracer{epoch: time.Now(), rings: newRankRings[Event](ranks, max(capacity, 16))}
 }
 
 // Ranks returns the number of processor timelines (excluding the host).
-func (t *Tracer) Ranks() int { return t.ranks }
+func (t *Tracer) Ranks() int { return t.rings.ranks }
 
 // Now returns nanoseconds since the tracer's epoch — the Start value for
 // events recorded now.
 func (t *Tracer) Now() int64 { return time.Since(t.epoch).Nanoseconds() }
 
-// ring maps a rank (HostRank or [0, ranks)) to its ring; out-of-range
-// ranks fold onto the host ring rather than corrupting memory.
-func (t *Tracer) ring(rank int32) *eventRing {
-	if rank >= 0 && int(rank) < t.ranks {
-		return &t.rings[rank]
-	}
-	return &t.rings[t.ranks]
-}
-
 // Record appends e to the ring of e.Rank. It never allocates; callers on
 // hot paths pass string constants as Name.
-func (t *Tracer) Record(e Event) {
-	r := t.ring(e.Rank)
-	r.mu.Lock()
-	r.buf[r.n%uint64(len(r.buf))] = e
-	r.n++
-	r.mu.Unlock()
-}
+func (t *Tracer) Record(e Event) { t.rings.push(e.Rank, e) }
 
 // EndSpan records a KindSpan event on rank's timeline that began at
 // start (a value from Now) and ends now.
@@ -226,36 +191,15 @@ func (t *Tracer) EndSpan(rank int32, name string, start int64) {
 // last. Export-path only; allocates.
 func (t *Tracer) Events() []Event {
 	var out []Event
-	for i := range t.rings {
-		r := &t.rings[i]
-		r.mu.Lock()
-		c := uint64(len(r.buf))
-		kept := r.n
-		if kept > c {
-			kept = c
-		}
-		for j := uint64(0); j < kept; j++ {
-			out = append(out, r.buf[(r.n-kept+j)%c])
-		}
-		r.mu.Unlock()
+	for i := range t.rings.rings {
+		out = t.rings.snapshot(out, i)
 	}
 	return out
 }
 
 // Dropped returns how many events were overwritten because their ring
 // was full.
-func (t *Tracer) Dropped() int64 {
-	var d int64
-	for i := range t.rings {
-		r := &t.rings[i]
-		r.mu.Lock()
-		if c := uint64(len(r.buf)); r.n > c {
-			d += int64(r.n - c)
-		}
-		r.mu.Unlock()
-	}
-	return d
-}
+func (t *Tracer) Dropped() int64 { return t.rings.dropped() }
 
 // active is the process-wide tracer consulted by the instrumented
 // packages; nil (the default) disables tracing with a single atomic
@@ -319,15 +263,6 @@ type chromeTrace struct {
 	OtherData       map[string]any `json:"otherData,omitempty"`
 }
 
-// chromeTid maps a rank to a Chrome thread id: ranks keep their number,
-// the host timeline goes below them as tid ranks.
-func (t *Tracer) chromeTid(rank int32) int {
-	if rank >= 0 && int(rank) < t.ranks {
-		return int(rank)
-	}
-	return t.ranks
-}
-
 // WriteChromeTrace writes every retained event as a Chrome trace_event
 // JSON document loadable in chrome://tracing and Perfetto: one thread
 // per rank (plus "host"), complete events for every kind (sends carry
@@ -349,9 +284,9 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		Name: "process_name", Ph: "M", Pid: 0, Tid: 0,
 		Args: map[string]any{"name": "spmd machine"},
 	})
-	for r := 0; r <= t.ranks; r++ {
+	for r := 0; r <= t.rings.ranks; r++ {
 		name := fmt.Sprintf("rank %d", r)
-		if r == t.ranks {
+		if r == t.rings.ranks {
 			name = "host"
 		}
 		out = append(out, chromeEvent{
@@ -365,7 +300,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			Cat:  e.Kind.String(),
 			Ts:   float64(e.Start) / 1e3,
 			Pid:  0,
-			Tid:  t.chromeTid(e.Rank),
+			Tid:  t.rings.index(e.Rank),
 		}
 		if e.Peer >= 0 || e.Bytes > 0 || e.Seq > 0 || e.Span != 0 {
 			ce.Args = map[string]any{}
@@ -408,18 +343,18 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		out = append(out,
 			chromeEvent{
 				Name: s.Name, Cat: "msg", Ph: "s", ID: flowID + 1,
-				Ts: float64(s.Start+s.Dur/2) / 1e3, Pid: 0, Tid: t.chromeTid(s.Rank),
+				Ts: float64(s.Start+s.Dur/2) / 1e3, Pid: 0, Tid: t.rings.index(s.Rank),
 			},
 			chromeEvent{
 				Name: s.Name, Cat: "msg", Ph: "f", Bp: "e", ID: flowID + 1,
-				Ts: float64(r.Start+r.Dur/2) / 1e3, Pid: 0, Tid: t.chromeTid(r.Rank),
+				Ts: float64(r.Start+r.Dur/2) / 1e3, Pid: 0, Tid: t.rings.index(r.Rank),
 			})
 	}
 	doc := chromeTrace{
 		TraceEvents:     out,
 		DisplayTimeUnit: "ns",
 		OtherData: map[string]any{
-			"ranks":   t.ranks,
+			"ranks":   t.rings.ranks,
 			"dropped": t.Dropped(),
 		},
 	}
@@ -442,11 +377,11 @@ func (t *Tracer) WriteSummary(w io.Writer) error {
 		bytesOut                        int64
 		recvWaitNs, barrierWaitNs       int64
 	}
-	aggs := make([]rankAgg, t.ranks+1)
+	aggs := make([]rankAgg, len(t.rings.rings))
 	spanNs := map[string]int64{}
 	spanCount := map[string]int64{}
 	for _, e := range events {
-		a := &aggs[t.chromeTid(e.Rank)]
+		a := &aggs[t.rings.index(e.Rank)]
 		switch e.Kind {
 		case KindSend:
 			a.sends++
@@ -471,10 +406,9 @@ func (t *Tracer) WriteSummary(w io.Writer) error {
 		}
 	}
 	pr("rank   sends  recvs  barriers  collectives  bytes_out  recv_wait  barrier_wait\n")
-	for r := 0; r <= t.ranks; r++ {
-		a := aggs[r]
+	for r, a := range aggs {
 		label := fmt.Sprintf("%4d", r)
-		if r == t.ranks {
+		if r == t.rings.ranks {
 			if a == (rankAgg{}) {
 				continue // host rarely sends; skip an all-zero line
 			}

@@ -55,8 +55,8 @@ func (t *Tracer) TraceDoc() TraceDoc {
 	events := t.Events()
 	doc := TraceDoc{
 		Schema:   TraceSchema,
-		Ranks:    t.ranks,
-		Capacity: len(t.rings[0].buf),
+		Ranks:    t.rings.ranks,
+		Capacity: t.rings.capacity(),
 		Dropped:  t.Dropped(),
 		Events:   make([]TraceEvent, len(events)),
 	}
