@@ -128,7 +128,7 @@ func TestOffsetTablesIntoMatches(t *testing.T) {
 }
 
 func TestAllParallelMatchesSequential(t *testing.T) {
-	// p = 64 crosses the parallel threshold in All.
+	// p = 64 ranks share the one gap buffer All's pass lays out.
 	ts, err := NewTableSet(64, 16, 3, 37)
 	if err != nil {
 		t.Fatal(err)

@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/intmath"
 )
@@ -131,55 +129,126 @@ func sizedGaps(buf []int64, length int64) []int64 {
 	return make([]int64, length)
 }
 
-// All returns every processor's sequence. The per-processor start scans
-// are independent, so they run in parallel across the available CPUs
-// for large processor counts.
+// All returns every processor's sequence, built by the same single pass
+// as Spans. The gap tables are read-only windows into one shared buffer.
 func (ts *TableSet) All() ([]Sequence, error) {
-	out := make([]Sequence, ts.p)
-	workers := int64(runtime.GOMAXPROCS(0))
-	if workers > ts.p {
-		workers = ts.p
-	}
-	// Below this many processors the goroutine fan-out costs more than
-	// the O(k) scans it parallelizes.
-	if workers <= 1 || ts.p < 8 {
-		for m := int64(0); m < ts.p; m++ {
-			seq, err := ts.Sequence(m)
-			if err != nil {
-				return nil, err
-			}
-			out[m] = seq
-		}
-		return out, nil
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	chunk := (ts.p + workers - 1) / workers
-	for w := int64(0); w < workers; w++ {
-		lo, hi := w*chunk, min((w+1)*chunk, ts.p)
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int64) {
-			defer wg.Done()
-			for m := lo; m < hi; m++ {
-				seq, err := ts.Sequence(m)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				out[m] = seq
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	spans := ts.spans(0)
+	out := make([]Sequence, len(spans))
+	for m := range spans {
+		out[m] = spans[m].Sequence
 	}
 	return out, nil
+}
+
+// Span is one processor's access sequence together with its extent in a
+// bounded section l:u:s: Count owned elements, the last at global index
+// Last (-1 when Count is 0). The embedded Sequence is the unbounded one
+// that Sequence(m) returns; its Gaps is a read-only window into storage
+// shared by every span of the call.
+type Span struct {
+	Sequence
+	Count, Last int64
+}
+
+// Spans returns every processor's span for upper bound u in one pass —
+// Section 6.1's "only the starting locations for all the processors need
+// to be found". Per processor it costs one multiplication mod pk/d for
+// the first solvable offset and one addition per further offset, since
+// consecutive solvable offsets i and i+d have smallest section indices
+// j₀(i+d) ≡ j₀(i) + x (mod pk/d). With n = Q·(pk/d) + R section
+// elements, the offset whose smallest index is j₀ owns Q + [j₀ < R] of
+// them, so no division runs per offset. Count and Last agree with
+// Problem.Count and Problem.Last, which remain the independent
+// per-processor oracle.
+//
+// Every transition cycle a processor starts on is laid out twice in a
+// row in one buffer, so each gap table is a zero-copy window starting at
+// its start offset: O(k) work per call on top of the O(pk/d) scans.
+func (ts *TableSet) Spans(u int64) []Span {
+	var n int64
+	if u >= ts.l {
+		n = (u-ts.l)/ts.s + 1
+	}
+	return ts.spans(n)
+}
+
+// spans is Spans for a section of n elements.
+func (ts *TableSet) spans(n int64) []Span {
+	out := make([]Span, ts.p)
+	nd := ts.pk / ts.d
+	xr := intmath.FloorMod(ts.x, nd)
+	q, r := n/nd, n%nd
+	// cyc[0] is the length-1 table every single-offset processor shares;
+	// cycles are appended after it, each twice, and pos[o]-1 is the
+	// index of offset o's first copy (0 while o is not laid out).
+	var cyc, pos []int64
+	if ts.general {
+		cyc = make([]int64, 1, 1+2*ts.k)
+		pos = make([]int64, ts.k)
+	} else {
+		cyc = make([]int64, 1)
+	}
+	cyc[0] = ts.singleGap
+	for m := range out {
+		lo := ts.k*int64(m) - ts.l
+		i := intmath.CeilDiv(lo, ts.d) * ts.d
+		if i >= lo+ts.k {
+			out[m] = Span{Sequence: Sequence{Start: -1}, Last: -1}
+			continue
+		}
+		j := mulMod(intmath.FloorMod(i, ts.pk)/ts.d, xr, nd)
+		minJ, maxJ, maxBelow := j, j, int64(-1)
+		var length, below int64
+		for ; i < lo+ts.k; i += ts.d {
+			minJ, maxJ = min(minJ, j), max(maxJ, j)
+			if j < r {
+				below++
+				maxBelow = max(maxBelow, j)
+			}
+			length++
+			if j >= nd-xr {
+				j -= nd - xr
+			} else {
+				j += xr
+			}
+		}
+		start := ts.l + minJ*ts.s
+		sp := Span{
+			Sequence: Sequence{Start: start, StartLocal: Problem{K: ts.k}.localAddr(start, ts.pk)},
+			Count:    length*q + below,
+			Last:     -1,
+		}
+		switch {
+		case below > 0:
+			sp.Last = ts.l + (maxBelow+q*nd)*ts.s
+		case q > 0:
+			sp.Last = ts.l + (maxJ+(q-1)*nd)*ts.s
+		}
+		if length == 1 {
+			sp.Gaps = cyc[0:1:1]
+		} else {
+			o := intmath.FloorMod(start, ts.k)
+			if pos[o] == 0 {
+				cyc = appendCycle(cyc, pos, ts.delta, ts.next, o, length)
+			}
+			a := pos[o] - 1
+			sp.Gaps = cyc[a : a+length : a+length]
+		}
+		out[m] = sp
+	}
+	return out
+}
+
+// appendCycle appends the length-long transition cycle through offset o
+// to cyc twice in a row, recording each offset's first position in pos.
+func appendCycle(cyc, pos, delta, next []int64, o, length int64) []int64 {
+	base := int64(len(cyc))
+	for t := int64(0); t < length; t++ {
+		pos[o] = base + t + 1
+		cyc = append(cyc, delta[o])
+		o = next[o]
+	}
+	return append(cyc, cyc[base:]...)
 }
 
 // Transitions exposes the shared offset-indexed transition table: delta[o]

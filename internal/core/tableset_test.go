@@ -50,6 +50,24 @@ func TestTableSetQuick(t *testing.T) {
 	}
 }
 
+// TestSpansMatchOracle checks TableSet.Spans against the per-rank
+// oracles over the sweep configurations and every bound spanBounds
+// picks.
+func TestSpansMatchOracle(t *testing.T) {
+	for i, pr := range sweepProblems() {
+		if pr.M != 0 {
+			continue // Spans covers every rank; one problem per config
+		}
+		ts, err := NewTableSet(pr.P, pr.K, pr.L, pr.S)
+		if err != nil {
+			t.Fatalf("%+v: %v", pr, err)
+		}
+		for _, u := range spanBounds(pr.P, pr.K, pr.L, pr.S, int64(i)) {
+			checkSpans(t, ts, pr.P, pr.K, pr.L, pr.S, u)
+		}
+	}
+}
+
 func TestTableSetAll(t *testing.T) {
 	ts, err := NewTableSet(4, 8, 4, 9)
 	if err != nil {

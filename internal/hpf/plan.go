@@ -11,8 +11,8 @@ import (
 // 6.1): the start of its access sequence, the local address of its last
 // element, its element count, its AM gap table, and the specialized
 // kernel selected from them. A processor that owns nothing has start
-// -1 and a KindNone kernel. Plans are immutable; the gap table aliases
-// the sequence the TableSet produced.
+// -1 and a KindNone kernel. Plans are immutable; the gap table is a
+// read-only window shared with the other plans of the same build.
 type Plan struct {
 	global      int64 // global index of the first owned element, -1 if none
 	start, last int64 // local addresses; start == -1 means nothing to do
@@ -41,48 +41,38 @@ func (pl *Plan) Kernel() *codegen.Kernel { return &pl.kernel }
 // BuildPlans builds every processor's plan for the non-empty ascending
 // section asc under layout. ts must be the table set of (p, k, asc.Lo,
 // asc.Stride), as plancache.Tables returns it: the basis vectors and the
-// offset-indexed transition tables are shared, so only the O(k)
-// per-processor start scans and kernel selections run here.
-func BuildPlans(ts *core.TableSet, layout dist.Layout, asc section.Section) ([]Plan, error) {
+// offset-indexed transition tables are shared, and one TableSet.Spans
+// pass finds every processor's start, count and last element. The gap
+// tables are zero-copy windows into that pass's shared cycle buffer, so
+// only the kernel selections run per processor here.
+func BuildPlans(ts *core.TableSet, layout dist.Layout, asc section.Section) []Plan {
 	p, k := layout.P(), layout.K()
 	delta, next, _ := ts.Transitions()
-	u := asc.Last()
+	spans := ts.Spans(asc.Last())
 	plans := make([]Plan, p)
-	for m := int64(0); m < p; m++ {
-		pr := core.Problem{P: p, K: k, L: asc.Lo, S: asc.Stride, M: m}
-		count, err := pr.Count(u)
-		if err != nil {
-			return nil, err
-		}
-		if count == 0 {
+	for m := range spans {
+		sp := &spans[m]
+		if sp.Count == 0 {
 			plans[m] = Plan{global: -1, start: -1, last: -1}
 			continue
 		}
-		seq, err := ts.Sequence(m)
-		if err != nil {
-			return nil, err
-		}
-		lastGlobal, err := pr.Last(u)
-		if err != nil {
-			return nil, err
-		}
-		last := layout.Local(lastGlobal)
+		last := layout.Local(sp.Last)
 		plans[m] = Plan{
-			global: seq.Start,
-			start:  seq.StartLocal,
+			global: sp.Start,
+			start:  sp.StartLocal,
 			last:   last,
-			count:  count,
-			gaps:   seq.Gaps,
+			count:  sp.Count,
+			gaps:   sp.Gaps,
 			kernel: codegen.Select(codegen.Spec{
-				Problem: pr,
-				Start:   seq.StartLocal,
+				Problem: core.Problem{P: p, K: k, L: asc.Lo, S: asc.Stride, M: int64(m)},
+				Start:   sp.StartLocal,
 				Last:    last,
-				Count:   count,
-				Gaps:    seq.Gaps,
+				Count:   sp.Count,
+				Gaps:    sp.Gaps,
 				Delta:   delta,
 				Next:    next,
 			}),
 		}
 	}
-	return plans, nil
+	return plans
 }

@@ -71,10 +71,6 @@ func (a *Array) cachedSectionPlans(sec section.Section) (*sectionPlans, error) {
 		if err != nil {
 			return nil, err
 		}
-		plans, err := BuildPlans(ts, a.layout, asc)
-		if err != nil {
-			return nil, err
-		}
-		return &sectionPlans{plans: plans}, nil
+		return &sectionPlans{plans: BuildPlans(ts, a.layout, asc)}, nil
 	})
 }

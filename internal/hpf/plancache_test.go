@@ -77,6 +77,27 @@ func TestPlansWalkMatchOracle(t *testing.T) {
 	}
 }
 
+// TestBuildPlansAllocsIndependentOfP guards the shared-buffer build: at
+// a fixed k, building 64 ranks' plans allocates no more often than
+// building 8, because the gap tables are windows into one buffer and the
+// per-rank starts come from one Spans pass. The stride is odd and larger
+// than k, so every rank gets a generic kernel (no per-rank allocation).
+func TestBuildPlansAllocsIndependentOfP(t *testing.T) {
+	const k, n, s = 4096, 1 << 22, 4097
+	allocs := func(p int64) float64 {
+		layout := dist.MustNew(p, k)
+		asc := section.MustNew(3, n-1, s)
+		ts, err := core.NewTableSet(p, k, asc.Lo, asc.Stride)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() { BuildPlans(ts, layout, asc) })
+	}
+	if a8, a64 := allocs(8), allocs(64); a8 != a64 {
+		t.Fatalf("BuildPlans allocates %.0f times for p = 8 and %.0f for p = 64, want equal", a8, a64)
+	}
+}
+
 // TestSectionOpsSteadyStateZeroMisses verifies that iteration 2..N of a
 // repeated section pattern consults only the cache: zero section-plan
 // misses and zero AM-table constructions after warm-up.

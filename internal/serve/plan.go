@@ -31,7 +31,14 @@ type PlanRequest struct {
 // normalize applies defaults and validates the tuple, returning the
 // canonical key every equivalent spelling maps to.
 func (r PlanRequest) normalize() (PlanRequest, error) {
+	// Hard caps keep one hostile request from pinning a compile worker:
+	// the response carries O(p·k) gap entries, so p·k is capped too.
+	const maxP, maxK, maxPK, maxN = 1 << 16, 1 << 20, 1 << 22, 1 << 40
 	if r.N == 0 {
+		// u < n ≤ maxN; checking u first keeps u+1 from wrapping.
+		if r.U >= maxN {
+			return r, fmt.Errorf("u = %d: the array extent n = u+1 exceeds the service limit %d", r.U, maxN)
+		}
 		r.N = r.U + 1
 	}
 	if r.P < 1 {
@@ -52,9 +59,6 @@ func (r PlanRequest) normalize() (PlanRequest, error) {
 	if r.N <= r.U {
 		return r, fmt.Errorf("section upper bound %d outside array [0, %d)", r.U, r.N)
 	}
-	// Hard caps keep one hostile request from pinning a compile worker:
-	// the response carries O(p·k) gap entries, so p·k is capped too.
-	const maxP, maxK, maxPK, maxN = 1 << 16, 1 << 20, 1 << 22, 1 << 40
 	if r.P > maxP {
 		return r, fmt.Errorf("p = %d exceeds the service limit %d", r.P, maxP)
 	}
@@ -143,11 +147,7 @@ func compile(ctx context.Context, req PlanRequest) (*compiledPlan, error) {
 		doc.Transitions = &Transitions{Delta: delta, Next: next}
 	}
 	_, sspan := telemetry.StartSpan(ctx, "hpfd.select")
-	plans, err := hpf.BuildPlans(ts, layout, asc)
-	if err != nil {
-		sspan.End()
-		return nil, err
-	}
+	plans := hpf.BuildPlans(ts, layout, asc)
 	for m := range plans {
 		pl := &plans[m]
 		doc.Ranks[m] = RankPlan{

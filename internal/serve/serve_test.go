@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -166,6 +167,7 @@ func TestBadRequests(t *testing.T) {
 		"oversized p":    {P: 1 << 20, K: 8, L: 0, U: 99, S: 3},
 		"negative lower": {P: 4, K: 8, L: -1, U: 99, S: 3},
 		"oversized p·k":  {P: 1 << 16, K: 1 << 20, L: 0, U: 1<<40 - 1, S: 3},
+		"max u, no n":    {P: 4, K: 8, L: 0, U: math.MaxInt64, S: 3},
 	} {
 		resp := postPlan(t, ts.URL, req, nil)
 		var doc map[string]string
@@ -176,6 +178,10 @@ func TestBadRequests(t *testing.T) {
 		}
 		if doc["error"] == "" {
 			t.Errorf("%s: no error document", name)
+		}
+		// The defaulted extent n = u+1 must not wrap into the message.
+		if strings.Contains(doc["error"], "-9223372036854775808") {
+			t.Errorf("%s: error %q reports a wrapped extent", name, doc["error"])
 		}
 	}
 	// Malformed JSON and a bad GET query are refused too.
