@@ -14,7 +14,7 @@ import (
 // Chaos tests: communication plans execute under seeded fault plans
 // applied inside the machine's Send/Recv, so the pack/exchange/unpack
 // protocol is exercised unmodified. Delay, duplication and reorder must
-// not corrupt a transfer (each (sender, tag) pair carries exactly one
+// not corrupt a transfer (each (sender, tag) pair carries at most one
 // message per Execute); dropped messages must surface as a structured
 // watchdog failure, never a hang. CI runs these with -race and a hard
 // timeout (chaos-smoke job).
@@ -114,4 +114,65 @@ func TestExecuteDropBecomesStructuredFailure(t *testing.T) {
 	}()
 	_ = plan.Execute(m, dst, src)
 	t.Fatal("Execute with all messages dropped should not complete")
+}
+
+// combineChaosCase is a three-layout Combine whose two operands travel
+// under different tags (comm.copy and comm.combine) in one step.
+func combineChaosCase() execCase {
+	return execCase{
+		dst:    filled(dist.MustNew(4, 5), 1000),
+		a:      filled(dist.MustNew(4, 8), 0),
+		b:      filled(dist.MustNew(3, 2), 500),
+		dstSec: section.Section{Lo: 0, Hi: 68, Stride: 2},
+		aSec:   section.Section{Lo: 4, Hi: 276, Stride: 8},
+		bSec:   section.Section{Lo: 299, Hi: 197, Stride: -3},
+		op:     func(old, in float64) float64 { return 2*old - in },
+	}
+}
+
+func TestCombineSurvivesDelayReorder(t *testing.T) {
+	for _, seed := range []int64{5, 19} {
+		c := combineChaosCase()
+		want := c.reference()
+		m := machine.MustNew(4)
+		m.SetFaults(&machine.FaultPlan{
+			Seed: seed, Delay: 0.3, DelayBy: 300 * time.Microsecond, Reorder: 0.3,
+			CrashRank: -1,
+		})
+		if err := c.run(m); err != nil {
+			t.Fatal(err)
+		}
+		got := c.dst.Gather()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: dst(%d) = %v, want %v", seed, i, got[i], want[i])
+			}
+		}
+		if len(m.FaultEvents()) == 0 {
+			t.Errorf("seed %d: no faults injected; step not exercised", seed)
+		}
+	}
+}
+
+// TestCombineDropBecomesStructuredFailure: with both operands' messages
+// lost, the watchdog must abort the step with a diagnostic naming a comm
+// tag.
+func TestCombineDropBecomesStructuredFailure(t *testing.T) {
+	c := combineChaosCase()
+	m := machine.MustNew(4)
+	m.SetQuiescence(15 * time.Millisecond)
+	m.SetFaults(&machine.FaultPlan{Seed: 3, Drop: 1, CrashRank: -1})
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("expected watchdog abort when every message is dropped")
+		}
+		msg := r.(string)
+		if !strings.Contains(msg, "deadlock") ||
+			!(strings.Contains(msg, "comm.copy") || strings.Contains(msg, "comm.combine")) {
+			t.Errorf("diagnostic %q should name the deadlock and a comm tag", msg)
+		}
+	}()
+	_ = c.run(m)
+	t.Fatal("Combine with all messages dropped should not complete")
 }

@@ -1,12 +1,9 @@
 package comm
 
 import (
-	"fmt"
-
 	"repro/internal/hpf"
 	"repro/internal/machine"
 	"repro/internal/section"
-	"repro/internal/telemetry"
 )
 
 // BinOp combines the destination's current value with an incoming value.
@@ -23,59 +20,7 @@ func Add(old, incoming float64) float64 { return old + incoming }
 // the runtime primitive behind array statements like A(..) += B(..) and
 // multi-operand expressions.
 func (p *Plan) ExecuteWith(m *machine.Machine, dst, src *hpf.Array, op BinOp) error {
-	nprocs := int64(m.NProcs())
-	if nprocs < p.NDst || nprocs < p.NSrc {
-		return fmt.Errorf("comm: machine has %d procs, plan needs %d dst / %d src",
-			nprocs, p.NDst, p.NSrc)
-	}
-	const tag = "comm.combine"
-	e := p.execFor(src.Layout(), dst.Layout())
-	ar := telemetry.ActiveAccessRecorder()
-	var packStep, combineStep uint32
-	if ar != nil {
-		packStep = ar.BeginStep("comm.pack")
-		combineStep = ar.BeginStep("comm.combine")
-	}
-	m.Run(func(proc *machine.Proc) {
-		tr := telemetry.ActiveTracer()
-		var t0 int64
-		if tr != nil {
-			t0 = tr.Now()
-		}
-		me := int64(proc.Rank())
-		if me < p.NSrc {
-			mem := src.LocalMem(me)
-			for r := int64(0); r < p.NDst; r++ {
-				buf := machine.GetBuf(e.count(me, r))
-				if ar != nil {
-					buf = e.packTraced(buf, mem, me, r, ar, packStep)
-				} else {
-					buf = e.packInto(buf, mem, me, r)
-				}
-				proc.Send(int(r), tag, buf, nil)
-			}
-		}
-		if me < p.NDst {
-			mem := dst.LocalMem(me)
-			for q := int64(0); q < p.NSrc; q++ {
-				msg := proc.Recv(int(q), tag)
-				if want := e.count(q, me); len(msg.Data) != want {
-					panic(fmt.Sprintf("comm: received %d of %d values from proc %d",
-						len(msg.Data), want, q))
-				}
-				if ar != nil {
-					e.combineTraced(mem, msg.Data, q, me, op, ar, combineStep)
-				} else {
-					e.combineFrom(mem, msg.Data, q, me, op)
-				}
-				machine.PutBuf(msg.Data)
-			}
-		}
-		if tr != nil {
-			tr.EndSpan(int32(proc.Rank()), "comm.execute_with", t0)
-		}
-	})
-	return nil
+	return execute(m, dst, []operand{{plan: p, src: src, op: op}})
 }
 
 // Accumulate plans and executes dst(dstSec) op= src(srcSec), reusing a
@@ -93,16 +38,21 @@ func Accumulate(m *machine.Machine, dst *hpf.Array, dstSec section.Section,
 //
 //	dst(dstSec) = combine(a(aSec), b(bSec))
 //
-// across arbitrary distributions: the a-operand is copied into the
-// destination section first, then the b-operand is delivered and folded
-// in with combine. dst must not alias a or b over overlapping sections
-// (the copy would clobber operand values before they are read); use a
-// temporary for such updates.
+// across arbitrary distributions as one SPMD step: the a-operand is
+// stored into the destination section and the b-operand folded in with
+// combine. Every operand value is read before any destination element
+// is written, so dst may alias a or b (Fortran 90 array-assignment
+// semantics).
 func Combine(m *machine.Machine, dst *hpf.Array, dstSec section.Section,
 	a *hpf.Array, aSec section.Section,
 	b *hpf.Array, bSec section.Section, combine BinOp) error {
-	if err := Copy(m, dst, dstSec, a, aSec); err != nil {
+	pa, err := CachedPlan(dst.Layout(), dst.N(), dstSec, a.Layout(), a.N(), aSec)
+	if err != nil {
 		return err
 	}
-	return Accumulate(m, dst, dstSec, b, bSec, combine)
+	pb, err := CachedPlan(dst.Layout(), dst.N(), dstSec, b.Layout(), b.N(), bSec)
+	if err != nil {
+		return err
+	}
+	return execute(m, dst, []operand{{plan: pa, src: a}, {plan: pb, src: b, op: combine}})
 }

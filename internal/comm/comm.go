@@ -53,7 +53,7 @@ type Plan struct {
 // addresses live in two shared arenas — one allocation each for the
 // whole plan instead of one per (q, r) pair — and the per-pair slices
 // are views into them. Built once per (plan, layouts) and reused by
-// every Execute/ExecuteWith; steady-state execution allocates nothing.
+// every execution; steady-state pack and unpack allocate nothing.
 type planExec struct {
 	srcLayout, dstLayout dist.Layout
 	arenaP, arenaU       []int64     // backing stores for the list-mode slices
@@ -205,7 +205,7 @@ func (e *planExec) unpackFrom(mem []float64, data []float64, q, r int64) {
 }
 
 // combineFrom is unpackFrom folding each delivered value into the
-// destination through op (ExecuteWith's unpack path).
+// destination through op (a folded operand's unpack path).
 func (e *planExec) combineFrom(mem []float64, data []float64, q, r int64, op BinOp) {
 	if run := &e.runs[q][r]; run.ok {
 		a := run.unpackBase
@@ -240,45 +240,29 @@ func (e *planExec) packTraced(buf []float64, mem []float64, q, r int64,
 	return buf
 }
 
-// unpackTraced is unpackFrom with every destination store recorded on
-// rank r's access timeline.
-func (e *planExec) unpackTraced(mem []float64, data []float64, q, r int64,
+// unpackTraced is unpackFrom (op nil) or combineFrom with every
+// destination access recorded on rank r's access timeline: a store is
+// one write, a fold the read-modify-write pair it performs.
+func (e *planExec) unpackTraced(mem []float64, data []float64, q, r int64, op BinOp,
 	ar *telemetry.AccessRecorder, step uint32) {
-	if run := &e.runs[q][r]; run.ok {
-		a := run.unpackBase
-		for _, v := range data {
-			mem[a] = v
-			ar.Record(int32(r), a, telemetry.AccessWrite, step)
-			a += run.unpackStep
-		}
-		return
-	}
-	for i, a := range e.unpack[q][r] {
-		mem[a] = data[i]
-		ar.Record(int32(r), a, telemetry.AccessWrite, step)
-	}
-}
-
-// combineTraced is combineFrom recording the read-modify-write each
-// delivered value performs on the destination.
-func (e *planExec) combineTraced(mem []float64, data []float64, q, r int64, op BinOp,
-	ar *telemetry.AccessRecorder, step uint32) {
-	if run := &e.runs[q][r]; run.ok {
-		a := run.unpackBase
-		for _, v := range data {
-			old := mem[a]
+	deliver := func(a int64, v float64) {
+		if op != nil {
 			ar.Record(int32(r), a, telemetry.AccessRead, step)
-			mem[a] = op(old, v)
-			ar.Record(int32(r), a, telemetry.AccessWrite, step)
+			v = op(mem[a], v)
+		}
+		mem[a] = v
+		ar.Record(int32(r), a, telemetry.AccessWrite, step)
+	}
+	if run := &e.runs[q][r]; run.ok {
+		a := run.unpackBase
+		for _, v := range data {
+			deliver(a, v)
 			a += run.unpackStep
 		}
 		return
 	}
 	for i, a := range e.unpack[q][r] {
-		old := mem[a]
-		ar.Record(int32(r), a, telemetry.AccessRead, step)
-		mem[a] = op(old, data[i])
-		ar.Record(int32(r), a, telemetry.AccessWrite, step)
+		deliver(a, data[i])
 	}
 }
 
@@ -393,26 +377,66 @@ func (p *Plan) TotalVolume() int64 {
 	return v
 }
 
-// Execute runs the planned assignment dst(dstSec) = src(srcSec) as an
-// SPMD program on the machine: every processor packs its outgoing
-// position sets from its local memory, exchanges messages, and unpacks
-// into its local destination memory. The machine's processor count must
-// cover both arrays' processor counts.
+// Execute runs the planned assignment dst(dstSec) = src(srcSec) as one
+// SPMD step on the machine (see execute). The machine's processor count
+// must cover both arrays' processor counts.
 func (p *Plan) Execute(m *machine.Machine, dst, src *hpf.Array) error {
-	nprocs := int64(m.NProcs())
-	if nprocs < p.NDst || nprocs < p.NSrc {
-		return fmt.Errorf("comm: machine has %d procs, plan needs %d dst / %d src",
-			nprocs, p.NDst, p.NSrc)
+	return execute(m, dst, []operand{{plan: p, src: src}})
+}
+
+// operand is one source of an SPMD comm step: its plan into the
+// destination, the source array, and how delivered values land (a nil
+// op stores them, any other op folds them into the destination).
+type operand struct {
+	plan *Plan
+	src  *hpf.Array
+	op   BinOp
+
+	// Set by execute.
+	e    *planExec
+	tag  string // message tag
+	step uint32 // access-trace step of the unpack side
+}
+
+// labels returns the operand's message tag and unpack step label:
+// comm.copy and comm.unpack for a store, comm.combine for both of a fold.
+func (o *operand) labels() (tag, step string) {
+	if o.op == nil {
+		return "comm.copy", "comm.unpack"
 	}
-	const tag = "comm.copy"
-	e := p.execFor(src.Layout(), dst.Layout())
+	return "comm.combine", "comm.combine"
+}
+
+// execute runs dst ← ops as one SPMD step. Every rank first packs and
+// sends each operand's outgoing pairs, then receives and unpacks the
+// values addressed to it, operand by operand, storing or folding them
+// into its local dst memory. A pair with count 0 sends no message and
+// its receiver does not wait for one: both sides read the count from
+// the same planExec. Every rank reads all its operand values before it
+// writes its own memory, and no rank writes another rank's memory, so
+// dst may alias any operand.
+func execute(m *machine.Machine, dst *hpf.Array, ops []operand) error {
+	nprocs := int64(m.NProcs())
+	for i := range ops {
+		o := &ops[i]
+		if nprocs < o.plan.NDst || nprocs < o.plan.NSrc {
+			return fmt.Errorf("comm: machine has %d procs, plan needs %d dst / %d src",
+				nprocs, o.plan.NDst, o.plan.NSrc)
+		}
+		o.e = o.plan.execFor(o.src.Layout(), dst.Layout())
+		o.tag, _ = o.labels()
+	}
 	// Access-trace steps are created once, on the host, before the SPMD
-	// body; ranks record concurrently into their own rings.
+	// body: one pack step, then each operand's unpack step. Ranks record
+	// concurrently into their own rings.
 	ar := telemetry.ActiveAccessRecorder()
-	var packStep, unpackStep uint32
+	var packStep uint32
 	if ar != nil {
 		packStep = ar.BeginStep("comm.pack")
-		unpackStep = ar.BeginStep("comm.unpack")
+		for i := range ops {
+			_, label := ops[i].labels()
+			ops[i].step = ar.BeginStep(label)
+		}
 	}
 	m.Run(func(proc *machine.Proc) {
 		tr := telemetry.ActiveTracer()
@@ -421,36 +445,54 @@ func (p *Plan) Execute(m *machine.Machine, dst, src *hpf.Array) error {
 			t0 = tr.Now()
 		}
 		me := int64(proc.Rank())
-		// Pack and send (or keep) every outgoing transfer. Buffers come
-		// from the machine's pool; ownership transfers with the message
-		// and the receiver recycles them after unpacking.
-		if me < p.NSrc {
-			mem := src.LocalMem(me)
-			for r := int64(0); r < p.NDst; r++ {
-				buf := machine.GetBuf(e.count(me, r))
-				if ar != nil {
-					buf = e.packTraced(buf, mem, me, r, ar, packStep)
-				} else {
-					buf = e.packInto(buf, mem, me, r)
+		// Pack and send. Buffers come from the machine's pool; ownership
+		// transfers with the message and the receiver recycles them after
+		// unpacking. The processor-local pair also goes through the
+		// mailbox, keeping the unpack path uniform.
+		for i := range ops {
+			o := &ops[i]
+			if me >= o.plan.NSrc {
+				continue
+			}
+			mem := o.src.LocalMem(me)
+			for r := int64(0); r < o.plan.NDst; r++ {
+				n := o.e.count(me, r)
+				if n == 0 {
+					continue
 				}
-				// The processor-local portion also goes through the mailbox,
-				// keeping the unpack path uniform.
-				proc.Send(int(r), tag, buf, nil)
+				buf := machine.GetBuf(n)
+				if ar != nil {
+					buf = o.e.packTraced(buf, mem, me, r, ar, packStep)
+				} else {
+					buf = o.e.packInto(buf, mem, me, r)
+				}
+				proc.Send(int(r), o.tag, buf, nil)
 			}
 		}
 		// Receive and unpack.
-		if me < p.NDst {
+		for i := range ops {
+			o := &ops[i]
+			if me >= o.plan.NDst {
+				continue
+			}
 			mem := dst.LocalMem(me)
-			for q := int64(0); q < p.NSrc; q++ {
-				msg := proc.Recv(int(q), tag)
-				if want := e.count(q, me); len(msg.Data) != want {
+			for q := int64(0); q < o.plan.NSrc; q++ {
+				want := o.e.count(q, me)
+				if want == 0 {
+					continue
+				}
+				msg := proc.Recv(int(q), o.tag)
+				if len(msg.Data) != want {
 					panic(fmt.Sprintf("comm: received %d of %d values from proc %d",
 						len(msg.Data), want, q))
 				}
-				if ar != nil {
-					e.unpackTraced(mem, msg.Data, q, me, ar, unpackStep)
-				} else {
-					e.unpackFrom(mem, msg.Data, q, me)
+				switch {
+				case ar != nil:
+					o.e.unpackTraced(mem, msg.Data, q, me, o.op, ar, o.step)
+				case o.op == nil:
+					o.e.unpackFrom(mem, msg.Data, q, me)
+				default:
+					o.e.combineFrom(mem, msg.Data, q, me, o.op)
 				}
 				machine.PutBuf(msg.Data)
 			}

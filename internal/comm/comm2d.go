@@ -2,6 +2,7 @@ package comm
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dist"
 	"repro/internal/hpf"
@@ -121,11 +122,7 @@ func (p *Plan2D) positions(a int, q, r int64) []int64 {
 	}
 	// Progressions from distinct block offsets interleave; sort for a
 	// canonical order shared by packer and unpacker.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 
@@ -155,6 +152,9 @@ func (p *Plan2D) Execute(m *machine.Machine, dst, src *hpf.Array2D) error {
 				// q's dim-owner coordinate for axis a is qc[Perm[a]].
 				t0s := p.pos[0][qc[p.Perm[0]]][rc[0]]
 				t1s := p.pos[1][qc[p.Perm[1]]][rc[1]]
+				if len(t0s)*len(t1s) == 0 {
+					continue // empty pair: no message (the receiver skips it too)
+				}
 				buf := machine.GetBuf(len(t0s) * len(t1s))
 				for _, t0 := range t0s {
 					for _, t1 := range t1s {
@@ -181,9 +181,12 @@ func (p *Plan2D) Execute(m *machine.Machine, dst, src *hpf.Array2D) error {
 			mem, _, cols := dst.LocalMem(me)
 			for q := int64(0); q < p.SrcGrid.Procs(); q++ {
 				qc := p.SrcGrid.Coords(q)
-				msg := proc.Recv(int(q), tag)
 				t0s := p.pos[0][qc[p.Perm[0]]][rc[0]]
 				t1s := p.pos[1][qc[p.Perm[1]]][rc[1]]
+				if len(t0s)*len(t1s) == 0 {
+					continue
+				}
+				msg := proc.Recv(int(q), tag)
 				n := 0
 				for _, t0 := range t0s {
 					i := p.DstRect[0].Element(t0)

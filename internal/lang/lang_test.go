@@ -237,6 +237,27 @@ sum C(0:29:1)
 	}
 }
 
+// TestBinaryExpressionAliasesDestination: an array statement reads its
+// whole right-hand side before it stores (Fortran 90), so a destination
+// that overlaps both operands sees only their old values.
+func TestBinaryExpressionAliasesDestination(t *testing.T) {
+	in := New()
+	script := `
+processors P(3)
+array A(12) distribute cyclic(2) onto P
+A = 1.0
+A(0:11:2) = 2.0
+A(1:10:1) = A(0:9:1) + A(2:11:1)
+print A(0:11:1)
+`
+	if err := in.Run(script); err != nil {
+		t.Fatal(err)
+	}
+	if want := "A(0:11:1) = [2 4 2 4 2 4 2 4 2 4 2 1]\n"; in.Output() != want {
+		t.Errorf("got %q, want %q", in.Output(), want)
+	}
+}
+
 func TestBinaryScalarExpression(t *testing.T) {
 	in := New()
 	script := `
