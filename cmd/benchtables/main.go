@@ -7,8 +7,6 @@
 //	benchtables -cache                # plan-cache cold vs warm families
 //	benchtables -shapes               # generic Figure 8 shapes vs specialized kernels
 //	benchtables -locality             # block vs cyclic(k) reuse-distance profiles
-//	benchtables -serve                # hpfd cold-key herd: coalesced vs no-coalesce
-//	benchtables -obsserve             # hpfd per-phase attribution from request spans
 //	benchtables -all                  # everything
 //	benchtables -all -json out.json   # also write machine-readable results
 //	benchtables -all -http :8080      # live /metrics, /trace, /healthz during the runs
@@ -42,9 +40,6 @@ func main() {
 		cache     = flag.Bool("cache", false, "run the plan-cache cold/warm families")
 		shapes    = flag.Bool("shapes", false, "run the shapes matrix (generic Figure 8 shapes vs specialized kernels)")
 		locality  = flag.Bool("locality", false, "run the locality matrix (block vs cyclic(k) reuse-distance profiles)")
-		serveBn   = flag.Bool("serve", false, "run the hpfd plan-service herd benchmark (coalesced vs no-coalesce)")
-		obsServe  = flag.Bool("obsserve", false, "run the hpfd per-phase attribution benchmark (span-derived cold-herd latency breakdown)")
-		herd      = flag.Int("herd", 64, "concurrent clients per cold key for -serve and -obsserve")
 		all       = flag.Bool("all", false, "regenerate every table and figure")
 		procs     = flag.Int64("p", 32, "processor count (the paper uses 32)")
 		reps      = flag.Int("reps", 5, "measurement repetitions (min of maxima kept)")
@@ -60,7 +55,7 @@ func main() {
 	flag.Parse()
 	cfg := config{
 		Table: *table, Figure: *figure, Cache: *cache, Shapes: *shapes,
-		Locality: *locality, Serve: *serveBn, ObsServe: *obsServe, Herd: *herd, All: *all,
+		Locality: *locality, All: *all,
 		Procs: *procs, Reps: *reps, Elems: *elems, JSONPath: *jsonPath,
 		TracePath: *trace, Metrics: *metrics, PprofAddr: *pprofAddr,
 		HTTPAddr: *httpAddr, FaultSpec: *faults, Deadline: *deadline,
@@ -76,9 +71,6 @@ type config struct {
 	Cache, All    bool
 	Shapes        bool
 	Locality      bool
-	Serve         bool
-	ObsServe      bool
-	Herd          int
 	Procs         int64
 	Reps          int
 	Elems         int64
@@ -105,13 +97,6 @@ type report struct {
 	// each Figure 8 shape family under its cyclic(k) layout vs a block
 	// layout (see internal/bench.LocalityBench).
 	Locality []reportLocalityRow `json:"locality,omitempty"`
-	// Serve rows compare the hpfd plan service's cold-key thundering
-	// herd with and without request coalescing (see
-	// internal/bench.ServeBench).
-	Serve []reportServeRow `json:"serve,omitempty"`
-	// ObsServe is the span-derived per-phase latency attribution of a
-	// cold-herd run (see internal/bench.ObsServeBench).
-	ObsServe *reportObsServeRow `json:"obsserve,omitempty"`
 	// Telemetry is the process-wide registry snapshot taken after the
 	// runs (schema telemetry/v1): cache hit rates, message counts and
 	// comm volumes ride along with the timings.
@@ -176,37 +161,6 @@ func toLocalityProfile(p bench.LocalityProfile) reportLocalityProfile {
 		K: p.K, Kernel: p.Kernel.String(), Accesses: p.Accesses, Lines: p.Lines,
 		MeanDist: p.MeanDist, MaxDist: p.MaxDist, Miss: p.MissRates,
 	}
-}
-
-type reportServeRow struct {
-	Mode      string `json:"mode"` // "coalesced" or "no-coalesce"
-	Herd      int    `json:"herd"`
-	Rounds    int    `json:"rounds"`
-	Builds    int64  `json:"builds"`
-	Coalesced int64  `json:"coalesced"`
-	OK        int64  `json:"ok"`
-	ColdP50Ns int64  `json:"cold_p50_ns"`
-	ColdP99Ns int64  `json:"cold_p99_ns"`
-	WarmP50Ns int64  `json:"warm_p50_ns"`
-	WarmP99Ns int64  `json:"warm_p99_ns"`
-}
-
-type reportObsServePhase struct {
-	Name    string `json:"name"`
-	Count   int    `json:"count"`
-	TotalNs int64  `json:"total_ns"`
-	P50Ns   int64  `json:"p50_ns"`
-	P99Ns   int64  `json:"p99_ns"`
-	MaxNs   int64  `json:"max_ns"`
-}
-
-type reportObsServeRow struct {
-	Herd     int                   `json:"herd"`
-	Rounds   int                   `json:"rounds"`
-	Requests int                   `json:"requests"`
-	Builds   int64                 `json:"builds"`
-	Waiters  int64                 `json:"waiters"`
-	Phases   []reportObsServePhase `json:"phases"`
 }
 
 type reportCacheRow struct {
@@ -339,7 +293,7 @@ func runConfig(cfg config) error {
 		if err != nil {
 			return err
 		}
-		return fmt.Errorf("nothing selected: use -table 1, -table 2, -figure 7, -cache, -shapes, -locality, -serve, -obsserve or -all")
+		return fmt.Errorf("nothing selected: use -table 1, -table 2, -figure 7, -cache, -shapes, -locality or -all")
 	}
 	if traceFile != nil {
 		if t := telemetry.StopTracing(); t != nil {
@@ -471,62 +425,6 @@ func runBenches(cfg config, rep *report) (did bool, err error) {
 				Block:  toLocalityProfile(r.Block),
 			})
 		}
-	}
-	if cfg.All || cfg.Serve {
-		// Rounds scale with reps: each round is one fresh cold key.
-		rounds := cfg.Reps
-		if rounds > 5 {
-			rounds = 5
-		}
-		results, err := bench.ServeBench(cfg.Herd, rounds)
-		if err != nil {
-			return did, err
-		}
-		if did {
-			fmt.Println()
-		}
-		fmt.Print(bench.FormatServeBench(results))
-		did = true
-		for _, r := range results {
-			rep.Serve = append(rep.Serve, reportServeRow{
-				Mode: r.Mode, Herd: r.Herd, Rounds: r.Rounds,
-				Builds: r.Builds, Coalesced: r.Coalesced, OK: r.OK,
-				ColdP50Ns: r.ColdP50Ns, ColdP99Ns: r.ColdP99Ns,
-				WarmP50Ns: r.WarmP50Ns, WarmP99Ns: r.WarmP99Ns,
-			})
-		}
-	}
-	// ObsServeBench owns the process-wide tracer, so it cannot share a
-	// run with -trace: explicit -obsserve -trace is an error, while
-	// -all -trace just skips the attribution table.
-	if cfg.ObsServe && cfg.TracePath != "" {
-		return did, fmt.Errorf("-obsserve manages its own tracer and cannot be combined with -trace")
-	}
-	if cfg.ObsServe || (cfg.All && cfg.TracePath == "") {
-		rounds := cfg.Reps
-		if rounds > 5 {
-			rounds = 5
-		}
-		r, err := bench.ObsServeBench(cfg.Herd, rounds)
-		if err != nil {
-			return did, err
-		}
-		if did {
-			fmt.Println()
-		}
-		fmt.Print(bench.FormatObsServe(r))
-		did = true
-		row := &reportObsServeRow{
-			Herd: r.Herd, Rounds: r.Rounds, Requests: r.Requests,
-			Builds: int64(r.Builds), Waiters: int64(r.Waiters),
-		}
-		for _, p := range r.Phases {
-			row.Phases = append(row.Phases, reportObsServePhase{
-				Name: p.Name, Count: p.Count, TotalNs: p.TotalNs,
-				P50Ns: p.P50Ns, P99Ns: p.P99Ns, MaxNs: p.MaxNs,
-			})
-		}
-		rep.ObsServe = row
 	}
 	if cfg.All || cfg.Cache {
 		// Iterations scale with reps; 20 per rep keeps a single run fast

@@ -154,49 +154,6 @@ func TestFaultedBenchFailsStructured(t *testing.T) {
 	}
 }
 
-// TestRunServeWithJSON exercises the -serve family end to end with a
-// reduced herd and checks the report rows: both modes present, the
-// coalesced mode building exactly once per round.
-func TestRunServeWithJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "serve.json")
-	cfg := config{Serve: true, Herd: 8, Procs: 2, Reps: 1, Elems: 100, JSONPath: path}
-	if err := runConfig(cfg); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if rep.Schema != "benchtables/v1" {
-		t.Errorf("schema = %q", rep.Schema)
-	}
-	if len(rep.Serve) != 2 {
-		t.Fatalf("got %d serve rows, want 2", len(rep.Serve))
-	}
-	modes := map[string]reportServeRow{}
-	for _, r := range rep.Serve {
-		modes[r.Mode] = r
-		if r.Herd != 8 || r.Rounds != 1 {
-			t.Errorf("%s: herd/rounds = %d/%d, want 8/1", r.Mode, r.Herd, r.Rounds)
-		}
-		if r.ColdP99Ns < r.ColdP50Ns || r.ColdP50Ns <= 0 {
-			t.Errorf("%s: cold p50 %d / p99 %d inconsistent", r.Mode, r.ColdP50Ns, r.ColdP99Ns)
-		}
-	}
-	if co, ok := modes["coalesced"]; !ok {
-		t.Error("no coalesced row")
-	} else if co.Builds != 1 {
-		t.Errorf("coalesced mode built %d plans for one cold key, want 1", co.Builds)
-	}
-	if _, ok := modes["no-coalesce"]; !ok {
-		t.Error("no no-coalesce row")
-	}
-}
-
 // TestBadPprofAddrFailsFast: the -pprof listener must bind before any
 // benchmark runs, so an unusable address is a startup error naming the
 // flag — not an async complaint mid-run.

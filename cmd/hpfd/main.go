@@ -55,7 +55,6 @@ func main() {
 		tenantQPS   = flag.Float64("tenant-qps", 0, "per-tenant steady-state requests/second (X-Tenant header); 0 disables quotas")
 		tenantBurst = flag.Float64("tenant-burst", 32, "per-tenant burst allowance")
 		maxBatch    = flag.Int("max-batch", 256, "maximum keys in one /v1/plan/batch request")
-		noCoalesce  = flag.Bool("no-coalesce", false, "serve every cold miss with its own compilation (benchmark baseline; never use in production)")
 		drain       = flag.Duration("drain", 10*time.Second, "graceful-shutdown budget: in-flight requests get this long to finish")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		logFormat   = flag.String("log-format", "text", "log output format: json or text")
@@ -75,7 +74,6 @@ func main() {
 		TenantQPS:         *tenantQPS,
 		TenantBurst:       *tenantBurst,
 		MaxBatch:          *maxBatch,
-		NoCoalesce:        *noCoalesce,
 		Drain:             *drain,
 		PprofAddr:         *pprofAddr,
 		LogFormat:         *logFormat,
@@ -100,7 +98,6 @@ type config struct {
 	TenantQPS   float64
 	TenantBurst float64
 	MaxBatch    int
-	NoCoalesce  bool
 	Drain       time.Duration
 	PprofAddr   string
 	LogFormat   string
@@ -209,7 +206,6 @@ func runConfig(cfg config) error {
 		TenantRate:    cfg.TenantQPS,
 		TenantBurst:   cfg.TenantBurst,
 		MaxBatch:      cfg.MaxBatch,
-		NoCoalesce:    cfg.NoCoalesce,
 		MetricsName:   "hpfd.plans",
 		Logger:        logger,
 		SLOTarget:     cfg.SLOTarget,

@@ -270,8 +270,7 @@ func (e *planExec) unpackTraced(mem []float64, data []float64, q, r int64, op Bi
 // [0, n) whose section element sec(t) = lo + t·stride is owned by
 // processor m of the layout. At most k progressions, found by solving one
 // congruence per block offset. This is the building block for every
-// structured communication/intersection set in this package and in
-// package coupled.
+// structured communication/intersection set in this package.
 func OwnedPositions(l dist.Layout, sec section.Section, m, n int64) []section.Section {
 	pk := l.RowLen()
 	k := l.K()

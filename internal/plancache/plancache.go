@@ -152,30 +152,6 @@ func (c *Cache[K, V]) shard(k K) *shard[K, V] {
 	return &c.shards[c.hash(k)%numShards]
 }
 
-// Get returns the cached value for k and marks it most recently used.
-func (c *Cache[K, V]) Get(k K) (V, bool) {
-	s := c.shard(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n, ok := s.entries[k]; ok {
-		s.hits.Add(1)
-		s.touch(n)
-		return n.val, true
-	}
-	s.misses.Add(1)
-	var zero V
-	return zero, false
-}
-
-// Put inserts or refreshes k → v, evicting the least recently used entry
-// of k's shard if the shard is full.
-func (c *Cache[K, V]) Put(k K, v V) {
-	s := c.shard(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.put(k, v)
-}
-
 // GetOrCompute returns the cached value for k, computing and inserting
 // it via build on a miss. Concurrent misses on the same key are
 // coalesced: exactly one caller runs build (counted as the single miss)

@@ -1,6 +1,7 @@
 package plancache
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -21,21 +22,33 @@ func oneShard(capacity int) *Cache[int64, int64] {
 	return New[int64, int64](capacity, func(int64) uint64 { return 0 })
 }
 
+var errAbsent = errors.New("absent")
+
+// get looks k up through GetOrCompute with a build that fails, so a
+// miss caches nothing: ok reports a hit (or a coalesced successful
+// build), and a miss counts exactly as a lookup miss would.
+func get(c *Cache[int64, int64], k int64) (int64, bool) {
+	v, err := c.GetOrCompute(k, func() (int64, error) { return 0, errAbsent })
+	return v, err == nil
+}
+
+// put inserts k → v through GetOrCompute: a miss whose build returns v.
+// An already-cached k is a hit and keeps its value.
+func put(c *Cache[int64, int64], k, v int64) {
+	c.GetOrCompute(k, func() (int64, error) { return v, nil })
+}
+
 func TestGetPut(t *testing.T) {
 	c := New[int64, int64](64, intHash)
-	if _, ok := c.Get(1); ok {
+	if _, ok := get(c, 1); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Put(1, 100)
-	if v, ok := c.Get(1); !ok || v != 100 {
-		t.Fatalf("Get(1) = %d, %v", v, ok)
-	}
-	c.Put(1, 200) // refresh
-	if v, _ := c.Get(1); v != 200 {
-		t.Fatalf("refresh lost: got %d", v)
+	put(c, 1, 100)
+	if v, ok := get(c, 1); !ok || v != 100 {
+		t.Fatalf("get(1) = %d, %v", v, ok)
 	}
 	st := c.Stats()
-	if st.Hits != 2 || st.Misses != 1 || st.Entries != 1 {
+	if st.Hits != 1 || st.Misses != 2 || st.Entries != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -45,16 +58,16 @@ func TestLRUEvictionOrder(t *testing.T) {
 	// whole cache holds one entry... use capacity 3*numShards to get
 	// exactly 3 in the single shard.
 	c := oneShard(3 * numShards)
-	c.Put(1, 1)
-	c.Put(2, 2)
-	c.Put(3, 3)
-	c.Get(1) // 1 becomes MRU; LRU order now 2, 3, 1
-	c.Put(4, 4)
-	if _, ok := c.Get(2); ok {
+	put(c, 1, 1)
+	put(c, 2, 2)
+	put(c, 3, 3)
+	get(c, 1) // 1 becomes MRU; LRU order now 2, 3, 1
+	put(c, 4, 4)
+	if _, ok := get(c, 2); ok {
 		t.Fatal("2 should have been evicted (was LRU)")
 	}
 	for _, k := range []int64{1, 3, 4} {
-		if _, ok := c.Get(k); !ok {
+		if _, ok := get(c, k); !ok {
 			t.Fatalf("%d missing after eviction of 2", k)
 		}
 	}
@@ -67,7 +80,7 @@ func TestCapacityBound(t *testing.T) {
 	const capacity = 16
 	c := New[int64, int64](capacity, intHash)
 	for i := int64(0); i < 1000; i++ {
-		c.Put(i, i)
+		put(c, i, i)
 	}
 	if n := c.Len(); n > capacity {
 		t.Fatalf("cache holds %d entries, capacity %d", n, capacity)
@@ -160,7 +173,7 @@ func TestGetOrComputeErrorPropagates(t *testing.T) {
 			t.Errorf("goroutine %d got err %v, want %v", i, err, wantErr)
 		}
 	}
-	if _, ok := c.Get(3); ok {
+	if _, ok := get(c, 3); ok {
 		t.Fatal("failed build was cached")
 	}
 	// The failure is not sticky: the next call retries the build.
@@ -211,7 +224,7 @@ func TestGetOrComputePanicPropagates(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("coalesced waiter hung after the build panicked")
 	}
-	if _, ok := c.Get(5); ok {
+	if _, ok := get(c, 5); ok {
 		t.Fatal("panicked build was cached")
 	}
 }
@@ -234,15 +247,15 @@ func TestGetOrCompute(t *testing.T) {
 	if _, err := c.GetOrCompute(6, func() (int64, error) { return 0, wantErr }); err != wantErr {
 		t.Fatalf("err = %v", err)
 	}
-	if _, ok := c.Get(6); ok {
+	if _, ok := get(c, 6); ok {
 		t.Fatal("failed build was cached")
 	}
 }
 
 func TestReset(t *testing.T) {
 	c := New[int64, int64](64, intHash)
-	c.Put(1, 1)
-	c.Get(1)
+	put(c, 1, 1)
+	get(c, 1)
 	c.Reset()
 	if c.Len() != 0 {
 		t.Fatal("entries survive Reset")
@@ -250,7 +263,7 @@ func TestReset(t *testing.T) {
 	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
 		t.Fatalf("counters survive Reset: %+v", st)
 	}
-	if _, ok := c.Get(1); ok {
+	if _, ok := get(c, 1); ok {
 		t.Fatal("value survives Reset")
 	}
 }
@@ -260,11 +273,11 @@ func TestReset(t *testing.T) {
 func TestSnapshotPerShard(t *testing.T) {
 	c := New[int64, int64](64, intHash)
 	for k := int64(0); k < 32; k++ {
-		c.Put(k, k)
+		put(c, k, k)
 	}
 	for k := int64(0); k < 32; k++ {
-		c.Get(k)      // hit
-		c.Get(k + 64) // miss
+		get(c, k)    // hit
+		get(c, k+64) // miss
 	}
 	shards := c.Snapshot()
 	if len(shards) != numShards {
@@ -281,18 +294,19 @@ func TestSnapshotPerShard(t *testing.T) {
 	if got := c.Stats(); sum != got {
 		t.Errorf("per-shard sum %+v != aggregate %+v", sum, got)
 	}
-	if sum.Hits != 32 || sum.Misses != 32 || sum.Entries != 32 {
-		t.Errorf("totals = %+v, want 32 hits / 32 misses / 32 entries", sum)
+	if sum.Hits != 32 || sum.Misses != 64 || sum.Entries != 32 {
+		t.Errorf("totals = %+v, want 32 hits / 64 misses / 32 entries", sum)
 	}
 }
 
 // TestSnapshotConcurrent reads Snapshot while writers hammer the cache
-// (Put, Get and coalescing GetOrCompute); under -race this proves the
-// counters are read atomically, and the concurrent assertions pin the
-// invariants that must hold even mid-herd: counters never go negative,
-// and no shard ever reports more entries than its capacity. At
-// quiescence the aggregate Entries must equal Len() exactly — the herd
-// no longer inflates the miss/entry accounting.
+// with coalescing GetOrCompute hits, misses and evictions (every build
+// succeeds, so no writer coalesces onto a failing lookup). Under -race
+// this proves the counters are read atomically, and the concurrent
+// assertions pin the invariants that must hold even mid-herd: counters
+// never go negative, and no shard ever reports more entries than its
+// capacity. At quiescence the aggregate Entries must equal Len()
+// exactly — the herd no longer inflates the miss/entry accounting.
 func TestSnapshotConcurrent(t *testing.T) {
 	const capacity = 16
 	c := New[int64, int64](capacity, intHash)
@@ -306,8 +320,7 @@ func TestSnapshotConcurrent(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			for i := 0; i < 5000; i++ {
 				k := r.Int63n(64)
-				c.Put(k, k)
-				c.Get(r.Int63n(64))
+				put(c, k, k)
 				k2 := r.Int63n(64)
 				if v, err := c.GetOrCompute(k2, func() (int64, error) { return k2, nil }); err != nil || v != k2 {
 					t.Errorf("GetOrCompute(%d) = %d, %v", k2, v, err)
@@ -343,8 +356,8 @@ func TestSnapshotConcurrent(t *testing.T) {
 }
 
 // TestConcurrentTinyCapacity hammers a tiny cache from many goroutines
-// so gets, puts and evictions interleave; run with -race. Values must
-// always equal their key (no cross-key corruption).
+// so hits, coalesced misses and evictions interleave; run with -race.
+// Values must always equal their key (no cross-key corruption).
 func TestConcurrentTinyCapacity(t *testing.T) {
 	c := New[int64, int64](2, intHash) // 1 entry per shard: constant eviction
 	const workers = 8
@@ -356,20 +369,10 @@ func TestConcurrentTinyCapacity(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			for i := 0; i < 5000; i++ {
 				k := r.Int63n(32)
-				switch r.Intn(3) {
-				case 0:
-					c.Put(k, k*10)
-				case 1:
-					if v, ok := c.Get(k); ok && v != k*10 {
-						t.Errorf("Get(%d) = %d", k, v)
-						return
-					}
-				default:
-					v, err := c.GetOrCompute(k, func() (int64, error) { return k * 10, nil })
-					if err != nil || v != k*10 {
-						t.Errorf("GetOrCompute(%d) = %d, %v", k, v, err)
-						return
-					}
+				v, err := c.GetOrCompute(k, func() (int64, error) { return k * 10, nil })
+				if err != nil || v != k*10 {
+					t.Errorf("GetOrCompute(%d) = %d, %v", k, v, err)
+					return
 				}
 			}
 		}(int64(w))
@@ -412,8 +415,8 @@ func TestRegisterDuplicateName(t *testing.T) {
 		t.Fatal("second Register of the same name should fail")
 	}
 	// The first cache's gauges must still be the ones published.
-	a.Put(1, 1)
-	a.Get(1)
+	put(a, 1, 1)
+	get(a, 1)
 	if got := telemetry.Default().Snapshot().Gauges["plancache.dup.test.hits"]; got != 1 {
 		t.Errorf("published hits = %d, want 1 (cache a's counter)", got)
 	}

@@ -71,6 +71,10 @@ func (r PlanRequest) normalize() (PlanRequest, error) {
 	if r.N > maxN {
 		return r, fmt.Errorf("n = %d exceeds the service limit %d", r.N, maxN)
 	}
+	// With p·k ≤ 2²² and l < 2⁴⁰, s ≤ 2⁴⁰ keeps l + p·k·s below 2⁶³.
+	if r.S > maxN {
+		return r, fmt.Errorf("s = %d exceeds the service limit %d", r.S, maxN)
+	}
 	return r, nil
 }
 

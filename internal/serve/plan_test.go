@@ -50,57 +50,73 @@ func TestPlanOracleSweep(t *testing.T) {
 		if err := json.Unmarshal(cp.body, &doc); err != nil {
 			t.Fatalf("%+v: decode: %v", req, err)
 		}
+		checkPlanDoc(t, req, doc)
 		if doc.SingleCycle {
 			singleCycle++
 		} else {
 			multiCycle++
 		}
-		sec := section.Section{Lo: req.L, Hi: req.U, Stride: req.S}
-		if doc.TotalCount != sec.Count() {
-			t.Fatalf("%+v: total_count %d, section has %d", req, doc.TotalCount, sec.Count())
-		}
-		if int64(len(doc.Ranks)) != req.P {
-			t.Fatalf("%+v: %d ranks", req, len(doc.Ranks))
-		}
-		layout := dist.MustNew(req.P, req.K)
-		for m, rp := range doc.Ranks {
-			pr := core.Problem{P: req.P, K: req.K, L: req.L, S: req.S, M: int64(m)}
-			want, err := pr.Addresses(req.U)
-			if err != nil {
-				t.Fatalf("%+v rank %d: Addresses: %v", req, m, err)
-			}
-			switch len(want) {
+		for _, rp := range doc.Ranks {
+			switch rp.Count {
 			case 0:
 				emptyRanks++
-				if rp.Start != -1 || rp.StartLocal != -1 || rp.Count != 0 || rp.Kernel != "none" {
-					t.Fatalf("%+v rank %d: empty rank served as %+v", req, m, rp)
-				}
-				continue
 			case 1:
 				oneElemRanks++
-			}
-			if rp.Rank != int64(m) || layout.Owner(rp.Start) != int64(m) || !sec.Contains(rp.Start) {
-				t.Fatalf("%+v rank %d: start %d not an owned section element", req, m, rp.Start)
-			}
-			got := make([]int64, 0, rp.Count)
-			addr := rp.StartLocal
-			for i := int64(0); i < rp.Count; i++ {
-				got = append(got, addr)
-				if len(rp.Gaps) > 0 {
-					addr += rp.Gaps[i%int64(len(rp.Gaps))]
-				}
-			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("%+v rank %d: served plan walks %v, oracle %v", req, m, got, want)
-			}
-			if layout.Local(rp.Start) != rp.StartLocal {
-				t.Fatalf("%+v rank %d: start %d is local %d, served start_local %d",
-					req, m, rp.Start, layout.Local(rp.Start), rp.StartLocal)
 			}
 		}
 	}
 	if singleCycle == 0 || multiCycle == 0 || emptyRanks == 0 || oneElemRanks == 0 {
 		t.Fatalf("sweep misses a case: %d single-cycle and %d multi-cycle keys, %d empty and %d one-element ranks",
 			singleCycle, multiCycle, emptyRanks, oneElemRanks)
+	}
+}
+
+// checkPlanDoc re-simulates every rank of doc from its start_local, gaps
+// and count alone and checks the addresses against the paper's
+// definition (core.Problem.Addresses), and total_count against the
+// section count. req is the normalized key doc was compiled for.
+func checkPlanDoc(t testing.TB, req PlanRequest, doc PlanDoc) {
+	t.Helper()
+	sec := section.Section{Lo: req.L, Hi: req.U, Stride: req.S}
+	if doc.TotalCount != sec.Count() {
+		t.Fatalf("%+v: total_count %d, section has %d", req, doc.TotalCount, sec.Count())
+	}
+	if int64(len(doc.Ranks)) != req.P {
+		t.Fatalf("%+v: %d ranks", req, len(doc.Ranks))
+	}
+	layout := dist.MustNew(req.P, req.K)
+	for m, rp := range doc.Ranks {
+		pr := core.Problem{P: req.P, K: req.K, L: req.L, S: req.S, M: int64(m)}
+		want, err := pr.Addresses(req.U)
+		if err != nil {
+			t.Fatalf("%+v rank %d: Addresses: %v", req, m, err)
+		}
+		if len(want) == 0 {
+			if rp.Start != -1 || rp.StartLocal != -1 || rp.Count != 0 || rp.Kernel != "none" {
+				t.Fatalf("%+v rank %d: empty rank served as %+v", req, m, rp)
+			}
+			continue
+		}
+		if rp.Rank != int64(m) || layout.Owner(rp.Start) != int64(m) || !sec.Contains(rp.Start) {
+			t.Fatalf("%+v rank %d: start %d not an owned section element", req, m, rp.Start)
+		}
+		if rp.Count != int64(len(want)) {
+			t.Fatalf("%+v rank %d: served count %d, oracle %d", req, m, rp.Count, len(want))
+		}
+		got := make([]int64, 0, len(want))
+		addr := rp.StartLocal
+		for i := int64(0); i < rp.Count; i++ {
+			got = append(got, addr)
+			if len(rp.Gaps) > 0 {
+				addr += rp.Gaps[i%int64(len(rp.Gaps))]
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%+v rank %d: served plan walks %v, oracle %v", req, m, got, want)
+		}
+		if layout.Local(rp.Start) != rp.StartLocal {
+			t.Fatalf("%+v rank %d: start %d is local %d, served start_local %d",
+				req, m, rp.Start, layout.Local(rp.Start), rp.StartLocal)
+		}
 	}
 }

@@ -45,10 +45,6 @@ type Config struct {
 	// MaxBatch bounds the number of keys in one batch request
 	// (default 256).
 	MaxBatch int
-	// NoCoalesce serves every cold miss with its own compilation — the
-	// pre-singleflight behavior, kept as the measurable baseline for
-	// the thundering-herd benchmark. Never enable it in production.
-	NoCoalesce bool
 	// MetricsName, when non-empty, registers the plan cache's counters
 	// as plancache.<MetricsName>.* gauges in the default telemetry
 	// registry; Close unregisters them. cmd/hpfd uses "hpfd.plans".
@@ -239,18 +235,6 @@ func (s *Server) plan(ctx context.Context, req PlanRequest) (*compiledPlan, plan
 		cp, err := compile(bctx, key)
 		s.compileNs.Observe(time.Since(t0).Nanoseconds())
 		return cp, err
-	}
-	if s.cfg.NoCoalesce {
-		// The pre-singleflight code path: concurrent misses each build.
-		if cp, ok := s.cache.Get(key); ok {
-			return cp, plancache.FlightHit, nil
-		}
-		cp, err := build(func(uint64) {})
-		if err != nil {
-			return nil, plancache.FlightBuilt, err
-		}
-		s.cache.Put(key, cp)
-		return cp, plancache.FlightBuilt, nil
 	}
 	var waitStart int64
 	if tr := telemetry.ActiveTracer(); tr != nil {

@@ -15,6 +15,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/plancache"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -168,6 +170,8 @@ func TestBadRequests(t *testing.T) {
 		"negative lower": {P: 4, K: 8, L: -1, U: 99, S: 3},
 		"oversized p·k":  {P: 1 << 16, K: 1 << 20, L: 0, U: 1<<40 - 1, S: 3},
 		"max u, no n":    {P: 4, K: 8, L: 0, U: math.MaxInt64, S: 3},
+		"huge stride":    {P: 4, K: 8, L: 0, U: 100, S: math.MaxInt64},
+		"stride > 2⁴⁰":   {P: 1024, K: 4096, L: 0, U: 100, S: 2199023255553},
 	} {
 		resp := postPlan(t, ts.URL, req, nil)
 		var doc map[string]string
@@ -316,12 +320,13 @@ func TestBatchPartialFailure(t *testing.T) {
 	}
 }
 
-// TestHerdCoalesces is the tentpole acceptance test at the HTTP layer:
-// 64 concurrent requests for one cold key must trigger exactly one
-// compilation, with the other 63 coalescing onto it — all 64 answered
-// 200 with identical bodies.
+// TestHerdCoalesces is the coalescing acceptance test at the HTTP
+// layer: 64 concurrent requests for one cold key must trigger exactly
+// one compilation and one AM-table-set build, with the other 63
+// coalescing onto it — all 64 answered 200 with identical bodies.
 func TestHerdCoalesces(t *testing.T) {
 	const herd = 64
+	plancache.ResetTables()
 	var srv *Server
 	cfg := Config{compileHook: func(PlanRequest) {
 		// Hold the single build until all waiters have coalesced, making
@@ -373,6 +378,9 @@ func TestHerdCoalesces(t *testing.T) {
 	}
 	if st.Coalesced != herd-1 {
 		t.Errorf("coalesced waiters = %d, want %d", st.Coalesced, herd-1)
+	}
+	if tb := plancache.TableStats().Misses; tb != 1 {
+		t.Errorf("herd built %d table sets for one key, want 1", tb)
 	}
 }
 
