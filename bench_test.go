@@ -2,8 +2,8 @@
 // standard testing.B machinery. One benchmark family per table/figure:
 //
 //	BenchmarkTable1   — AM-table construction, Lattice vs Sorting
-//	                    (k × stride grid of Table 1)
-//	BenchmarkFigure7  — the s=7 slice of Table 1 (the data Figure 7 plots)
+//	                    (k × stride grid of Table 1; its s=7 sub-benchmarks
+//	                    are the data Figure 7 plots)
 //	BenchmarkTable2   — node-code execution time for the Figure 8 shapes
 //	BenchmarkAblation — design-choice ablations (radix vs comparison sort,
 //	                    table-free walker vs tables, start-scan share)
@@ -70,25 +70,6 @@ func BenchmarkTable1(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-func BenchmarkFigure7(b *testing.B) {
-	for _, k := range bench.Table1Ks() {
-		b.Run(fmt.Sprintf("k=%d/Lattice", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				runAllProcs(b, core.Lattice, k, 7)
-			}
-		})
-		b.Run(fmt.Sprintf("k=%d/Sorting", k), func(b *testing.B) {
-			sorter := core.Sorting
-			if k >= 64 {
-				sorter = core.SortingRadix
-			}
-			for i := 0; i < b.N; i++ {
-				runAllProcs(b, sorter, k, 7)
-			}
-		})
 	}
 }
 

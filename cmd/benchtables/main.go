@@ -2,7 +2,7 @@
 // figure on the host machine:
 //
 //	benchtables -table 1              # Table 1 (lattice vs sorting)
-//	benchtables -figure 7             # Figure 7 series (s = 7)
+//	benchtables -figure 7             # Figure 7 series (Table 1's s = 7 column)
 //	benchtables -table 2              # Table 2 (node code shapes)
 //	benchtables -cache                # plan-cache cold vs warm families
 //	benchtables -shapes               # generic Figure 8 shapes vs specialized kernels
@@ -347,24 +347,24 @@ func runBenches(cfg config, rep *report) (did bool, err error) {
 			did, err = false, fmt.Errorf("machine failure: %v", r)
 		}
 	}()
-	if cfg.All || cfg.Table == 1 {
+	wantTable1, wantFigure7 := cfg.All || cfg.Table == 1, cfg.All || cfg.Figure == 7
+	if wantTable1 || wantFigure7 {
+		// Figure 7 is Table 1's s = 7 column: measure the table once.
 		rows, err := bench.Table1(cfg.Procs, cfg.Reps)
 		if err != nil {
 			return did, err
 		}
-		fmt.Print(bench.FormatTable1(rows))
-		fmt.Println()
-		rep.Table1 = toReportRows(rows)
-		did = true
-	}
-	if cfg.All || cfg.Figure == 7 {
-		rows, err := bench.Figure7(cfg.Procs, cfg.Reps)
-		if err != nil {
-			return did, err
+		if wantTable1 {
+			fmt.Print(bench.FormatTable1(rows))
+			fmt.Println()
+			rep.Table1 = toReportRows(rows)
 		}
-		fmt.Print(bench.FormatFigure7(rows))
-		fmt.Println()
-		rep.Figure7 = toReportRows(rows)
+		if wantFigure7 {
+			fig := bench.Figure7(rows)
+			fmt.Print(bench.FormatFigure7(fig))
+			fmt.Println()
+			rep.Figure7 = toReportRows(fig)
+		}
 		did = true
 	}
 	if cfg.All || cfg.Table == 2 {

@@ -189,22 +189,20 @@ func FormatTable1(rows []Row) string {
 
 func us(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 
-// Figure7 returns the s=7 series of Table 1 — the data plotted in the
-// paper's Figure 7 (lattice vs sorting versus block size).
-func Figure7(p int64, reps int) ([]Row, error) {
+// Figure7 returns the s=7 column of the Table 1 rows — the data plotted
+// in the paper's Figure 7 (lattice vs sorting versus block size). It
+// reads the cells Table1 measured instead of timing them again, so the
+// table and the figure show one number per cell.
+func Figure7(table1 []Row) []Row {
 	var rows []Row
-	for _, k := range Table1Ks() {
-		lat, err := timeMaxOverProcs(MethodLattice, p, k, 0, 7, reps)
-		if err != nil {
-			return nil, err
+	for _, r := range table1 {
+		for _, c := range r.Cells {
+			if c.Stride == "s=7" {
+				rows = append(rows, Row{K: r.K, Cells: []Cell{c}})
+			}
 		}
-		srt, err := timeMaxOverProcs(MethodSorting, p, k, 0, 7, reps)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Row{K: k, Cells: []Cell{{Stride: "s=7", Lattice: lat, Sorting: srt}}})
 	}
-	return rows, nil
+	return rows
 }
 
 // FormatFigure7 renders the series as two aligned columns plus the ratio,

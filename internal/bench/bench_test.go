@@ -74,12 +74,19 @@ func TestTable1Small(t *testing.T) {
 }
 
 func TestFigure7Small(t *testing.T) {
-	rows, err := Figure7(4, 1)
+	table, err := Table1(4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := Figure7(table)
 	if len(rows) != 8 {
 		t.Fatalf("got %d rows", len(rows))
+	}
+	// One number per cell: each point is the table's own s=7 cell.
+	for i, r := range rows {
+		if r.K != table[i].K || len(r.Cells) != 1 || r.Cells[0] != table[i].Cells[0] {
+			t.Errorf("row %d = %+v, want the s=7 cell of %+v", i, r, table[i])
+		}
 	}
 	out := FormatFigure7(rows)
 	if !strings.Contains(out, "ratio") || !strings.Contains(out, "s=7") {

@@ -16,7 +16,8 @@
 //	ShapeWalker — no tables: regenerates gaps from R and L (Section 6.2).
 //
 // All shapes return the number of elements written so callers can verify
-// coverage.
+// coverage. The compiled kernels of kernel.go run ShapeB and ShapeD as
+// the fills of their generic and offset-dispatch kinds.
 package codegen
 
 import "repro/internal/core"
@@ -116,53 +117,6 @@ func ShapeWalker(mem []float64, last int64, w *core.Walker, value float64) int64
 	for base <= last {
 		mem[base] = value
 		base += w.Next()
-		n++
-	}
-	return n
-}
-
-// Gather is the read-side counterpart of the shapes: it copies the owned
-// section elements from local memory into a dense buffer in access order,
-// using the ShapeB control flow. It returns the number of elements
-// gathered. Communication code uses this to pack messages.
-func Gather(mem []float64, start, last int64, deltaM []int64, out []float64) int64 {
-	if start < 0 || start > last {
-		return 0
-	}
-	length := int64(len(deltaM))
-	base := start
-	i := int64(0)
-	var n int64
-	for base <= last {
-		out[n] = mem[base]
-		base += deltaM[i]
-		i++
-		if i == length {
-			i = 0
-		}
-		n++
-	}
-	return n
-}
-
-// Scatter is the inverse of Gather: it writes a dense buffer into the
-// owned section elements in access order. It returns the number of
-// elements scattered.
-func Scatter(mem []float64, start, last int64, deltaM []int64, in []float64) int64 {
-	if start < 0 || start > last {
-		return 0
-	}
-	length := int64(len(deltaM))
-	base := start
-	i := int64(0)
-	var n int64
-	for base <= last {
-		mem[base] = in[n]
-		base += deltaM[i]
-		i++
-		if i == length {
-			i = 0
-		}
 		n++
 	}
 	return n

@@ -2,7 +2,6 @@ package codegen
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -139,35 +138,6 @@ func TestShapesAgreeRandomized(t *testing.T) {
 	}
 }
 
-func TestGatherScatterRoundTrip(t *testing.T) {
-	pr := core.Problem{P: 4, K: 8, L: 4, S: 9, M: 1}
-	u := int64(500)
-	f := newFixture(t, pr, u)
-	n := int64(len(f.wantAddrs))
-
-	// Fill owned cells with distinct values.
-	for i, a := range f.wantAddrs {
-		f.mem[a] = float64(i + 1)
-	}
-	buf := make([]float64, n)
-	if got := Gather(f.mem, f.start, f.last, f.gaps, buf); got != n {
-		t.Fatalf("Gather count = %d, want %d", got, n)
-	}
-	for i := range buf {
-		if buf[i] != float64(i+1) {
-			t.Fatalf("Gather order wrong at %d: %v", i, buf)
-		}
-	}
-	// Scatter into a fresh memory and compare.
-	mem2 := make([]float64, len(f.mem))
-	if got := Scatter(mem2, f.start, f.last, f.gaps, buf); got != n {
-		t.Fatalf("Scatter count = %d, want %d", got, n)
-	}
-	if !reflect.DeepEqual(mem2, f.mem) {
-		t.Error("Scatter(Gather(mem)) != mem")
-	}
-}
-
 func TestEmptyInputs(t *testing.T) {
 	mem := make([]float64, 8)
 	if n := ShapeA(mem, -1, -1, nil, 1.0); n != 0 {
@@ -182,10 +152,7 @@ func TestEmptyInputs(t *testing.T) {
 	if n := ShapeD(mem, -1, -1, core.OffsetTable{Start: -1}, 1.0); n != 0 {
 		t.Errorf("ShapeD on empty = %d", n)
 	}
-	if n := Gather(mem, 5, 4, []int64{1}, nil); n != 0 {
-		t.Errorf("Gather past-last = %d", n)
-	}
-	if n := Scatter(mem, 5, 4, []int64{1}, nil); n != 0 {
-		t.Errorf("Scatter past-last = %d", n)
+	if n := ShapeB(mem, 5, 4, []int64{1}, 1.0); n != 0 || mem[5] != 0 {
+		t.Errorf("ShapeB past-last = %d", n)
 	}
 }

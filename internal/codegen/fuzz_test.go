@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -20,7 +21,7 @@ func fz(v, lo, hi int64) int64 {
 // processor of the configuration, that every Figure 8 shape and every
 // valid specialized kernel writes the identical element set — with
 // core.Problem.Addresses (the enumerated lattice) as ground truth — and
-// that the kernels' gather order matches the access sequence exactly.
+// that each kernel's Walk visits the access sequence exactly, in order.
 func FuzzKernelShapeAgreement(f *testing.F) {
 	f.Add(int64(4), int64(8), int64(4), int64(320), int64(9))   // paper example
 	f.Add(int64(4), int64(1), int64(0), int64(400), int64(3))   // cyclic(1)
@@ -102,20 +103,13 @@ func FuzzKernelShapeAgreement(f *testing.F) {
 				label := "kernel/" + kn.Kind().String()
 				check(label, kn.Fill(mem, 1))
 
-				// Access order: gather must return elements in sequence order.
-				for i, a := range addrs {
-					mem[a] = float64(i + 1)
+				// Access order: the traversal must visit exactly the
+				// oracle sequence, in order.
+				var walked []int64
+				n := kn.Walk(func(a int64) { walked = append(walked, a) })
+				if n != int64(len(addrs)) || !slices.Equal(walked, addrs) {
+					t.Fatalf("%+v u=%d %s: walk visited %v (count %d), want %v", pr, u, label, walked, n, addrs)
 				}
-				out := make([]float64, len(addrs))
-				if got := kn.Gather(mem, out); got != int64(len(addrs)) {
-					t.Fatalf("%+v u=%d %s: gather count %d, want %d", pr, u, label, got, len(addrs))
-				}
-				for i := range out {
-					if out[i] != float64(i+1) {
-						t.Fatalf("%+v u=%d %s: gather order wrong at %d", pr, u, label, i)
-					}
-				}
-				clear(mem)
 			}
 		}
 	})

@@ -32,12 +32,13 @@ package codegen
 //	KindGeneric    — the Figure 8(b) control flow, the paper's baseline
 //	                 and the fallback when nothing more specific applies.
 //
-// Every kind comes in fill/map/sum/gather/scatter op variants so the
-// section runtime (internal/hpf) executes through one dispatch instead
-// of hand-rolling per-op copies of the ShapeB walk. Selection happens
-// once, at plan-compile time (Select), and the chosen Kernel is
-// stored in the cached plan; steady-state traversal performs no
-// allocation and no re-selection.
+// Every kind comes in fill/map/sum op variants, the three section ops
+// the runtime (internal/hpf) executes, so it runs through one dispatch
+// instead of hand-rolling per-op copies of the ShapeB walk. The generic
+// and offset-dispatch fills are the Figure 8(b) and 8(d) loops
+// themselves (ShapeB, ShapeD). Selection happens once, at plan-compile
+// time (Select), and the chosen Kernel is stored in the cached plan;
+// steady-state traversal performs no allocation and no re-selection.
 
 import (
 	"repro/internal/core"
@@ -159,6 +160,46 @@ func uniformGap(gaps []int64) (int64, bool) {
 	return g, true
 }
 
+// constGap reports the spec's single executed gap when its gap table is
+// uniform. An empty gap table is only conclusive for a single-element
+// traversal; a table-only spec (Gaps nil, Count > 1) is not uniform.
+func (sp *Spec) constGap() (int64, bool) {
+	g, ok := uniformGap(sp.Gaps)
+	return g, ok && (len(sp.Gaps) > 0 || sp.Count == 1)
+}
+
+// unrollable reports whether the gap table's period admits KindUnrolled.
+func (sp *Spec) unrollable() bool {
+	p := len(sp.Gaps)
+	return p > 1 && p <= MaxUnrollPeriod
+}
+
+// The setters below turn a kernel holding the spec's bounds into one
+// kind each; Select and Candidates both build their kernels through
+// them, so a kind's parameters are derived in exactly one place.
+
+func (kn *Kernel) setConstGap(gap int64) { kn.kind, kn.gap = KindConstGap, gap }
+
+// setUnrolled folds the gap sequence into cumulative offsets.
+func (kn *Kernel) setUnrolled(gaps []int64) {
+	kn.kind = KindUnrolled
+	kn.prefix = make([]int64, len(gaps))
+	for i, g := range gaps {
+		kn.prefix[i] = kn.cycle
+		kn.cycle += g
+	}
+}
+
+func (kn *Kernel) setRowStride(pr core.Problem) {
+	kn.kind, kn.blockK, kn.stride, kn.rowStep = KindRowStride, pr.K, pr.S, rowStepFor(pr)
+}
+
+func (kn *Kernel) setOffsetDispatch(sp *Spec) {
+	kn.kind, kn.delta, kn.next, kn.startOff = KindOffsetDispatch, sp.Delta, sp.Next, sp.Start%sp.Problem.K
+}
+
+func (kn *Kernel) setGeneric(gaps []int64) { kn.kind, kn.gaps = KindGeneric, gaps }
+
 // Select chooses the most specialized kernel the spec admits and counts
 // the choice in codegen.kernel_selected.<kind>. The kernel is a pure
 // function of the spec: selection for a given Problem and bounds is
@@ -172,11 +213,8 @@ func Select(sp Spec) (kn Kernel) {
 		return kn
 	}
 	k, s := sp.Problem.K, sp.Problem.S
-	// An empty gap table is only conclusive for a single-element
-	// traversal; a table-only spec (Gaps nil, Count > 1) must fall
-	// through to the offset-dispatch check below.
-	if g, ok := uniformGap(sp.Gaps); ok && (len(sp.Gaps) > 0 || sp.Count == 1) {
-		kn.kind, kn.gap = KindConstGap, g
+	if g, ok := sp.constGap(); ok {
+		kn.setConstGap(g)
 		return kn
 	}
 	if sp.Last < k {
@@ -184,27 +222,17 @@ func Select(sp Spec) (kn Kernel) {
 		// distribution case): consecutive owned section elements lie in
 		// the same block, so every executed gap is exactly s even though
 		// the full cyclic table is not uniform.
-		kn.kind, kn.gap = KindConstGap, s
+		kn.setConstGap(s)
 		return kn
 	}
-	if p := len(sp.Gaps); p > 1 && p <= MaxUnrollPeriod {
-		kn.kind = KindUnrolled
-		kn.prefix = make([]int64, p)
-		var sum int64
-		for i, g := range sp.Gaps {
-			kn.prefix[i] = sum
-			sum += g
-		}
-		kn.cycle = sum
+	if sp.unrollable() {
+		kn.setUnrolled(sp.Gaps)
 		return kn
 	}
 	if s <= k {
 		// Dense rows: at least one element per k/s ≥ 1 local cells, so the
 		// per-row bookkeeping amortizes and no table is touched at all.
-		kn.kind = KindRowStride
-		kn.blockK = k
-		kn.stride = s
-		kn.rowStep = rowStepFor(sp.Problem)
+		kn.setRowStride(sp.Problem)
 		return kn
 	}
 	if sp.Gaps == nil && sp.Delta != nil && sp.Next != nil {
@@ -214,13 +242,10 @@ func Select(sp Spec) (kn Kernel) {
 		// wins — the dependent next[] load chain costs more per element
 		// than scanning a period ≤ k gap array — so offset dispatch is the
 		// memory-frugal pick, never the preferred one.
-		kn.kind = KindOffsetDispatch
-		kn.delta, kn.next = sp.Delta, sp.Next
-		kn.startOff = sp.Start % k
+		kn.setOffsetDispatch(&sp)
 		return kn
 	}
-	kn.kind = KindGeneric
-	kn.gaps = sp.Gaps
+	kn.setGeneric(sp.Gaps)
 	return kn
 }
 
@@ -237,43 +262,32 @@ func rowStepFor(pr core.Problem) int64 {
 // identical element set; it is not part of the hot path (its Select
 // call still counts as one selection).
 func Candidates(sp Spec) []Kernel {
-	var out []Kernel
 	sel := Select(sp)
-	out = append(out, sel)
+	out := []Kernel{sel}
 	if sel.kind == KindNone {
 		return out
 	}
-	add := func(kn Kernel) {
+	add := func(set func(kn *Kernel)) {
+		kn := Kernel{start: sp.Start, last: sp.Last, count: sp.Count}
+		set(&kn)
 		if kn.kind != sel.kind {
 			out = append(out, kn)
 		}
 	}
-	if g, ok := uniformGap(sp.Gaps); ok && (len(sp.Gaps) > 0 || sp.Count == 1) {
-		add(Kernel{kind: KindConstGap, start: sp.Start, last: sp.Last, count: sp.Count, gap: g})
+	if g, ok := sp.constGap(); ok {
+		add(func(kn *Kernel) { kn.setConstGap(g) })
 	}
-	if p := len(sp.Gaps); p > 1 && p <= MaxUnrollPeriod {
-		pre := make([]int64, p)
-		var sum int64
-		for i, g := range sp.Gaps {
-			pre[i] = sum
-			sum += g
-		}
-		add(Kernel{kind: KindUnrolled, start: sp.Start, last: sp.Last, count: sp.Count, prefix: pre, cycle: sum})
+	if sp.unrollable() {
+		add(func(kn *Kernel) { kn.setUnrolled(sp.Gaps) })
 	}
 	// RowStride is correct for every stride (rows without elements fall
 	// through the inner loop); s ≤ k is only the performance heuristic.
-	add(Kernel{
-		kind: KindRowStride, start: sp.Start, last: sp.Last, count: sp.Count,
-		blockK: sp.Problem.K, stride: sp.Problem.S, rowStep: rowStepFor(sp.Problem),
-	})
+	add(func(kn *Kernel) { kn.setRowStride(sp.Problem) })
 	if sp.Delta != nil && sp.Next != nil {
-		add(Kernel{
-			kind: KindOffsetDispatch, start: sp.Start, last: sp.Last, count: sp.Count,
-			delta: sp.Delta, next: sp.Next, startOff: sp.Start % sp.Problem.K,
-		})
+		add(func(kn *Kernel) { kn.setOffsetDispatch(&sp) })
 	}
 	if sp.Gaps != nil {
-		add(Kernel{kind: KindGeneric, start: sp.Start, last: sp.Last, count: sp.Count, gaps: sp.Gaps})
+		add(func(kn *Kernel) { kn.setGeneric(sp.Gaps) })
 	}
 	return out
 }
@@ -293,7 +307,7 @@ func (kn *Kernel) Fill(mem []float64, v float64) int64 {
 	case KindRowStride:
 		return kn.fillRow(mem, v)
 	case KindOffsetDispatch:
-		return kn.fillOffset(mem, v)
+		return ShapeD(mem, kn.start, kn.last, core.OffsetTable{Delta: kn.delta, NextOffset: kn.next, Start: kn.startOff}, v)
 	case KindGeneric:
 		return ShapeB(mem, kn.start, kn.last, kn.gaps, v)
 	}
@@ -335,43 +349,6 @@ func (kn *Kernel) Sum(mem []float64) (float64, int64) {
 		return kn.sumGeneric(mem)
 	}
 	return 0, 0
-}
-
-// Gather copies the traversed elements into out in access order. out
-// must have room for Count elements.
-func (kn *Kernel) Gather(mem []float64, out []float64) int64 {
-	telInvoked[kn.kind].Inc()
-	switch kn.kind {
-	case KindConstGap:
-		return kn.gatherConst(mem, out)
-	case KindUnrolled:
-		return kn.gatherUnrolled(mem, out)
-	case KindRowStride:
-		return kn.gatherRow(mem, out)
-	case KindOffsetDispatch:
-		return kn.gatherOffset(mem, out)
-	case KindGeneric:
-		return Gather(mem, kn.start, kn.last, kn.gaps, out)
-	}
-	return 0
-}
-
-// Scatter writes in back into the traversed addresses in access order.
-func (kn *Kernel) Scatter(mem []float64, in []float64) int64 {
-	telInvoked[kn.kind].Inc()
-	switch kn.kind {
-	case KindConstGap:
-		return kn.scatterConst(mem, in)
-	case KindUnrolled:
-		return kn.scatterUnrolled(mem, in)
-	case KindRowStride:
-		return kn.scatterRow(mem, in)
-	case KindOffsetDispatch:
-		return kn.scatterOffset(mem, in)
-	case KindGeneric:
-		return Scatter(mem, kn.start, kn.last, kn.gaps, in)
-	}
-	return 0
 }
 
 // ---------------------------------------------------------------------
@@ -441,24 +418,6 @@ func (kn *Kernel) sumConst(mem []float64) (float64, int64) {
 		base += kn.gap
 	}
 	return total, kn.count
-}
-
-func (kn *Kernel) gatherConst(mem []float64, out []float64) int64 {
-	base := kn.start
-	for i := int64(0); i < kn.count; i++ {
-		out[i] = mem[base]
-		base += kn.gap
-	}
-	return kn.count
-}
-
-func (kn *Kernel) scatterConst(mem []float64, in []float64) int64 {
-	base := kn.start
-	for i := int64(0); i < kn.count; i++ {
-		mem[base] = in[i]
-		base += kn.gap
-	}
-	return kn.count
 }
 
 // ---------------------------------------------------------------------
@@ -591,46 +550,6 @@ func (kn *Kernel) sumUnrolled(mem []float64) (float64, int64) {
 	return total, kn.count
 }
 
-func (kn *Kernel) gatherUnrolled(mem []float64, out []float64) int64 {
-	base := kn.start
-	pre, cyc := kn.prefix, kn.cycle
-	period := int64(len(pre))
-	full, rem := kn.count/period, kn.count%period
-	var n int64
-	for ; full > 0; full-- {
-		for _, off := range pre {
-			out[n] = mem[base+off]
-			n++
-		}
-		base += cyc
-	}
-	for _, off := range pre[:rem] {
-		out[n] = mem[base+off]
-		n++
-	}
-	return n
-}
-
-func (kn *Kernel) scatterUnrolled(mem []float64, in []float64) int64 {
-	base := kn.start
-	pre, cyc := kn.prefix, kn.cycle
-	period := int64(len(pre))
-	full, rem := kn.count/period, kn.count%period
-	var n int64
-	for ; full > 0; full-- {
-		for _, off := range pre {
-			mem[base+off] = in[n]
-			n++
-		}
-		base += cyc
-	}
-	for _, off := range pre[:rem] {
-		mem[base+off] = in[n]
-		n++
-	}
-	return n
-}
-
 // ---------------------------------------------------------------------
 // KindRowStride: iterate block rows; inside a row the owned section
 // elements are base+off, base+off+s, … — a constant-stride run — and
@@ -706,69 +625,10 @@ func (kn *Kernel) sumRow(mem []float64) (float64, int64) {
 	return total, n
 }
 
-func (kn *Kernel) gatherRow(mem []float64, out []float64) int64 {
-	var n int64
-	off := kn.start % kn.blockK
-	rowBase := kn.start - off
-	lat := off % kn.stride
-	for rowBase <= kn.last {
-		end := rowBase + kn.blockK - 1
-		if end > kn.last {
-			end = kn.last
-		}
-		for a := rowBase + off; a <= end; a += kn.stride {
-			out[n] = mem[a]
-			n++
-		}
-		rowBase += kn.blockK
-		lat += kn.rowStep
-		if lat >= kn.stride {
-			lat -= kn.stride
-		}
-		off = lat
-	}
-	return n
-}
-
-func (kn *Kernel) scatterRow(mem []float64, in []float64) int64 {
-	var n int64
-	off := kn.start % kn.blockK
-	rowBase := kn.start - off
-	lat := off % kn.stride
-	for rowBase <= kn.last {
-		end := rowBase + kn.blockK - 1
-		if end > kn.last {
-			end = kn.last
-		}
-		for a := rowBase + off; a <= end; a += kn.stride {
-			mem[a] = in[n]
-			n++
-		}
-		rowBase += kn.blockK
-		lat += kn.rowStep
-		if lat >= kn.stride {
-			lat -= kn.stride
-		}
-		off = lat
-	}
-	return n
-}
-
 // ---------------------------------------------------------------------
-// KindOffsetDispatch: the Figure 8(d) flow over the shared
-// offset-indexed transition tables.
-
-func (kn *Kernel) fillOffset(mem []float64, v float64) int64 {
-	base, i := kn.start, kn.startOff
-	var n int64
-	for base <= kn.last {
-		mem[base] = v
-		base += kn.delta[i]
-		i = kn.next[i]
-		n++
-	}
-	return n
-}
+// KindOffsetDispatch map/sum: the Figure 8(d) flow over the shared
+// offset-indexed transition tables (fill reuses the package-level
+// ShapeD loop).
 
 func (kn *Kernel) mapOffset(mem []float64, f func(float64) float64) int64 {
 	base, i := kn.start, kn.startOff
@@ -795,33 +655,8 @@ func (kn *Kernel) sumOffset(mem []float64) (float64, int64) {
 	return total, n
 }
 
-func (kn *Kernel) gatherOffset(mem []float64, out []float64) int64 {
-	base, i := kn.start, kn.startOff
-	var n int64
-	for base <= kn.last {
-		out[n] = mem[base]
-		base += kn.delta[i]
-		i = kn.next[i]
-		n++
-	}
-	return n
-}
-
-func (kn *Kernel) scatterOffset(mem []float64, in []float64) int64 {
-	base, i := kn.start, kn.startOff
-	var n int64
-	for base <= kn.last {
-		mem[base] = in[n]
-		base += kn.delta[i]
-		i = kn.next[i]
-		n++
-	}
-	return n
-}
-
 // ---------------------------------------------------------------------
-// KindGeneric map/sum (fill, gather and scatter reuse the package-level
-// ShapeB/Gather/Scatter loops).
+// KindGeneric map/sum (fill reuses the package-level ShapeB loop).
 
 func (kn *Kernel) mapGeneric(mem []float64, f func(float64) float64) int64 {
 	length := int64(len(kn.gaps))

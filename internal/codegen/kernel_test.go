@@ -2,7 +2,6 @@ package codegen
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -130,24 +129,6 @@ func TestKernelOpsMatchGroundTruth(t *testing.T) {
 				t.Errorf("%+v u=%d %s: Sum = (%v, %d), want (%v, %d)", tc.pr, tc.u, label, got, cnt, want, n)
 			}
 
-			// Gather preserves access order; Scatter round-trips.
-			buf := make([]float64, n)
-			if got := kn.Gather(f.mem, buf); got != n {
-				t.Errorf("%s: Gather count = %d, want %d", label, got, n)
-			}
-			for i := range buf {
-				if buf[i] != float64(i+1) {
-					t.Errorf("%s: Gather order wrong at %d", label, i)
-					break
-				}
-			}
-			mem2 := make([]float64, len(f.mem))
-			if got := kn.Scatter(mem2, buf); got != n {
-				t.Errorf("%s: Scatter count = %d, want %d", label, got, n)
-			}
-			if !reflect.DeepEqual(mem2, f.mem) {
-				t.Errorf("%s: Scatter(Gather(mem)) != mem", label)
-			}
 			clear(f.mem)
 		}
 	}
@@ -167,12 +148,6 @@ func TestKernelEmpty(t *testing.T) {
 	}
 	if s, n := kn.Sum(mem); s != 0 || n != 0 {
 		t.Errorf("Sum on empty = (%v, %d)", s, n)
-	}
-	if n := kn.Gather(mem, nil); n != 0 {
-		t.Errorf("Gather on empty = %d", n)
-	}
-	if n := kn.Scatter(mem, nil); n != 0 {
-		t.Errorf("Scatter on empty = %d", n)
 	}
 }
 

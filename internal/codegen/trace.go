@@ -2,12 +2,12 @@ package codegen
 
 // Access-traced kernel execution. Every kernel kind can enumerate the
 // exact local-address sequence its node loop touches (Walk), and each
-// of the five ops has a *Traced variant that performs the same work as
-// its untraced twin while streaming (addr, rw, step) records into the
-// active telemetry.AccessRecorder. The traced variants are dispatched
-// by internal/hpf only when a recorder is installed, so the untraced
-// hot paths stay byte-for-byte what PR 7 benchmarked; the traced paths
-// favour a single shared walker over 25 duplicated loops and accept the
+// of the three ops (fill, map, sum) has a *Traced variant that performs
+// the same work as its untraced twin while streaming (addr, rw, step)
+// records into the active telemetry.AccessRecorder. The traced variants
+// are dispatched by internal/hpf only when a recorder is installed, so
+// the untraced hot paths carry no recording branch; the traced paths
+// favour a single shared walker over 15 duplicated loops and accept the
 // closure-call overhead — recording is an observability mode, not a
 // production path.
 
@@ -122,28 +122,4 @@ func (kn *Kernel) SumTraced(mem []float64, ar *telemetry.AccessRecorder, rank in
 		ar.Record(rank, a, telemetry.AccessRead, step)
 	})
 	return total, n
-}
-
-// GatherTraced is Gather with every distributed-array load recorded
-// (stores into the caller's dense staging buffer are not part of the
-// distributed access sequence and are not recorded).
-func (kn *Kernel) GatherTraced(mem []float64, out []float64, ar *telemetry.AccessRecorder, rank int32, step uint32) int64 {
-	telInvoked[kn.kind].Inc()
-	var i int64
-	return kn.Walk(func(a int64) {
-		out[i] = mem[a]
-		i++
-		ar.Record(rank, a, telemetry.AccessRead, step)
-	})
-}
-
-// ScatterTraced is Scatter with every distributed-array store recorded.
-func (kn *Kernel) ScatterTraced(mem []float64, in []float64, ar *telemetry.AccessRecorder, rank int32, step uint32) int64 {
-	telInvoked[kn.kind].Inc()
-	var i int64
-	return kn.Walk(func(a int64) {
-		mem[a] = in[i]
-		i++
-		ar.Record(rank, a, telemetry.AccessWrite, step)
-	})
 }

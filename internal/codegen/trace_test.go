@@ -108,33 +108,6 @@ func TestKernelTracedOpsMatchUntraced(t *testing.T) {
 				}
 			}
 
-			// Gather reads; Scatter writes; both round-trip.
-			buf := make([]float64, n)
-			ar = telemetry.NewAccessRecorder(1, cap)
-			if got := kn.GatherTraced(f.mem, buf, ar, 0, 3); got != n {
-				t.Fatalf("%s: GatherTraced count = %d, want %d", label, got, n)
-			}
-			for i := range buf {
-				if buf[i] != float64(i+1) {
-					t.Fatalf("%s: GatherTraced order wrong at %d", label, i)
-				}
-			}
-			recs = recorded(t, ar)
-			if int64(len(recs)) != n || (n > 0 && recs[0].Write) {
-				t.Fatalf("%s: gather records = %d (first write=%v)", label, len(recs), n > 0 && recs[0].Write)
-			}
-			mem2 := make([]float64, len(f.mem))
-			ar = telemetry.NewAccessRecorder(1, cap)
-			if got := kn.ScatterTraced(mem2, buf, ar, 0, 4); got != n {
-				t.Fatalf("%s: ScatterTraced count = %d, want %d", label, got, n)
-			}
-			if !reflect.DeepEqual(mem2, f.mem) {
-				t.Fatalf("%s: ScatterTraced(GatherTraced(mem)) != mem", label)
-			}
-			recs = recorded(t, ar)
-			if int64(len(recs)) != n || (n > 0 && !recs[n-1].Write) {
-				t.Fatalf("%s: scatter records = %d", label, len(recs))
-			}
 			clear(f.mem)
 		}
 	}

@@ -185,17 +185,7 @@ func problemLattice(pr Problem, pk, d, x int64) *lattice.Lattice {
 // algorithm (Figure 5): O(k + min(log s, log p)) time, O(k) space for the
 // result.
 func Lattice(pr Problem) (Sequence, error) {
-	return latticeImpl(pr, nil, nil)
-}
-
-// LatticeInto is Lattice emitting the gap table into buf's storage
-// (capacity reused, grown only when too small). The returned Sequence's
-// Gaps alias buf; use it to keep repeated constructions allocation-free.
-func LatticeInto(pr Problem, buf []int64) (Sequence, error) {
-	if buf == nil {
-		buf = make([]int64, 0, pr.K)
-	}
-	return latticeImpl(pr, nil, buf)
+	return latticeImpl(pr, nil)
 }
 
 // Visit records one step of the Figure 5 gap loop for tracing: the global
@@ -213,11 +203,11 @@ type Visit struct {
 // at most 2k+1 visits (Section 5.1's bound).
 func LatticeTrace(pr Problem) (Sequence, []Visit, error) {
 	var trace []Visit
-	seq, err := latticeImpl(pr, &trace, nil)
+	seq, err := latticeImpl(pr, &trace)
 	return seq, trace, err
 }
 
-func latticeImpl(pr Problem, trace *[]Visit, buf []int64) (Sequence, error) {
+func latticeImpl(pr Problem, trace *[]Visit) (Sequence, error) {
 	if err := pr.Validate(); err != nil {
 		return Sequence{}, err
 	}
@@ -235,7 +225,7 @@ func latticeImpl(pr Problem, trace *[]Visit, buf []int64) (Sequence, error) {
 		return Sequence{
 			Start:      start,
 			StartLocal: pr.localAddr(start, pk),
-			Gaps:       append(buf[:0], pr.K*pr.S/d),
+			Gaps:       []int64{pr.K * pr.S / d},
 		}, nil
 	}
 
@@ -251,7 +241,7 @@ func latticeImpl(pr Problem, trace *[]Visit, buf []int64) (Sequence, error) {
 	gapR, gapL := basis.GapR, basis.GapL
 
 	// Lines 31-49: the gap table.
-	gaps := sizedGaps(buf, length)
+	gaps := make([]int64, length)
 	offset := intmath.FloorMod(start, pk)
 	lo, hi := pr.K*pr.M, pr.K*(pr.M+1)
 	g := start // tracked only for tracing

@@ -467,25 +467,6 @@ func TestOffsetTablesSweep(t *testing.T) {
 	}
 }
 
-func TestTransitionTable(t *testing.T) {
-	states, start, err := TransitionTable(paperProblem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if start != 5 {
-		t.Errorf("start state = %d, want 5", start)
-	}
-	if len(states) != 8 {
-		t.Errorf("state count = %d, want 8", len(states))
-	}
-	// States are sorted by offset and self-consistent.
-	for i := 1; i < len(states); i++ {
-		if states[i].Offset <= states[i-1].Offset {
-			t.Error("states not in increasing offset order")
-		}
-	}
-}
-
 func TestCountLastAddresses(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 800; trial++ {

@@ -25,47 +25,6 @@ func randomProblems(t *testing.T, n int) []Problem {
 	return out
 }
 
-func TestLatticeIntoMatchesLattice(t *testing.T) {
-	buf := make([]int64, 0, 4) // deliberately small: must grow transparently
-	for _, pr := range randomProblems(t, 400) {
-		want, err := Lattice(pr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := LatticeInto(pr, buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Start != want.Start || got.StartLocal != want.StartLocal ||
-			!reflect.DeepEqual(got.Gaps, want.Gaps) {
-			t.Fatalf("%+v: LatticeInto %v != Lattice %v", pr, got, want)
-		}
-		buf = got.Gaps // reuse across iterations, as hot loops do
-	}
-}
-
-func TestLatticeIntoReusesBuffer(t *testing.T) {
-	pr := Problem{P: 4, K: 8, L: 4, S: 9, M: 1}
-	buf := make([]int64, 0, 64)
-	seq, err := LatticeInto(pr, buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &seq.Gaps[0] != &buf[:1][0] {
-		t.Fatal("LatticeInto did not reuse the provided buffer")
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		s, err := LatticeInto(pr, buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf = s.Gaps
-	})
-	if allocs > 0 {
-		t.Fatalf("LatticeInto with warm buffer allocates %.1f/op, want 0", allocs)
-	}
-}
-
 func TestSequenceIntoMatchesSequence(t *testing.T) {
 	for _, pr := range randomProblems(t, 200) {
 		ts, err := NewTableSet(pr.P, pr.K, pr.L, pr.S)
@@ -108,22 +67,6 @@ func TestSequenceIntoZeroAllocWarm(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("SequenceInto with warm buffer allocates %.1f/op, want 0", allocs)
-	}
-}
-
-func TestOffsetTablesIntoMatches(t *testing.T) {
-	var ot OffsetTable
-	for _, pr := range randomProblems(t, 200) {
-		want, err := OffsetTables(pr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := OffsetTablesInto(pr, &ot); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(ot, want) {
-			t.Fatalf("%+v: OffsetTablesInto %+v != OffsetTables %+v", pr, ot, want)
-		}
 	}
 }
 

@@ -29,13 +29,6 @@ func SortingRadix(pr Problem) (Sequence, error) {
 	return sortingImpl(pr, radixSort)
 }
 
-// SortingWith runs the sorting method with a caller-supplied sorting
-// routine, for experimenting with the time/space trade-offs discussed in
-// Section 6.1.
-func SortingWith(pr Problem, sortFn func([]int64)) (Sequence, error) {
-	return sortingImpl(pr, sortFn)
-}
-
 func sortingImpl(pr Problem, sortFn func([]int64)) (Sequence, error) {
 	if err := pr.Validate(); err != nil {
 		return Sequence{}, err

@@ -25,41 +25,31 @@ type OffsetTable struct {
 // For processors that own no section elements, Start is -1 and both
 // tables are all-unused.
 func OffsetTables(pr Problem) (OffsetTable, error) {
-	var ot OffsetTable
-	if err := OffsetTablesInto(pr, &ot); err != nil {
-		return OffsetTable{}, err
-	}
-	return ot, nil
-}
-
-// OffsetTablesInto is OffsetTables writing into ot, reusing its Delta
-// and NextOffset storage when the capacity suffices — the
-// allocation-free variant for loops that rebuild shape 8(d) tables.
-func OffsetTablesInto(pr Problem, ot *OffsetTable) error {
 	if err := pr.Validate(); err != nil {
-		return err
+		return OffsetTable{}, err
 	}
 	pk := pr.P * pr.K
 	d, x, _ := intmath.ExtGCD(pr.S, pk)
 	start, length := pr.startScan(pk, d, x, nil)
 
-	ot.Delta = sizedGaps(ot.Delta, pr.K)
-	ot.NextOffset = sizedGaps(ot.NextOffset, pr.K)
-	ot.Start = -1
-	ot.Length = length
-	for i := range ot.Delta {
-		ot.Delta[i] = 0
+	ot := OffsetTable{
+		Delta:      make([]int64, pr.K),
+		NextOffset: make([]int64, pr.K),
+		Start:      -1,
+		Length:     length,
+	}
+	for i := range ot.NextOffset {
 		ot.NextOffset[i] = -1
 	}
 	switch length {
 	case 0:
-		return nil
+		return ot, nil
 	case 1:
 		off := intmath.FloorMod(start, pr.K)
 		ot.Start = off
 		ot.Delta[off] = pr.K * pr.S / d
 		ot.NextOffset[off] = off
-		return nil
+		return ot, nil
 	}
 
 	lat := problemLattice(pr, pk, d, x)
@@ -95,37 +85,5 @@ func OffsetTablesInto(pr Problem, ot *OffsetTable) error {
 		ot.NextOffset[cur] = offset - lo
 		i++
 	}
-	return nil
-}
-
-// Transition describes one state of the finite-state-machine view of the
-// access pattern (Chatterjee et al.'s transition diagram, Section 2): from
-// a section element at this local offset, the next element is Gap bytes
-// away in local memory at local offset Next.
-type Transition struct {
-	Offset int64
-	Gap    int64
-	Next   int64
-}
-
-// TransitionTable returns the FSM transition table for the problem's
-// touched offsets, in increasing offset order, together with the start
-// state (the local offset of the first owned element; -1 when the
-// processor owns nothing). State transitions depend only on p, k and s;
-// the start state also depends on l and m (Section 2).
-func TransitionTable(pr Problem) (states []Transition, start int64, err error) {
-	ot, err := OffsetTables(pr)
-	if err != nil {
-		return nil, -1, err
-	}
-	for off := int64(0); off < int64(len(ot.Delta)); off++ {
-		if ot.NextOffset[off] >= 0 {
-			states = append(states, Transition{
-				Offset: off,
-				Gap:    ot.Delta[off],
-				Next:   ot.NextOffset[off],
-			})
-		}
-	}
-	return states, ot.Start, nil
+	return ot, nil
 }

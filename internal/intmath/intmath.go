@@ -244,51 +244,3 @@ func SolveCongruence(a, c, n int64) (x int64, ok bool) {
 	// reduce both before multiplying.
 	return MulModAuto(FloorMod(c, n)/d, inv, nd), true
 }
-
-// ModInverse returns the multiplicative inverse of a modulo n (n > 1),
-// i.e. the x in [0, n) with a·x ≡ 1 (mod n). It reports ok = false when a
-// and n are not coprime.
-func ModInverse(a, n int64) (x int64, ok bool) {
-	if n <= 1 {
-		panic("intmath: ModInverse with modulus <= 1")
-	}
-	d, inv, _ := ExtGCD(a, n)
-	if d != 1 {
-		return 0, false
-	}
-	return FloorMod(inv, n), true
-}
-
-// CRT solves the simultaneous congruences x ≡ a (mod m), x ≡ b (mod n)
-// for m, n > 0. When compatible it returns the smallest nonnegative
-// solution and the combined modulus lcm(m, n); ok is false when the
-// congruences conflict (a ≢ b mod gcd(m, n)) and err is non-nil when the
-// combined modulus overflows. This is the arithmetic behind intersecting
-// two arithmetic progressions — the closed-form step in communication-set
-// generation.
-func CRT(a, m, b, n int64) (x, mod int64, ok bool, err error) {
-	if m <= 0 || n <= 0 {
-		panic("intmath: CRT with nonpositive modulus")
-	}
-	d, p, _ := ExtGCD(m, n)
-	if FloorMod(b-a, d) != 0 {
-		return 0, 0, false, nil
-	}
-	mod, err = LCM(m, n)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	// x = a + m·t with t ≡ (b-a)/d · p (mod n/d).
-	nd := n / d
-	t := MulModAuto(FloorMod(b-a, n)/d, p, nd)
-	// a + m·t may overflow for extreme inputs; check.
-	mt, err := MulChecked(m, t)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	sum, err := AddChecked(FloorMod(a, mod), mt)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	return FloorMod(sum, mod), mod, true, nil
-}

@@ -294,16 +294,6 @@ func TestSolveCongruenceIsSmallest(t *testing.T) {
 	}
 }
 
-func TestModInverse(t *testing.T) {
-	inv, ok := ModInverse(9, 32)
-	if !ok || FloorMod(9*inv, 32) != 1 {
-		t.Errorf("ModInverse(9,32) = %d, %v", inv, ok)
-	}
-	if _, ok := ModInverse(4, 6); ok {
-		t.Error("ModInverse(4,6) should not exist")
-	}
-}
-
 func TestAbs(t *testing.T) {
 	if Abs(-5) != 5 || Abs(5) != 5 || Abs(0) != 0 {
 		t.Error("Abs basic cases failed")
@@ -325,56 +315,5 @@ func BenchmarkExtGCD(b *testing.B) {
 func BenchmarkSolveCongruence(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		SolveCongruence(99, 1234, 32*512)
-	}
-}
-
-func TestCRT(t *testing.T) {
-	// x ≡ 2 (mod 3), x ≡ 3 (mod 5) -> x = 8 (mod 15).
-	x, mod, ok, err := CRT(2, 3, 3, 5)
-	if err != nil || !ok || x != 8 || mod != 15 {
-		t.Errorf("CRT(2,3,3,5) = %d mod %d ok=%v err=%v", x, mod, ok, err)
-	}
-	// Conflicting: x ≡ 0 (mod 4), x ≡ 1 (mod 2).
-	if _, _, ok, _ := CRT(0, 4, 1, 2); ok {
-		t.Error("conflicting congruences should fail")
-	}
-	// Compatible with shared factor: x ≡ 2 (mod 4), x ≡ 6 (mod 8) -> 6 mod 8.
-	x, mod, ok, _ = CRT(2, 4, 6, 8)
-	if !ok || x != 6 || mod != 8 {
-		t.Errorf("CRT(2,4,6,8) = %d mod %d, ok=%v", x, mod, ok)
-	}
-	// Negative residues are normalized.
-	x, mod, ok, _ = CRT(-1, 3, 4, 5)
-	if !ok || FloorMod(x, 3) != 2 || FloorMod(x, 5) != 4 || x < 0 || x >= mod {
-		t.Errorf("CRT(-1,3,4,5) = %d mod %d", x, mod)
-	}
-}
-
-func TestCRTAgainstBrute(t *testing.T) {
-	r := rand.New(rand.NewSource(20))
-	for trial := 0; trial < 2000; trial++ {
-		m := r.Int63n(30) + 1
-		n := r.Int63n(30) + 1
-		a := r.Int63n(60) - 30
-		b := r.Int63n(60) - 30
-		x, mod, ok, err := CRT(a, m, b, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, found := int64(-1), false
-		lcm, _ := LCM(m, n)
-		for c := int64(0); c < lcm; c++ {
-			if FloorMod(c-a, m) == 0 && FloorMod(c-b, n) == 0 {
-				want, found = c, true
-				break
-			}
-		}
-		if ok != found {
-			t.Fatalf("a=%d m=%d b=%d n=%d: ok=%v brute=%v", a, m, b, n, ok, found)
-		}
-		if ok && (x != want || mod != lcm) {
-			t.Fatalf("a=%d m=%d b=%d n=%d: got %d mod %d, brute %d mod %d",
-				a, m, b, n, x, mod, want, lcm)
-		}
 	}
 }
