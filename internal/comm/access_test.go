@@ -123,3 +123,74 @@ func TestExecuteWithRecordsCombineAccesses(t *testing.T) {
 		t.Fatalf("recorded %d reads / %d writes, want 200 / 100", reads, writes)
 	}
 }
+
+// TestTranspose2DRecordsPackUnpackAccesses: a 2-D statement records the
+// same pack/unpack steps as a 1-D one — every source element read once
+// on its owner, every destination element written once on its owner, at
+// its row-major local address.
+func TestTranspose2DRecordsPackUnpackAccesses(t *testing.T) {
+	dst, src, dstRect, srcRect := transposeFixture()
+	m := machine.MustNew(4)
+
+	ar := telemetry.StartAccessRecording(4, 1<<16)
+	defer telemetry.StopAccessRecording()
+	if err := Transpose2D(m, dst, dstRect, src, srcRect); err != nil {
+		t.Fatal(err)
+	}
+	doc := ar.Doc()
+	telemetry.StopAccessRecording()
+
+	if len(doc.Steps) != 2 || doc.Steps[0].Label != "comm.pack" || doc.Steps[1].Label != "comm.unpack" {
+		t.Fatalf("steps = %+v", doc.Steps)
+	}
+	packStep, unpackStep := doc.Steps[0].Step, doc.Steps[1].Step
+
+	// Oracle: element (i, j) of a lives on rank FlatRank(Owner(i, j)) at
+	// local address Local(i)·cols + Local(j).
+	type elem struct {
+		rank int32
+		addr int64
+	}
+	locate := func(a *hpf.Array2D, i, j int64) elem {
+		g := a.Grid()
+		r := g.FlatRank(g.Owner([]int64{i, j}))
+		_, _, cols := a.LocalMem(r)
+		return elem{int32(r), g.Dim(0).Local(i)*cols + g.Dim(1).Local(j)}
+	}
+	wantReads := map[int32]map[int64]int{}
+	wantWrites := map[int32]map[int64]int{}
+	add := func(m map[int32]map[int64]int, e elem) {
+		if m[e.rank] == nil {
+			m[e.rank] = map[int64]int{}
+		}
+		m[e.rank][e.addr]++
+	}
+	for t0 := int64(0); t0 < dstRect[0].Count(); t0++ {
+		for t1 := int64(0); t1 < dstRect[1].Count(); t1++ {
+			add(wantReads, locate(src, srcRect[0].Element(t1), srcRect[1].Element(t0)))
+			add(wantWrites, locate(dst, dstRect[0].Element(t0), dstRect[1].Element(t1)))
+		}
+	}
+
+	var total int64
+	for _, seq := range doc.Seqs {
+		total += int64(len(seq.Accesses))
+		gotReads := map[int64]int{}
+		gotWrites := map[int64]int{}
+		for _, rec := range seq.Accesses {
+			switch {
+			case rec.Write && rec.Step == unpackStep:
+				gotWrites[rec.Addr]++
+			case !rec.Write && rec.Step == packStep:
+				gotReads[rec.Addr]++
+			default:
+				t.Fatalf("rank %d: access %+v outside the pack reads and unpack writes", seq.Rank, rec)
+			}
+		}
+		checkAddrSet(t, "pack reads", seq.Rank, gotReads, wantReads[seq.Rank])
+		checkAddrSet(t, "unpack writes", seq.Rank, gotWrites, wantWrites[seq.Rank])
+	}
+	if want := 2 * dstRect[0].Count() * dstRect[1].Count(); total != want {
+		t.Fatalf("recorded %d accesses, want %d (one read and one write per element)", total, want)
+	}
+}

@@ -45,6 +45,8 @@ func (c commCase) sections() (dstSec, srcSec section.Section, dstN, srcN int64) 
 func plansEquivalent(a, b *Plan) bool {
 	return a.NDst == b.NDst && a.NSrc == b.NSrc &&
 		a.DstSec == b.DstSec && a.SrcSec == b.SrcSec &&
+		a.dstLayout == b.dstLayout && a.srcLayout == b.srcLayout &&
+		a.dstN == b.dstN && a.srcN == b.srcN &&
 		reflect.DeepEqual(a.Transfers, b.Transfers)
 }
 
@@ -194,8 +196,13 @@ func TestCachedPlan2DMatches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got.axis, want.axis) || !reflect.DeepEqual(got.pos, want.pos) {
-			t.Fatalf("trial %d: cached 2-D plan differs", trial)
+		for a := range got.axis {
+			if !plansEquivalent(got.axis[a], want.axis[a]) {
+				t.Fatalf("trial %d: cached 2-D plan's axis %d differs", trial, a)
+			}
+		}
+		if !reflect.DeepEqual(got.exec, want.exec) {
+			t.Fatalf("trial %d: cached 2-D plan's compiled schedule differs", trial)
 		}
 		// Hit path returns the identical plan.
 		again, err := CachedPlan2D(dg, ext, rect, sg, srcExt, srcRect, perm)

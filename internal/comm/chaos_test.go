@@ -176,3 +176,67 @@ func TestCombineDropBecomesStructuredFailure(t *testing.T) {
 	_ = c.run(m)
 	t.Fatal("Combine with all messages dropped should not complete")
 }
+
+// transposeFixture builds differently-distributed 4-rank arrays for
+// dst(0:11, 2:15) = transpose(src(3:16, 0:11)).
+func transposeFixture() (dst, src *hpf.Array2D, dstRect, srcRect section.Rect) {
+	sg := dist.MustNewGrid(dist.MustNew(2, 3), dist.MustNew(2, 2))
+	dg := dist.MustNewGrid(dist.MustNew(2, 2), dist.MustNew(2, 5))
+	src = hpf.MustNewArray2D(sg, 18, 14)
+	dst = hpf.MustNewArray2D(dg, 16, 20)
+	for i := int64(0); i < 18; i++ {
+		for j := int64(0); j < 14; j++ {
+			src.Set(i, j, float64(i*100+j))
+		}
+	}
+	dstRect, _ = section.NewRect(section.MustNew(0, 11, 1), section.MustNew(2, 15, 1))
+	srcRect, _ = section.NewRect(section.MustNew(3, 16, 1), section.MustNew(0, 11, 1))
+	return dst, src, dstRect, srcRect
+}
+
+func TestTranspose2DSurvivesDelayDupReorder(t *testing.T) {
+	for _, seed := range []int64{5, 19} {
+		dst, src, dstRect, srcRect := transposeFixture()
+		m := machine.MustNew(4)
+		m.SetFaults(&machine.FaultPlan{
+			Seed: seed, Delay: 0.25, DelayBy: 300 * time.Microsecond,
+			Dup: 0.25, Reorder: 0.25, CrashRank: -1,
+		})
+		if err := Transpose2D(m, dst, dstRect, src, srcRect); err != nil {
+			t.Fatal(err)
+		}
+		for t0 := int64(0); t0 < dstRect[0].Count(); t0++ {
+			for t1 := int64(0); t1 < dstRect[1].Count(); t1++ {
+				want := src.Get(srcRect[0].Element(t1), srcRect[1].Element(t0))
+				if got := dst.Get(dstRect[0].Element(t0), dstRect[1].Element(t1)); got != want {
+					t.Fatalf("seed %d: position (%d,%d) = %v, want %v", seed, t0, t1, got, want)
+				}
+			}
+		}
+		if len(m.FaultEvents()) == 0 {
+			t.Errorf("seed %d: no faults injected; transpose not exercised", seed)
+		}
+	}
+}
+
+// TestTranspose2DDropBecomesStructuredFailure: a 2-D statement runs on
+// the 1-D executor, so a lost message surfaces as the same watchdog
+// diagnostic naming the comm tag.
+func TestTranspose2DDropBecomesStructuredFailure(t *testing.T) {
+	dst, src, dstRect, srcRect := transposeFixture()
+	m := machine.MustNew(4)
+	m.SetQuiescence(15 * time.Millisecond)
+	m.SetFaults(&machine.FaultPlan{Seed: 3, Drop: 1, CrashRank: -1})
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("expected watchdog abort when every message is dropped")
+		}
+		msg := r.(string)
+		if !strings.Contains(msg, "deadlock") || !strings.Contains(msg, "comm.copy") {
+			t.Errorf("diagnostic %q should name the deadlock and the comm tag", msg)
+		}
+	}()
+	_ = Transpose2D(m, dst, dstRect, src, srcRect)
+	t.Fatal("Transpose2D with all messages dropped should not complete")
+}

@@ -20,7 +20,10 @@ func Add(old, incoming float64) float64 { return old + incoming }
 // the runtime primitive behind array statements like A(..) += B(..) and
 // multi-operand expressions.
 func (p *Plan) ExecuteWith(m *machine.Machine, dst, src *hpf.Array, op BinOp) error {
-	return execute(m, dst, []operand{{plan: p, src: src, op: op}})
+	if err := p.check(dst, src); err != nil {
+		return err
+	}
+	return execute(m, dst, []operand{{e: p.compiled(), src: src, op: op}})
 }
 
 // Accumulate plans and executes dst(dstSec) op= src(srcSec), reusing a
@@ -54,5 +57,5 @@ func Combine(m *machine.Machine, dst *hpf.Array, dstSec section.Section,
 	if err != nil {
 		return err
 	}
-	return execute(m, dst, []operand{{plan: pa, src: a}, {plan: pb, src: b, op: combine}})
+	return execute(m, dst, []operand{{e: pa.compiled(), src: a}, {e: pb.compiled(), src: b, op: combine}})
 }

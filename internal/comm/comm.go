@@ -38,28 +38,33 @@ type Plan struct {
 	// destination proc r.
 	Transfers [][][]section.Section
 
-	// exec caches the compiled pack/unpack local-address lists for the
-	// layouts the plan was last executed against, so repeated executions
-	// (the cached steady state) index straight into local memory instead
-	// of re-deriving section elements and owner addresses per value.
+	// The layouts and lengths the plan was built for; Execute refuses
+	// arrays that differ.
+	dstLayout, srcLayout dist.Layout
+	dstN, srcN           int64
+
+	// exec caches the compiled pack/unpack local-address lists, built on
+	// first execution, so repeated executions (the cached steady state)
+	// index straight into local memory instead of re-deriving section
+	// elements and owner addresses per value.
 	exec atomic.Pointer[planExec]
 }
 
-// planExec is a plan compiled against concrete layouts: for every
+// planExec is a schedule compiled to local addresses: for every
 // (source q, destination r) pair, either a strided run (when both the
 // pack and unpack address sequences are arithmetic progressions — the
 // common case for regular sections, where no address list is stored at
 // all) or explicit address lists in transfer order. The list-mode
 // addresses live in two shared arenas — one allocation each for the
 // whole plan instead of one per (q, r) pair — and the per-pair slices
-// are views into them. Built once per (plan, layouts) and reused by
-// every execution; steady-state pack and unpack allocate nothing.
+// are views into them. Built once per plan and reused by every
+// execution; steady-state pack and unpack allocate nothing.
 type planExec struct {
-	srcLayout, dstLayout dist.Layout
-	arenaP, arenaU       []int64     // backing stores for the list-mode slices
-	pack                 [][][]int64 // [q][r] source local addresses (nil when strided)
-	unpack               [][][]int64 // [q][r] destination local addresses
-	runs                 [][]addrRun // [q][r] strided fast path
+	nsrc, ndst     int64       // source and destination rank counts
+	arenaP, arenaU []int64     // backing stores for the list-mode slices
+	pack           [][][]int64 // [q][r] source local addresses (nil when strided)
+	unpack         [][][]int64 // [q][r] destination local addresses
+	runs           [][]addrRun // [q][r] strided fast path
 }
 
 // addrRun is the compiled form of a (q, r) pair whose pack and unpack
@@ -101,41 +106,32 @@ func detectRun(pa, ua []int64) (addrRun, bool) {
 	return run, true
 }
 
-// execFor returns the compiled address lists for the given layouts,
-// building them on first use. Concurrent builders race benignly: both
-// compute identical lists and the last store wins.
-func (p *Plan) execFor(srcLayout, dstLayout dist.Layout) *planExec {
-	if e := p.exec.Load(); e != nil && e.srcLayout == srcLayout && e.dstLayout == dstLayout {
-		return e
-	}
+// compile builds the planExec of a schedule between nsrc source and
+// ndst destination ranks that moves total values. emit appends the
+// (q, r) pair's pack and unpack local addresses, in transfer order, to
+// pa and ua and returns the extended slices.
+func compile(nsrc, ndst, total int64,
+	emit func(q, r int64, pa, ua []int64) ([]int64, []int64)) *planExec {
 	telExecCompiles.Inc()
-	total := p.TotalVolume()
 	e := &planExec{
-		srcLayout: srcLayout,
-		dstLayout: dstLayout,
-		arenaP:    make([]int64, 0, total),
-		arenaU:    make([]int64, 0, total),
-		pack:      make([][][]int64, p.NSrc),
-		unpack:    make([][][]int64, p.NSrc),
-		runs:      make([][]addrRun, p.NSrc),
+		nsrc:   nsrc,
+		ndst:   ndst,
+		arenaP: make([]int64, 0, total),
+		arenaU: make([]int64, 0, total),
+		pack:   make([][][]int64, nsrc),
+		unpack: make([][][]int64, nsrc),
+		runs:   make([][]addrRun, nsrc),
 	}
-	for q := int64(0); q < p.NSrc; q++ {
-		e.pack[q] = make([][]int64, p.NDst)
-		e.unpack[q] = make([][]int64, p.NDst)
-		e.runs[q] = make([]addrRun, p.NDst)
-		for r := int64(0); r < p.NDst; r++ {
+	for q := int64(0); q < nsrc; q++ {
+		e.pack[q] = make([][]int64, ndst)
+		e.unpack[q] = make([][]int64, ndst)
+		e.runs[q] = make([]addrRun, ndst)
+		for r := int64(0); r < ndst; r++ {
 			// Append this pair's addresses to the arenas; capacity is exact
-			// (TotalVolume), so append never reallocates and earlier pairs'
-			// views stay valid.
+			// (total), so append never reallocates and earlier pairs' views
+			// stay valid.
 			mark := len(e.arenaP)
-			for _, ts := range p.Transfers[q][r] {
-				n := ts.Count()
-				for j := int64(0); j < n; j++ {
-					t := ts.Element(j)
-					e.arenaP = append(e.arenaP, srcLayout.Local(p.SrcSec.Element(t)))
-					e.arenaU = append(e.arenaU, dstLayout.Local(p.DstSec.Element(t)))
-				}
-			}
+			e.arenaP, e.arenaU = emit(q, r, e.arenaP, e.arenaU)
 			pa, ua := e.arenaP[mark:], e.arenaU[mark:]
 			if run, ok := detectRun(pa, ua); ok {
 				// Strided pair: two base/step pairs carry everything; give
@@ -151,6 +147,31 @@ func (p *Plan) execFor(srcLayout, dstLayout dist.Layout) *planExec {
 			telPairsList.Inc()
 		}
 	}
+	return e
+}
+
+// appendAddrs appends the (q → r) pair's source and destination local
+// addresses, in transfer order, to pa and ua.
+func (p *Plan) appendAddrs(q, r int64, pa, ua []int64) ([]int64, []int64) {
+	for _, ts := range p.Transfers[q][r] {
+		n := ts.Count()
+		for j := int64(0); j < n; j++ {
+			t := ts.Element(j)
+			pa = append(pa, p.srcLayout.Local(p.SrcSec.Element(t)))
+			ua = append(ua, p.dstLayout.Local(p.DstSec.Element(t)))
+		}
+	}
+	return pa, ua
+}
+
+// compiled returns the plan's compiled address lists, building them on
+// first use. Concurrent builders race benignly: both compute identical
+// lists and the last store wins.
+func (p *Plan) compiled() *planExec {
+	if e := p.exec.Load(); e != nil {
+		return e
+	}
+	e := compile(p.NSrc, p.NDst, p.TotalVolume(), p.appendAddrs)
 	p.exec.Store(e)
 	return e
 }
@@ -310,10 +331,14 @@ func NewPlan(dstLayout dist.Layout, dstN int64, dstSec section.Section,
 		}
 	}
 	p := &Plan{
-		NDst:   dstLayout.P(),
-		NSrc:   srcLayout.P(),
-		DstSec: dstSec,
-		SrcSec: srcSec,
+		NDst:      dstLayout.P(),
+		NSrc:      srcLayout.P(),
+		DstSec:    dstSec,
+		SrcSec:    srcSec,
+		dstLayout: dstLayout,
+		srcLayout: srcLayout,
+		dstN:      dstN,
+		srcN:      srcN,
 	}
 	p.Transfers = make([][][]section.Section, p.NSrc)
 	for q := range p.Transfers {
@@ -377,22 +402,43 @@ func (p *Plan) TotalVolume() int64 {
 }
 
 // Execute runs the planned assignment dst(dstSec) = src(srcSec) as one
-// SPMD step on the machine (see execute). The machine's processor count
-// must cover both arrays' processor counts.
+// SPMD step on the machine (see execute). The arrays must have the
+// layouts and lengths the plan was built for, and the machine's
+// processor count must cover both layouts' processor counts.
 func (p *Plan) Execute(m *machine.Machine, dst, src *hpf.Array) error {
-	return execute(m, dst, []operand{{plan: p, src: src}})
+	if err := p.check(dst, src); err != nil {
+		return err
+	}
+	return execute(m, dst, []operand{{e: p.compiled(), src: src}})
 }
 
-// operand is one source of an SPMD comm step: its plan into the
-// destination, the source array, and how delivered values land (a nil
-// op stores them, any other op folds them into the destination).
+// check returns an error unless dst and src have the layouts and
+// lengths the plan was built for.
+func (p *Plan) check(dst, src *hpf.Array) error {
+	if dst.Layout() != p.dstLayout || dst.N() != p.dstN ||
+		src.Layout() != p.srcLayout || src.N() != p.srcN {
+		return fmt.Errorf("comm: plan for %v [%d] ← %v [%d] given arrays %v [%d] ← %v [%d]",
+			p.dstLayout, p.dstN, p.srcLayout, p.srcN,
+			dst.Layout(), dst.N(), src.Layout(), src.N())
+	}
+	return nil
+}
+
+// localMem is a distributed array as the executor sees it: each rank's
+// local memory, indexed by the compiled local addresses.
+type localMem interface {
+	LocalMem(rank int64) []float64
+}
+
+// operand is one source of an SPMD comm step: its compiled schedule into
+// the destination, the source array, and how delivered values land (a
+// nil op stores them, any other op folds them into the destination).
 type operand struct {
-	plan *Plan
-	src  *hpf.Array
-	op   BinOp
+	e   *planExec
+	src localMem
+	op  BinOp
 
 	// Set by execute.
-	e    *planExec
 	tag  string // message tag
 	step uint32 // access-trace step of the unpack side
 }
@@ -414,15 +460,14 @@ func (o *operand) labels() (tag, step string) {
 // the same planExec. Every rank reads all its operand values before it
 // writes its own memory, and no rank writes another rank's memory, so
 // dst may alias any operand.
-func execute(m *machine.Machine, dst *hpf.Array, ops []operand) error {
+func execute(m *machine.Machine, dst localMem, ops []operand) error {
 	nprocs := int64(m.NProcs())
 	for i := range ops {
 		o := &ops[i]
-		if nprocs < o.plan.NDst || nprocs < o.plan.NSrc {
+		if nprocs < o.e.ndst || nprocs < o.e.nsrc {
 			return fmt.Errorf("comm: machine has %d procs, plan needs %d dst / %d src",
-				nprocs, o.plan.NDst, o.plan.NSrc)
+				nprocs, o.e.ndst, o.e.nsrc)
 		}
-		o.e = o.plan.execFor(o.src.Layout(), dst.Layout())
 		o.tag, _ = o.labels()
 	}
 	// Access-trace steps are created once, on the host, before the SPMD
@@ -450,11 +495,11 @@ func execute(m *machine.Machine, dst *hpf.Array, ops []operand) error {
 		// mailbox, keeping the unpack path uniform.
 		for i := range ops {
 			o := &ops[i]
-			if me >= o.plan.NSrc {
+			if me >= o.e.nsrc {
 				continue
 			}
 			mem := o.src.LocalMem(me)
-			for r := int64(0); r < o.plan.NDst; r++ {
+			for r := int64(0); r < o.e.ndst; r++ {
 				n := o.e.count(me, r)
 				if n == 0 {
 					continue
@@ -471,11 +516,11 @@ func execute(m *machine.Machine, dst *hpf.Array, ops []operand) error {
 		// Receive and unpack.
 		for i := range ops {
 			o := &ops[i]
-			if me >= o.plan.NDst {
+			if me >= o.e.ndst {
 				continue
 			}
 			mem := dst.LocalMem(me)
-			for q := int64(0); q < o.plan.NSrc; q++ {
+			for q := int64(0); q < o.e.nsrc; q++ {
 				want := o.e.count(q, me)
 				if want == 0 {
 					continue

@@ -2,7 +2,6 @@ package comm
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/dist"
 	"repro/internal/hpf"
@@ -17,27 +16,23 @@ import (
 //	dst(dstRect) = src(srcRect)            (Perm = [0, 1])
 //	dst(dstRect) = transpose(src(srcRect)) (Perm = [1, 0])
 //
-// Positions are pairs (t0, t1) over the destination rect in row-major
-// order; the source element for position (t0, t1) is
-// (srcRect[0](t_{Perm[0]}), srcRect[1](t_{Perm[1]})). Because dimensions
-// are distributed independently (paper, Section 2), the 2-D transfer set
-// between two grid processors is the Cartesian product of two
-// one-dimensional progression intersections — the multidimensional
-// problem reduces to "multiple applications of the one-dimensional case"
-// for communication exactly as it does for addressing.
+// Positions are pairs (t0, t1) over the destination rect; the source
+// element for position (t0, t1) is (srcRect[0](t_{Perm[0]}),
+// srcRect[1](t_{Perm[1]})). Because dimensions are distributed
+// independently (paper, Section 2), the multidimensional problem
+// reduces to "multiple applications of the one-dimensional case": axis
+// a is the 1-D plan dst dim a ← src dim Perm[a], and the 2-D transfer
+// set between two grid processors is the Cartesian product of their two
+// axis transfer sets. The product is compiled once, at planning time,
+// into the same planExec the 1-D executor runs.
 type Plan2D struct {
 	DstGrid, SrcGrid *dist.Grid
 	DstRect, SrcRect section.Rect
 	Perm             [2]int // source dimension feeding each position axis
 
-	// axis[a][qd][rd] lists the position progressions along axis a moved
-	// from source dim-owner qd to destination dim-owner rd.
-	axis [2][][][]section.Section
-
-	// pos[a][qd][rd] is axis[a][qd][rd] materialized and sorted — the
-	// canonical position order shared by packer and unpacker, computed
-	// once at planning time so Execute allocates nothing per transfer.
-	pos [2][][][]int64
+	axis           [2]*Plan  // axis[a]: dst dim a ← src dim Perm[a]
+	dstExt, srcExt [2]int64  // array extents the plan was built for
+	exec           *planExec // the product schedule over flat grid ranks
 }
 
 // NewPlan2D builds the schedule. perm selects the source dimension that
@@ -58,157 +53,84 @@ func NewPlan2D(dstGrid *dist.Grid, dstExt []int64, dstRect section.Rect,
 	if (perm != [2]int{0, 1}) && (perm != [2]int{1, 0}) {
 		return nil, fmt.Errorf("comm: perm must be a permutation of {0,1}, got %v", perm)
 	}
-	for a := 0; a < 2; a++ {
-		if dstRect[a].Count() != srcRect[perm[a]].Count() {
-			return nil, fmt.Errorf("comm: axis %d size mismatch: dst %v (%d) vs src dim %d %v (%d)",
-				a, dstRect[a], dstRect[a].Count(), perm[a],
-				srcRect[perm[a]], srcRect[perm[a]].Count())
-		}
-		if err := checkBounds(dstRect[a], dstExt[a]); err != nil {
-			return nil, fmt.Errorf("comm: destination dim %d %v", a, err)
-		}
-		if err := checkBounds(srcRect[a], srcExt[a]); err != nil {
-			return nil, fmt.Errorf("comm: source dim %d %v", a, err)
-		}
-	}
 	p := &Plan2D{
 		DstGrid: dstGrid, SrcGrid: srcGrid,
 		DstRect: dstRect, SrcRect: srcRect,
-		Perm: perm,
+		Perm:   perm,
+		dstExt: [2]int64{dstExt[0], dstExt[1]},
+		srcExt: [2]int64{srcExt[0], srcExt[1]},
 	}
+	// Per-axis local indices: addrs[a][qd][rd] holds the source and
+	// destination local indices along axis a moved from source dim-owner
+	// qd to destination dim-owner rd, in transfer order.
+	type axisAddrs struct{ src, dst []int64 }
+	var addrs [2][][]axisAddrs
 	for a := 0; a < 2; a++ {
-		srcDim := perm[a]
-		n := dstRect[a].Count()
-		nq := srcGrid.Dim(srcDim).P()
-		nr := dstGrid.Dim(a).P()
-		p.axis[a] = make([][][]section.Section, nq)
-		srcProgs := make([][]section.Section, nq)
-		for q := int64(0); q < nq; q++ {
-			srcProgs[q] = OwnedPositions(srcGrid.Dim(srcDim), srcRect[srcDim], q, n)
+		s := perm[a]
+		ax, err := NewPlan(dstGrid.Dim(a), dstExt[a], dstRect[a],
+			srcGrid.Dim(s), srcExt[s], srcRect[s])
+		if err != nil {
+			return nil, fmt.Errorf("%w (axis %d)", err, a)
 		}
-		dstProgs := make([][]section.Section, nr)
-		for r := int64(0); r < nr; r++ {
-			dstProgs[r] = OwnedPositions(dstGrid.Dim(a), dstRect[a], r, n)
+		p.axis[a] = ax
+		addrs[a] = make([][]axisAddrs, ax.NSrc)
+		for qd := range addrs[a] {
+			addrs[a][qd] = make([]axisAddrs, ax.NDst)
+			for rd := range addrs[a][qd] {
+				l := &addrs[a][qd][rd]
+				l.src, l.dst = ax.appendAddrs(int64(qd), int64(rd), nil, nil)
+			}
 		}
-		for q := int64(0); q < nq; q++ {
-			p.axis[a][q] = make([][]section.Section, nr)
-			for r := int64(0); r < nr; r++ {
-				for _, sp := range srcProgs[q] {
-					for _, dp := range dstProgs[r] {
-						if common, ok := section.Intersect(sp, dp); ok {
-							p.axis[a][q][r] = append(p.axis[a][q][r], common)
-						}
-					}
+	}
+	total := dstRect[0].Count() * dstRect[1].Count()
+	p.exec = compile(srcGrid.Procs(), dstGrid.Procs(), total,
+		func(q, r int64, pa, ua []int64) ([]int64, []int64) {
+			qc, rc := srcGrid.Coords(q), dstGrid.Coords(r)
+			srcCols := srcGrid.Dim(1).LocalCount(qc[1], srcExt[1])
+			dstCols := dstGrid.Dim(1).LocalCount(rc[1], dstExt[1])
+			// Source rank q owns axis a's positions through its
+			// coordinate along source dim perm[a].
+			a0 := &addrs[0][qc[perm[0]]][rc[0]]
+			a1 := &addrs[1][qc[perm[1]]][rc[1]]
+			var si [2]int64 // source local index per source dim
+			for x, d0 := range a0.dst {
+				si[perm[0]] = a0.src[x]
+				for y, d1 := range a1.dst {
+					si[perm[1]] = a1.src[y]
+					pa = append(pa, si[0]*srcCols+si[1])
+					ua = append(ua, d0*dstCols+d1)
 				}
 			}
-		}
-		p.pos[a] = make([][][]int64, nq)
-		for q := int64(0); q < nq; q++ {
-			p.pos[a][q] = make([][]int64, nr)
-			for r := int64(0); r < nr; r++ {
-				p.pos[a][q][r] = p.positions(a, q, r)
-			}
-		}
-	}
+			return pa, ua
+		})
 	return p, nil
 }
 
-// positions materializes the axis-a positions moved between dim-owners q
-// and r, in increasing order across progressions.
-func (p *Plan2D) positions(a int, q, r int64) []int64 {
-	var out []int64
-	for _, pg := range p.axis[a][q][r] {
-		out = append(out, pg.Slice()...)
+// Execute runs dst(dstRect) = src(srcRect) (with the plan's axis
+// permutation) on the machine, through the same executor as a 1-D
+// assignment. The arrays must have the grids and extents the plan was
+// built for, and the machine must have at least max(dst procs, src
+// procs) processors.
+func (p *Plan2D) Execute(m *machine.Machine, dst, src *hpf.Array2D) error {
+	dn0, dn1 := dst.Dims()
+	sn0, sn1 := src.Dims()
+	dg, sg := dst.Grid(), src.Grid()
+	if dg.Dim(0) != p.DstGrid.Dim(0) || dg.Dim(1) != p.DstGrid.Dim(1) ||
+		sg.Dim(0) != p.SrcGrid.Dim(0) || sg.Dim(1) != p.SrcGrid.Dim(1) ||
+		p.dstExt != [2]int64{dn0, dn1} || p.srcExt != [2]int64{sn0, sn1} {
+		return fmt.Errorf("comm: arrays %d×%d ← %d×%d do not match the grids and extents of the plan (%d×%d ← %d×%d)",
+			dn0, dn1, sn0, sn1, p.dstExt[0], p.dstExt[1], p.srcExt[0], p.srcExt[1])
 	}
-	// Progressions from distinct block offsets interleave; sort for a
-	// canonical order shared by packer and unpacker.
-	slices.Sort(out)
-	return out
+	return execute(m, array2DMem{dst}, []operand{{e: p.exec, src: array2DMem{src}}})
 }
 
-// Execute runs dst(dstRect) = src(srcRect) (with the plan's axis
-// permutation) on the machine. The machine must have at least
-// max(dst procs, src procs) processors.
-func (p *Plan2D) Execute(m *machine.Machine, dst, src *hpf.Array2D) error {
-	nprocs := int64(m.NProcs())
-	if nprocs < p.DstGrid.Procs() || nprocs < p.SrcGrid.Procs() {
-		return fmt.Errorf("comm: machine has %d procs, plan needs %d dst / %d src",
-			nprocs, p.DstGrid.Procs(), p.SrcGrid.Procs())
-	}
-	const tag = "comm.copy2d"
-	m.Run(func(proc *machine.Proc) {
-		tr := telemetry.ActiveTracer()
-		var t0span int64
-		if tr != nil {
-			t0span = tr.Now()
-		}
-		me := int64(proc.Rank())
-		// Send: this processor as source grid member.
-		if me < p.SrcGrid.Procs() {
-			qc := p.SrcGrid.Coords(me)
-			mem, _, cols := src.LocalMem(me)
-			for r := int64(0); r < p.DstGrid.Procs(); r++ {
-				rc := p.DstGrid.Coords(r)
-				// q's dim-owner coordinate for axis a is qc[Perm[a]].
-				t0s := p.pos[0][qc[p.Perm[0]]][rc[0]]
-				t1s := p.pos[1][qc[p.Perm[1]]][rc[1]]
-				if len(t0s)*len(t1s) == 0 {
-					continue // empty pair: no message (the receiver skips it too)
-				}
-				buf := machine.GetBuf(len(t0s) * len(t1s))
-				for _, t0 := range t0s {
-					for _, t1 := range t1s {
-						// Source element for position (t0, t1).
-						var i, j int64
-						if p.Perm == [2]int{0, 1} {
-							i = p.SrcRect[0].Element(t0)
-							j = p.SrcRect[1].Element(t1)
-						} else {
-							i = p.SrcRect[0].Element(t1)
-							j = p.SrcRect[1].Element(t0)
-						}
-						li := p.SrcGrid.Dim(0).Local(i)
-						lj := p.SrcGrid.Dim(1).Local(j)
-						buf = append(buf, mem[li*cols+lj])
-					}
-				}
-				proc.Send(int(r), tag, buf, nil)
-			}
-		}
-		// Receive: this processor as destination grid member.
-		if me < p.DstGrid.Procs() {
-			rc := p.DstGrid.Coords(me)
-			mem, _, cols := dst.LocalMem(me)
-			for q := int64(0); q < p.SrcGrid.Procs(); q++ {
-				qc := p.SrcGrid.Coords(q)
-				t0s := p.pos[0][qc[p.Perm[0]]][rc[0]]
-				t1s := p.pos[1][qc[p.Perm[1]]][rc[1]]
-				if len(t0s)*len(t1s) == 0 {
-					continue
-				}
-				msg := proc.Recv(int(q), tag)
-				n := 0
-				for _, t0 := range t0s {
-					i := p.DstRect[0].Element(t0)
-					li := p.DstGrid.Dim(0).Local(i)
-					for _, t1 := range t1s {
-						j := p.DstRect[1].Element(t1)
-						lj := p.DstGrid.Dim(1).Local(j)
-						mem[li*cols+lj] = msg.Data[n]
-						n++
-					}
-				}
-				if n != len(msg.Data) {
-					panic(fmt.Sprintf("comm: 2-D unpack consumed %d of %d values", n, len(msg.Data)))
-				}
-				machine.PutBuf(msg.Data)
-			}
-		}
-		if tr != nil {
-			tr.EndSpan(int32(proc.Rank()), "comm.execute2d", t0span)
-		}
-	})
-	return nil
+// array2DMem adapts an Array2D to the executor's localMem: each rank's
+// row-major local matrix, addressed as li·cols + lj.
+type array2DMem struct{ a *hpf.Array2D }
+
+func (m array2DMem) LocalMem(rank int64) []float64 {
+	mem, _, _ := m.a.LocalMem(rank)
+	return mem
 }
 
 // Copy2D plans and executes dst(dstRect) = src(srcRect) elementwise in

@@ -158,4 +158,29 @@ func TestPlan2DValidation(t *testing.T) {
 	if err := Copy2D(m, dst, rect, src, rect); err == nil {
 		t.Error("machine smaller than grids should fail")
 	}
+	// Arrays whose extents or grids differ from the planned ones.
+	plan, err := NewPlan2D(g, ext, rect, g, ext, rect, [2]int{1, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m = machine.MustNew(int(g.Procs()))
+	other := dist.MustNewGrid(dist.MustNew(2, 3), dist.MustNew(2, 2))
+	for _, c := range []struct {
+		name     string
+		dst, src *hpf.Array2D
+	}{
+		{"dst extents", hpf.MustNewArray2D(g, 10, 12), src},
+		{"src extents", dst, hpf.MustNewArray2D(g, 12, 10)},
+		{"dst grid", hpf.MustNewArray2D(other, 10, 10), src},
+		{"src grid", dst, hpf.MustNewArray2D(other, 10, 10)},
+	} {
+		if err := plan.Execute(m, c.dst, c.src); err == nil {
+			t.Errorf("%s mismatch should fail", c.name)
+		}
+	}
+	// A grid built separately with the same per-axis layouts matches.
+	same := dist.MustNewGrid(dist.MustNew(2, 2), dist.MustNew(2, 2))
+	if err := plan.Execute(m, hpf.MustNewArray2D(same, 10, 10), src); err != nil {
+		t.Errorf("matching arrays: %v", err)
+	}
 }

@@ -211,3 +211,46 @@ func TestExecuteMachineTooSmall(t *testing.T) {
 		t.Error("machine smaller than layouts should fail")
 	}
 }
+
+// TestExecuteRejectsMismatchedArrays: a plan's compiled addresses are
+// local offsets under the layouts and lengths it was built for, so
+// Execute and ExecuteWith must refuse arrays that differ in either,
+// before any rank touches memory.
+func TestExecuteRejectsMismatchedArrays(t *testing.T) {
+	const n = 48
+	layout := dist.MustNew(4, 2)
+	sec := section.MustNew(0, n-1, 1)
+	plan, err := NewPlan(layout, n, sec, layout, n, sec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := machine.MustNew(4)
+	other := dist.MustNew(4, 3)
+	cases := []struct {
+		name     string
+		dst, src *hpf.Array
+	}{
+		{"dst layout", hpf.MustNewArray(other, n), hpf.MustNewArray(layout, n)},
+		{"src layout", hpf.MustNewArray(layout, n), hpf.MustNewArray(other, n)},
+		{"dst length", hpf.MustNewArray(layout, n-8), hpf.MustNewArray(layout, n)},
+		{"src length", hpf.MustNewArray(layout, n), hpf.MustNewArray(layout, n-8)},
+	}
+	for _, c := range cases {
+		c.src.FillAll(1)
+		if err := plan.Execute(m, c.dst, c.src); err == nil {
+			t.Errorf("%s: Execute accepted mismatched arrays", c.name)
+		}
+		if err := plan.ExecuteWith(m, c.dst, c.src, Add); err == nil {
+			t.Errorf("%s: ExecuteWith accepted mismatched arrays", c.name)
+		}
+		for i, v := range c.dst.Gather() {
+			if v != 0 {
+				t.Fatalf("%s: dst(%d) = %v written by a refused execution", c.name, i, v)
+			}
+		}
+	}
+	dst, src := hpf.MustNewArray(layout, n), hpf.MustNewArray(layout, n)
+	if err := plan.Execute(m, dst, src); err != nil {
+		t.Errorf("matching arrays: %v", err)
+	}
+}

@@ -73,7 +73,7 @@ func TestExecPairModesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		e := plan.execFor(srcL, dstL)
+		e := plan.compiled()
 
 		src := hpf.MustNewArray(srcL, ns)
 		for i := int64(0); i < ns; i++ {
@@ -123,7 +123,7 @@ func TestWarmPackUnpackZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := plan.execFor(layout, layout)
+	e := plan.compiled()
 
 	for q := int64(0); q < plan.NSrc; q++ {
 		for r := int64(0); r < plan.NDst; r++ {
