@@ -71,3 +71,36 @@ func BenchmarkTranspose2D(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkJacobiSweep measures one sweep of perfbench's jacobi shape:
+// points 19:n-20:19 of a cyclic(16) array over 4 processors, 8,192 of
+// them, each updated from its neighbours ±19 by a Combine, a MapSection
+// and a Copy. Every pack and unpack runs with a non-unit step.
+func BenchmarkJacobiSweep(b *testing.B) {
+	const stride, points = 19, 8192
+	layout := dist.MustNew(4, 16)
+	m := machine.MustNew(4)
+	n := int64(stride*(points+1) + 1)
+	x := hpf.MustNewArray(layout, n)
+	tmp := hpf.MustNewArray(layout, n)
+	for i := int64(0); i < n; i++ {
+		x.Set(i, float64(i%7))
+	}
+	interior := section.MustNew(stride, n-1-stride, stride)
+	left := section.MustNew(0, n-1-2*stride, stride)
+	right := section.MustNew(2*stride, n-1, stride)
+	half := func(v float64) float64 { return 0.5 * v }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := Combine(m, tmp, interior, x, left, x, right, Add); err != nil {
+			b.Fatal(err)
+		}
+		if err := tmp.MapSection(interior, half); err != nil {
+			b.Fatal(err)
+		}
+		if err := Copy(m, x, interior, tmp, interior); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

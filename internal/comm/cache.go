@@ -12,9 +12,9 @@ import (
 // the planner's output is memoized process-wide, exactly as the AM-table
 // sets are (Section 6.1's amortization applied to the Section 7
 // communication problem). Executing a cached plan also reuses its
-// compiled pack/unpack address lists, so iteration 2..N does no
+// compiled pack/unpack strided runs, so iteration 2..N does no
 // planning, no intersection solving and no address arithmetic beyond
-// the indexed loads and stores themselves.
+// one add per strided load or store.
 
 // planKey identifies one 1-D communication pattern. Sections are keyed
 // by their (Lo, Hi, Stride) triplet verbatim; two spellings of the same

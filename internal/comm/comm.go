@@ -12,10 +12,18 @@
 // q's source progressions with r's destination progressions, each
 // computed in closed form by the extended Euclidean algorithm (package
 // section's Intersect). No per-element scanning is involved in planning.
+//
+// Each intersection is also a constant-stride run in both local
+// memories, so a plan compiles to one strided run per transfer section
+// (pack base and step on the source rank, unpack base and step on the
+// destination rank) and the executor packs and unpacks by walking runs,
+// never a per-value address list.
 package comm
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/dist"
@@ -43,220 +51,189 @@ type Plan struct {
 	dstLayout, srcLayout dist.Layout
 	dstN, srcN           int64
 
-	// exec caches the compiled pack/unpack local-address lists, built on
-	// first execution, so repeated executions (the cached steady state)
-	// index straight into local memory instead of re-deriving section
-	// elements and owner addresses per value.
+	// exec caches the schedule compiled to strided runs, built on first
+	// execution, so repeated executions (the cached steady state) index
+	// straight into local memory instead of re-deriving section elements
+	// and owner addresses per value.
 	exec atomic.Pointer[planExec]
 }
 
-// planExec is a schedule compiled to local addresses: for every
-// (source q, destination r) pair, either a strided run (when both the
-// pack and unpack address sequences are arithmetic progressions — the
-// common case for regular sections, where no address list is stored at
-// all) or explicit address lists in transfer order. The list-mode
-// addresses live in two shared arenas — one allocation each for the
-// whole plan instead of one per (q, r) pair — and the per-pair slices
-// are views into them. Built once per plan and reused by every
-// execution; steady-state pack and unpack allocate nothing.
+// planExec is a schedule compiled to local addresses: for every (source
+// q, destination r) pair, the values it moves as a list of strided runs
+// in transfer order. Built once per plan and reused by every execution;
+// steady-state pack and unpack allocate nothing.
 type planExec struct {
-	nsrc, ndst     int64       // source and destination rank counts
-	arenaP, arenaU []int64     // backing stores for the list-mode slices
-	pack           [][][]int64 // [q][r] source local addresses (nil when strided)
-	unpack         [][][]int64 // [q][r] destination local addresses
-	runs           [][]addrRun // [q][r] strided fast path
+	nsrc, ndst int64    // source and destination rank counts
+	pairs      [][]pair // [q][r]
 }
 
-// addrRun is the compiled form of a (q, r) pair whose pack and unpack
-// addresses both advance by a constant step: two base/step pairs replace
-// 2n stored addresses. ok distinguishes "strided (possibly empty)" from
-// "use the address lists".
-type addrRun struct {
+// pair is the compiled (q → r) transfer: n values in total, moved run
+// by run.
+type pair struct {
+	n    int
+	runs []run
+}
+
+// run moves n values from source local addresses packBase,
+// packBase+packStep, … to destination local addresses unpackBase,
+// unpackBase+unpackStep, …. Steps may be negative (a descending
+// section) and are 0 when n == 1.
+type run struct {
+	n                      int64
 	packBase, packStep     int64
 	unpackBase, unpackStep int64
-	n                      int64
-	ok                     bool
 }
 
-// Per-pair compilation outcome counters (pairs with traffic only) and
-// compile count, visible in metric dumps next to the plan-cache stats.
+// Compile count and count of compiled pairs with traffic, visible in
+// metric dumps next to the plan-cache stats.
 var (
 	telExecCompiles = telemetry.Default().Counter("comm.exec_compiles")
 	telPairsStrided = telemetry.Default().Counter("comm.exec_pairs_strided")
-	telPairsList    = telemetry.Default().Counter("comm.exec_pairs_list")
 )
 
-// detectRun reports whether the pack and unpack address sequences are
-// both arithmetic progressions, and compiles them to an addrRun if so.
-func detectRun(pa, ua []int64) (addrRun, bool) {
-	run := addrRun{n: int64(len(pa)), ok: true}
-	if len(pa) == 0 {
-		return run, true
-	}
-	run.packBase, run.unpackBase = pa[0], ua[0]
-	if len(pa) == 1 {
-		return run, true
-	}
-	run.packStep, run.unpackStep = pa[1]-pa[0], ua[1]-ua[0]
-	for i := 1; i < len(pa); i++ {
-		if pa[i]-pa[i-1] != run.packStep || ua[i]-ua[i-1] != run.unpackStep {
-			return addrRun{}, false
-		}
-	}
-	return run, true
-}
-
-// compile builds the planExec of a schedule between nsrc source and
-// ndst destination ranks that moves total values. emit appends the
-// (q, r) pair's pack and unpack local addresses, in transfer order, to
-// pa and ua and returns the extended slices.
-func compile(nsrc, ndst, total int64,
-	emit func(q, r int64, pa, ua []int64) ([]int64, []int64)) *planExec {
+// newExec compiles the per-pair runs [q][r] of a schedule between
+// len(runs) source and ndst destination ranks.
+func newExec(ndst int64, runs [][][]run) *planExec {
 	telExecCompiles.Inc()
-	e := &planExec{
-		nsrc:   nsrc,
-		ndst:   ndst,
-		arenaP: make([]int64, 0, total),
-		arenaU: make([]int64, 0, total),
-		pack:   make([][][]int64, nsrc),
-		unpack: make([][][]int64, nsrc),
-		runs:   make([][]addrRun, nsrc),
-	}
-	for q := int64(0); q < nsrc; q++ {
-		e.pack[q] = make([][]int64, ndst)
-		e.unpack[q] = make([][]int64, ndst)
-		e.runs[q] = make([]addrRun, ndst)
-		for r := int64(0); r < ndst; r++ {
-			// Append this pair's addresses to the arenas; capacity is exact
-			// (total), so append never reallocates and earlier pairs' views
-			// stay valid.
-			mark := len(e.arenaP)
-			e.arenaP, e.arenaU = emit(q, r, e.arenaP, e.arenaU)
-			pa, ua := e.arenaP[mark:], e.arenaU[mark:]
-			if run, ok := detectRun(pa, ua); ok {
-				// Strided pair: two base/step pairs carry everything; give
-				// the arena space back for the next pair.
-				e.runs[q][r] = run
-				e.arenaP, e.arenaU = e.arenaP[:mark], e.arenaU[:mark]
-				if run.n > 0 {
-					telPairsStrided.Inc()
-				}
-				continue
+	e := &planExec{nsrc: int64(len(runs)), ndst: ndst, pairs: make([][]pair, len(runs))}
+	for q, row := range runs {
+		e.pairs[q] = make([]pair, ndst)
+		for r, rs := range row {
+			var n int64
+			for _, rn := range rs {
+				n += rn.n
 			}
-			e.pack[q][r], e.unpack[q][r] = pa, ua
-			telPairsList.Inc()
+			e.pairs[q][r] = pair{n: int(n), runs: rs}
+			if n > 0 {
+				telPairsStrided.Inc()
+			}
 		}
 	}
 	return e
 }
 
-// appendAddrs appends the (q → r) pair's source and destination local
-// addresses, in transfer order, to pa and ua.
-func (p *Plan) appendAddrs(q, r int64, pa, ua []int64) ([]int64, []int64) {
-	for _, ts := range p.Transfers[q][r] {
-		n := ts.Count()
-		for j := int64(0); j < n; j++ {
-			t := ts.Element(j)
-			pa = append(pa, p.srcLayout.Local(p.SrcSec.Element(t)))
-			ua = append(ua, p.dstLayout.Local(p.DstSec.Element(t)))
-		}
-	}
-	return pa, ua
-}
-
-// compiled returns the plan's compiled address lists, building them on
-// first use. Concurrent builders race benignly: both compute identical
-// lists and the last store wins.
+// compiled returns the plan's compiled runs, building them on first
+// use: one run per transfer section. A section's position stride is a
+// multiple of both sides' progression periods, so its consecutive
+// elements lie a whole number of layout rows apart at a fixed block
+// offset, and their local addresses advance by a constant step, read off
+// the section's first two positions. Concurrent builders race benignly:
+// both compute identical runs and the last store wins.
 func (p *Plan) compiled() *planExec {
 	if e := p.exec.Load(); e != nil {
 		return e
 	}
-	e := compile(p.NSrc, p.NDst, p.TotalVolume(), p.appendAddrs)
+	src := func(t int64) int64 { return p.srcLayout.Local(p.SrcSec.Element(t)) }
+	dst := func(t int64) int64 { return p.dstLayout.Local(p.DstSec.Element(t)) }
+	runs := make([][][]run, p.NSrc)
+	for q := range runs {
+		runs[q] = make([][]run, p.NDst)
+		for r, ts := range p.Transfers[q] {
+			for _, s := range ts {
+				t := s.Element(0)
+				rn := run{n: s.Count(), packBase: src(t), unpackBase: dst(t)}
+				if rn.n > 1 {
+					rn.packStep = src(s.Element(1)) - rn.packBase
+					rn.unpackStep = dst(s.Element(1)) - rn.unpackBase
+				}
+				runs[q][r] = append(runs[q][r], rn)
+			}
+		}
+	}
+	e := newExec(p.NDst, runs)
 	p.exec.Store(e)
 	return e
 }
 
 // count returns the number of values the (q, r) pair moves.
-func (e *planExec) count(q, r int64) int {
-	if run := &e.runs[q][r]; run.ok {
-		return int(run.n)
-	}
-	return len(e.pack[q][r])
-}
+func (e *planExec) count(q, r int64) int { return e.pairs[q][r].n }
 
 // packInto appends the (q → r) source values to buf in transfer order.
 // Allocation free when buf has capacity (Execute pre-sizes it through
 // the machine's buffer pool).
 func (e *planExec) packInto(buf []float64, mem []float64, q, r int64) []float64 {
-	if run := &e.runs[q][r]; run.ok {
-		a := run.packBase
-		if run.packStep == 1 {
-			return append(buf, mem[a:a+run.n]...)
+	buf = slices.Grow(buf, e.pairs[q][r].n)
+	for _, rn := range e.pairs[q][r].runs {
+		a, step := rn.packBase, rn.packStep
+		if step == 1 {
+			buf = append(buf, mem[a:a+rn.n]...)
+			continue
 		}
-		for i := int64(0); i < run.n; i++ {
-			buf = append(buf, mem[a])
-			a += run.packStep
+		m := len(buf)
+		buf = buf[:m+int(rn.n)]
+		out := buf[m:]
+		for i := range out {
+			out[i] = mem[a]
+			a += step
 		}
-		return buf
-	}
-	for _, a := range e.pack[q][r] {
-		buf = append(buf, mem[a])
 	}
 	return buf
 }
 
 // unpackFrom writes the received (q → r) values into destination local
 // memory in transfer order. len(data) must equal count(q, r).
+//
+// Kept out of line: inlined into execute's SPMD body, the strided loop
+// spills its counters to the stack on every element.
+//
+//go:noinline
 func (e *planExec) unpackFrom(mem []float64, data []float64, q, r int64) {
-	if run := &e.runs[q][r]; run.ok {
-		a := run.unpackBase
-		if run.unpackStep == 1 {
-			copy(mem[a:a+run.n], data)
-			return
+	for _, rn := range e.pairs[q][r].runs {
+		a, step := rn.unpackBase, rn.unpackStep
+		if step == 1 {
+			copy(mem[a:a+rn.n], data)
+		} else {
+			for _, v := range data[:rn.n] {
+				mem[a] = v
+				a += step
+			}
 		}
-		for _, v := range data {
-			mem[a] = v
-			a += run.unpackStep
-		}
-		return
-	}
-	for i, a := range e.unpack[q][r] {
-		mem[a] = data[i]
+		data = data[rn.n:]
 	}
 }
 
 // combineFrom is unpackFrom folding each delivered value into the
 // destination through op (a folded operand's unpack path).
 func (e *planExec) combineFrom(mem []float64, data []float64, q, r int64, op BinOp) {
-	if run := &e.runs[q][r]; run.ok {
-		a := run.unpackBase
-		for _, v := range data {
+	for _, rn := range e.pairs[q][r].runs {
+		a, step := rn.unpackBase, rn.unpackStep
+		for _, v := range data[:rn.n] {
 			mem[a] = op(mem[a], v)
-			a += run.unpackStep
+			a += step
 		}
-		return
-	}
-	for i, a := range e.unpack[q][r] {
-		mem[a] = op(mem[a], data[i])
+		data = data[rn.n:]
 	}
 }
+
+// addFrom is combineFrom for op Add with the addition inlined: an
+// indirect call per value costs several times the add itself.
+//
+//go:noinline
+func (e *planExec) addFrom(mem []float64, data []float64, q, r int64) {
+	for _, rn := range e.pairs[q][r].runs {
+		a, step := rn.unpackBase, rn.unpackStep
+		for _, v := range data[:rn.n] {
+			mem[a] += v
+			a += step
+		}
+		data = data[rn.n:]
+	}
+}
+
+// addFn is Add's code pointer, which identifies an Add operand.
+var addFn = reflect.ValueOf(Add).Pointer()
 
 // packTraced is packInto with every source-memory load recorded on
 // rank q's access timeline.
 func (e *planExec) packTraced(buf []float64, mem []float64, q, r int64,
 	ar *telemetry.AccessRecorder, step uint32) []float64 {
-	if run := &e.runs[q][r]; run.ok {
-		a := run.packBase
-		for i := int64(0); i < run.n; i++ {
+	for _, rn := range e.pairs[q][r].runs {
+		a := rn.packBase
+		for i := int64(0); i < rn.n; i++ {
 			buf = append(buf, mem[a])
 			ar.Record(int32(q), a, telemetry.AccessRead, step)
-			a += run.packStep
+			a += rn.packStep
 		}
-		return buf
-	}
-	for _, a := range e.pack[q][r] {
-		buf = append(buf, mem[a])
-		ar.Record(int32(q), a, telemetry.AccessRead, step)
 	}
 	return buf
 }
@@ -266,24 +243,18 @@ func (e *planExec) packTraced(buf []float64, mem []float64, q, r int64,
 // one write, a fold the read-modify-write pair it performs.
 func (e *planExec) unpackTraced(mem []float64, data []float64, q, r int64, op BinOp,
 	ar *telemetry.AccessRecorder, step uint32) {
-	deliver := func(a int64, v float64) {
-		if op != nil {
-			ar.Record(int32(r), a, telemetry.AccessRead, step)
-			v = op(mem[a], v)
+	for _, rn := range e.pairs[q][r].runs {
+		a := rn.unpackBase
+		for _, v := range data[:rn.n] {
+			if op != nil {
+				ar.Record(int32(r), a, telemetry.AccessRead, step)
+				v = op(mem[a], v)
+			}
+			mem[a] = v
+			ar.Record(int32(r), a, telemetry.AccessWrite, step)
+			a += rn.unpackStep
 		}
-		mem[a] = v
-		ar.Record(int32(r), a, telemetry.AccessWrite, step)
-	}
-	if run := &e.runs[q][r]; run.ok {
-		a := run.unpackBase
-		for _, v := range data {
-			deliver(a, v)
-			a += run.unpackStep
-		}
-		return
-	}
-	for i, a := range e.unpack[q][r] {
-		deliver(a, data[i])
+		data = data[rn.n:]
 	}
 }
 
@@ -441,6 +412,7 @@ type operand struct {
 	// Set by execute.
 	tag  string // message tag
 	step uint32 // access-trace step of the unpack side
+	add  bool   // op is Add, which the unpack loop inlines
 }
 
 // labels returns the operand's message tag and unpack step label:
@@ -469,6 +441,7 @@ func execute(m *machine.Machine, dst localMem, ops []operand) error {
 				nprocs, o.e.ndst, o.e.nsrc)
 		}
 		o.tag, _ = o.labels()
+		o.add = o.op != nil && reflect.ValueOf(o.op).Pointer() == addFn
 	}
 	// Access-trace steps are created once, on the host, before the SPMD
 	// body: one pack step, then each operand's unpack step. Ranks record
@@ -535,6 +508,8 @@ func execute(m *machine.Machine, dst localMem, ops []operand) error {
 					o.e.unpackTraced(mem, msg.Data, q, me, o.op, ar, o.step)
 				case o.op == nil:
 					o.e.unpackFrom(mem, msg.Data, q, me)
+				case o.add:
+					o.e.addFrom(mem, msg.Data, q, me)
 				default:
 					o.e.combineFrom(mem, msg.Data, q, me, o.op)
 				}

@@ -24,7 +24,8 @@ import (
 // a is the 1-D plan dst dim a ← src dim Perm[a], and the 2-D transfer
 // set between two grid processors is the Cartesian product of their two
 // axis transfer sets. The product is compiled once, at planning time,
-// into the same planExec the 1-D executor runs.
+// into the same strided runs the 1-D executor runs: one run per
+// (axis-0 position, axis-1 run).
 type Plan2D struct {
 	DstGrid, SrcGrid *dist.Grid
 	DstRect, SrcRect section.Rect
@@ -60,11 +61,7 @@ func NewPlan2D(dstGrid *dist.Grid, dstExt []int64, dstRect section.Rect,
 		dstExt: [2]int64{dstExt[0], dstExt[1]},
 		srcExt: [2]int64{srcExt[0], srcExt[1]},
 	}
-	// Per-axis local indices: addrs[a][qd][rd] holds the source and
-	// destination local indices along axis a moved from source dim-owner
-	// qd to destination dim-owner rd, in transfer order.
-	type axisAddrs struct{ src, dst []int64 }
-	var addrs [2][][]axisAddrs
+	var axes [2]*planExec
 	for a := 0; a < 2; a++ {
 		s := perm[a]
 		ax, err := NewPlan(dstGrid.Dim(a), dstExt[a], dstRect[a],
@@ -72,37 +69,43 @@ func NewPlan2D(dstGrid *dist.Grid, dstExt []int64, dstRect section.Rect,
 		if err != nil {
 			return nil, fmt.Errorf("%w (axis %d)", err, a)
 		}
-		p.axis[a] = ax
-		addrs[a] = make([][]axisAddrs, ax.NSrc)
-		for qd := range addrs[a] {
-			addrs[a][qd] = make([]axisAddrs, ax.NDst)
-			for rd := range addrs[a][qd] {
-				l := &addrs[a][qd][rd]
-				l.src, l.dst = ax.appendAddrs(int64(qd), int64(rd), nil, nil)
+		p.axis[a], axes[a] = ax, ax.compiled()
+	}
+	runs := make([][][]run, srcGrid.Procs())
+	for q := range runs {
+		qc := srcGrid.Coords(int64(q))
+		// A unit step along source dim d moves the row-major local
+		// address by stride[d].
+		stride := [2]int64{srcGrid.Dim(1).LocalCount(qc[1], srcExt[1]), 1}
+		runs[q] = make([][]run, dstGrid.Procs())
+		for r := range runs[q] {
+			rc := dstGrid.Coords(int64(r))
+			dstCols := dstGrid.Dim(1).LocalCount(rc[1], dstExt[1])
+			// Source rank q owns axis a's positions through its
+			// coordinate along source dim perm[a]. One run per (axis-0
+			// position, axis-1 run), in the row-major position order of
+			// the product.
+			a0 := axes[0].pairs[qc[perm[0]]][rc[0]]
+			a1 := axes[1].pairs[qc[perm[1]]][rc[1]]
+			for _, r0 := range a0.runs {
+				s0, d0 := r0.packBase, r0.unpackBase
+				for range r0.n {
+					for _, r1 := range a1.runs {
+						runs[q][r] = append(runs[q][r], run{
+							n:          r1.n,
+							packBase:   s0*stride[perm[0]] + r1.packBase*stride[perm[1]],
+							packStep:   r1.packStep * stride[perm[1]],
+							unpackBase: d0*dstCols + r1.unpackBase,
+							unpackStep: r1.unpackStep,
+						})
+					}
+					s0 += r0.packStep
+					d0 += r0.unpackStep
+				}
 			}
 		}
 	}
-	total := dstRect[0].Count() * dstRect[1].Count()
-	p.exec = compile(srcGrid.Procs(), dstGrid.Procs(), total,
-		func(q, r int64, pa, ua []int64) ([]int64, []int64) {
-			qc, rc := srcGrid.Coords(q), dstGrid.Coords(r)
-			srcCols := srcGrid.Dim(1).LocalCount(qc[1], srcExt[1])
-			dstCols := dstGrid.Dim(1).LocalCount(rc[1], dstExt[1])
-			// Source rank q owns axis a's positions through its
-			// coordinate along source dim perm[a].
-			a0 := &addrs[0][qc[perm[0]]][rc[0]]
-			a1 := &addrs[1][qc[perm[1]]][rc[1]]
-			var si [2]int64 // source local index per source dim
-			for x, d0 := range a0.dst {
-				si[perm[0]] = a0.src[x]
-				for y, d1 := range a1.dst {
-					si[perm[1]] = a1.src[y]
-					pa = append(pa, si[0]*srcCols+si[1])
-					ua = append(ua, d0*dstCols+d1)
-				}
-			}
-			return pa, ua
-		})
+	p.exec = newExec(dstGrid.Procs(), runs)
 	return p, nil
 }
 

@@ -1,7 +1,9 @@
 package comm
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/dist"
@@ -252,5 +254,47 @@ func TestExecuteRejectsMismatchedArrays(t *testing.T) {
 	dst, src := hpf.MustNewArray(layout, n), hpf.MustNewArray(layout, n)
 	if err := plan.Execute(m, dst, src); err != nil {
 		t.Errorf("matching arrays: %v", err)
+	}
+}
+
+// TestConcurrentCopiesShareMachine runs copies from four goroutines on
+// one machine. Their messages would share mailboxes and the comm.copy
+// tag, so Run must serialize them; interleaved runs read each other's
+// values.
+func TestConcurrentCopiesShareMachine(t *testing.T) {
+	const n, workers, copies = 4096, 4, 200
+	m := machine.MustNew(4)
+	sec := section.Section{Lo: 0, Hi: n - 1, Stride: 1}
+	var wg sync.WaitGroup
+	errs := make([]error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			src := hpf.MustNewArray(dist.MustNew(4, 3), n)
+			dst := hpf.MustNewArray(dist.MustNew(4, 5), n)
+			for c := 0; c < copies; c++ {
+				base := float64((w*copies + c) * n)
+				for i := int64(0); i < n; i++ {
+					src.Set(i, base+float64(i))
+				}
+				if err := Copy(m, dst, sec, src, sec); err != nil {
+					errs[w] = err
+					return
+				}
+				for i := int64(0); i < n; i++ {
+					if got := dst.Get(i); got != base+float64(i) {
+						errs[w] = fmt.Errorf("copy %d: dst(%d) = %v, want %v", c, i, got, base+float64(i))
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Errorf("goroutine %d: %v", w, err)
+		}
 	}
 }

@@ -248,12 +248,14 @@ func (p *Proc) injectSendFault(fp *FaultPlan, op int64, msg Message) bool {
 	case u < fp.Drop+fp.Dup:
 		p.m.recordFault(FaultEvent{Rank: p.rank, Op: op, Kind: FaultDup, To: msg.To, Tag: msg.Tag})
 		telFaultsDuplicated.Inc()
-		p.deliver(msg.To, msg, false)
-		// The duplicate owns fresh payload slices so a receiver recycling
-		// the original's buffer (machine.PutBuf) cannot alias it.
+		// The duplicate owns fresh payload slices, copied before the
+		// original is delivered: the receiver may recycle the original's
+		// buffer (machine.PutBuf) as soon as it arrives, and another
+		// sender may already be refilling it.
 		dup := msg
 		dup.Data = append([]float64(nil), msg.Data...)
 		dup.Ints = append([]int64(nil), msg.Ints...)
+		p.deliver(msg.To, msg, false)
 		p.deliver(msg.To, dup, false)
 		return true
 	case u < fp.Drop+fp.Dup+fp.Delay:

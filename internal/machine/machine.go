@@ -63,6 +63,10 @@ type Machine struct {
 	progress atomic.Int64
 	inflight atomic.Int64
 
+	// runMu serializes Run calls: concurrent runs would share the
+	// processors' mailboxes and read each other's messages.
+	runMu sync.Mutex
+
 	// Robustness knobs; set before Run (not concurrently with one).
 	quiescence time.Duration // watchdog confirmation window
 	deadline   time.Duration // machine-wide Recv/RecvAny deadline (0 = none)
@@ -152,10 +156,17 @@ func (m *Machine) SetFaults(plan *FaultPlan) { m.faults = plan }
 // until all instances return. It may be called repeatedly; mailboxes
 // persist across runs, so a protocol may span multiple Run calls.
 //
+// Concurrent Run calls on one machine execute one at a time: Run holds
+// a per-machine lock for its whole duration and releases it on every
+// return, including a re-raised panic. A body must not call Run on its
+// own machine.
+//
 // A panic in any body is re-raised on the caller after all other bodies
 // finish or deadlock-free exit cannot be guaranteed; bodies should not
 // panic as part of normal operation.
 func (m *Machine) Run(body func(p *Proc)) {
+	m.runMu.Lock()
+	defer m.runMu.Unlock()
 	if m.faults != nil {
 		m.faultMu.Lock()
 		m.faultLog = m.faultLog[:0]

@@ -65,11 +65,14 @@ func (m *Machine) watchdog(done <-chan struct{}) {
 				continue
 			}
 			telWatchdogTrips.Inc()
+			// Poison the processors before the barrier: a rank woken at
+			// the barrier poisons every processor with a generic message
+			// as it unwinds, and the first poison wins.
 			msg := m.deadlockReport()
-			m.barrier.poison()
 			for _, p := range m.procs {
 				p.poisonWith(msg)
 			}
+			m.barrier.poison()
 			return
 		}
 	}

@@ -80,8 +80,9 @@ func (r PlanRequest) normalize() (PlanRequest, error) {
 
 // RankPlan is one processor's compiled access plan: the global start
 // index, the local start address, the owned-element count, the selected
-// node-code kernel, and the AM gap table (cyclic; omitted when the rank
-// owns at most one element).
+// node-code kernel, and the AM gap table (cyclic; the rank's whole cycle
+// window, even for a one-element rank, and omitted only when the rank
+// owns nothing).
 type RankPlan struct {
 	Rank       int64   `json:"rank"`
 	Start      int64   `json:"start"`       // global index of first owned element, -1 if none
