@@ -25,10 +25,8 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
-	"time"
 
 	"repro/internal/bench"
-	"repro/internal/machine"
 	"repro/internal/reuse"
 	"repro/internal/telemetry"
 )
@@ -49,8 +47,6 @@ func main() {
 		metrics   = flag.Bool("metrics", false, "dump the telemetry registry as telemetry/v1 JSON after the run")
 		httpAddr  = flag.String("http", "", "serve /metrics (Prometheus), /trace (trace/v1) and /healthz on this address during the runs")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-		faults    = flag.String("faults", "", "inject seeded message faults into every benchmark machine: seed=<n>,drop=<p>,dup=<p>,reorder=<p>,delay=<p>[:<dur>],crash=<rank>@<step>")
-		deadline  = flag.Duration("deadline", 0, "per-receive deadline: a Recv blocked longer than this fails the run instead of hanging")
 	)
 	flag.Parse()
 	cfg := config{
@@ -58,7 +54,7 @@ func main() {
 		Locality: *locality, All: *all,
 		Procs: *procs, Reps: *reps, Elems: *elems, JSONPath: *jsonPath,
 		TracePath: *trace, Metrics: *metrics, PprofAddr: *pprofAddr,
-		HTTPAddr: *httpAddr, FaultSpec: *faults, Deadline: *deadline,
+		HTTPAddr: *httpAddr,
 	}
 	if err := runConfig(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "benchtables:", err)
@@ -79,8 +75,6 @@ type config struct {
 	Metrics       bool
 	PprofAddr     string
 	HTTPAddr      string
-	FaultSpec     string
-	Deadline      time.Duration
 }
 
 // report is the -json output document. Schema: see README.md
@@ -199,17 +193,9 @@ func run(table, figure int, all bool, procs int64, reps int, elems int64) error 
 }
 
 func runConfig(cfg config) error {
-	// Flag failure modes surface before any benchmark runs: a malformed
-	// -faults spec or an unwritable -json/-trace path exits non-zero
-	// immediately, not after minutes of measurement.
-	var faults *machine.FaultPlan
-	if cfg.FaultSpec != "" {
-		fp, err := machine.ParseFaultSpec(cfg.FaultSpec)
-		if err != nil {
-			return fmt.Errorf("invalid -faults spec: %w", err)
-		}
-		faults = fp
-	}
+	// Flag failure modes surface before any benchmark runs: an
+	// unwritable -json/-trace path exits non-zero immediately, not after
+	// minutes of measurement.
 	var jsonFile, traceFile *os.File
 	cleanup := func() {
 		if jsonFile != nil {
@@ -264,18 +250,6 @@ func runConfig(cfg config) error {
 			}
 		}()
 		fmt.Fprintf(os.Stderr, "benchtables: serving /metrics, /trace, /healthz on http://%s/\n", ln.Addr())
-	}
-	// Benchmark machines are created inside internal/bench, so the fault
-	// plan and deadline are installed as machine-wide defaults for the
-	// duration of the runs (and reset on every exit path).
-	if faults != nil {
-		machine.SetDefaultFaults(faults)
-		defer machine.SetDefaultFaults(nil)
-		fmt.Fprintf(os.Stderr, "benchtables: faults armed: %s\n", cfg.FaultSpec)
-	}
-	if cfg.Deadline > 0 {
-		machine.SetDefaultDeadline(cfg.Deadline)
-		defer machine.SetDefaultDeadline(0)
 	}
 	if traceFile != nil {
 		telemetry.StartTracing(int(cfg.Procs), 1<<14)
@@ -337,10 +311,9 @@ func runConfig(cfg config) error {
 	return nil
 }
 
-// runBenches runs the selected benchmark families. Machine-level
-// failures under -faults/-deadline — injected crashes, watchdog trips,
-// expired deadlines — arrive as panics out of the benchmark machines
-// and are converted to ordinary errors here.
+// runBenches runs the selected benchmark families. A machine failure —
+// a watchdog trip on a deadlocked benchmark machine — arrives as a
+// panic out of Machine.Run and is converted to an ordinary error here.
 func runBenches(cfg config, rep *report) (did bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -116,17 +116,6 @@ func TestRunLocalityWithJSON(t *testing.T) {
 	}
 }
 
-func TestInvalidFaultSpec(t *testing.T) {
-	err := runConfig(config{Cache: true, Procs: 2, Reps: 1, Elems: 100,
-		FaultSpec: "drop=2"})
-	if err == nil {
-		t.Fatal("out-of-range drop probability should be rejected")
-	}
-	if !strings.Contains(err.Error(), "-faults") {
-		t.Errorf("error %q should name the -faults flag", err)
-	}
-}
-
 func TestUnwritableJSONPath(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "no", "such", "dir", "bench.json")
 	err := runConfig(config{Cache: true, Procs: 2, Reps: 1, Elems: 100,
@@ -136,21 +125,6 @@ func TestUnwritableJSONPath(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "-json") {
 		t.Errorf("error %q should name the -json flag", err)
-	}
-}
-
-// TestFaultedBenchFailsStructured verifies the default-plan wiring end
-// to end: machines created deep inside internal/bench inherit the
-// armed plan, drop every message, and the watchdog converts the wedged
-// benchmark into an error instead of a hang.
-func TestFaultedBenchFailsStructured(t *testing.T) {
-	err := runConfig(config{Cache: true, Procs: 2, Reps: 1, Elems: 100,
-		FaultSpec: "seed=1,drop=1"})
-	if err == nil {
-		t.Fatal("benchmark with every message dropped should fail")
-	}
-	if !strings.Contains(err.Error(), "deadlock") {
-		t.Errorf("error %q should name the deadlock", err)
 	}
 }
 

@@ -1,13 +1,13 @@
 // Command hpfmem analyzes a memory access trace recorded by the
 // telemetry access recorder and reports the locality structure the
 // paper's address sequences induce: exact per-rank reuse-distance
-// histograms (Olken/Parda splay-tree algorithm), miss-rate estimates
+// histograms (Olken's splay-tree algorithm), miss-rate estimates
 // for a range of LRU cache sizes, and per-operation profiles keyed by
 // the kernel kind that generated each address stream.
 //
 //	jacobi -memtrace access.json && hpfmem access.json   # per-rank tables
 //	hpfmem -json access.json > locality.json             # machine-readable (hpfmem/v1)
-//	hpfmem -caches 1024,65536 -chunks 8 access.json      # custom LRU sizes, Parda chunks
+//	hpfmem -caches 1024,65536 access.json                # custom LRU sizes
 //
 // The input is an accesstrace/v1 JSON document; "-" reads stdin.
 package main
@@ -32,7 +32,6 @@ const ReportSchema = "hpfmem/v1"
 func main() {
 	var (
 		jsonOut = flag.Bool("json", false, "emit the analysis as "+ReportSchema+" JSON instead of text")
-		chunks  = flag.Int("chunks", 4, "Parda partitions per rank (1 = sequential Olken)")
 		caches  = flag.String("caches", "", "comma-separated LRU cache sizes in elements (default 512,4096,32768,262144)")
 	)
 	flag.Usage = func() {
@@ -45,7 +44,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(os.Stdout, os.Stderr, flag.Arg(0), *chunks, *caches, *jsonOut); err != nil {
+	if err := run(os.Stdout, os.Stderr, flag.Arg(0), *caches, *jsonOut); err != nil {
 		fmt.Fprintln(os.Stderr, "hpfmem:", err)
 		os.Exit(1)
 	}
@@ -67,7 +66,7 @@ func parseCaches(s string) ([]int64, error) {
 	return out, nil
 }
 
-func run(w, ew io.Writer, path string, chunks int, caches string, jsonOut bool) error {
+func run(w, ew io.Writer, path, caches string, jsonOut bool) error {
 	sizes, err := parseCaches(caches)
 	if err != nil {
 		return err
@@ -85,7 +84,7 @@ func run(w, ew io.Writer, path string, chunks int, caches string, jsonOut bool) 
 	if err != nil {
 		return err
 	}
-	rep := reuse.BuildReport(doc, reuse.Options{Chunks: chunks, CacheSizes: sizes})
+	rep := reuse.BuildReport(doc, reuse.Options{CacheSizes: sizes})
 	if !jsonOut {
 		return rep.WriteText(w)
 	}

@@ -38,7 +38,7 @@ func accessFile(t *testing.T) string {
 
 func TestTextReport(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if err := run(&out, &errOut, accessFile(t), 4, "", false); err != nil {
+	if err := run(&out, &errOut, accessFile(t), "", false); err != nil {
 		t.Fatal(err)
 	}
 	report := out.String()
@@ -59,7 +59,7 @@ func TestTextReport(t *testing.T) {
 
 func TestJSONReport(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if err := run(&out, &errOut, accessFile(t), 2, "16,1024", true); err != nil {
+	if err := run(&out, &errOut, accessFile(t), "16,1024", true); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -121,7 +121,7 @@ func TestDroppedWarning(t *testing.T) {
 	f.Close()
 
 	var out, errOut bytes.Buffer
-	if err := run(&out, &errOut, path, 1, "", false); err != nil {
+	if err := run(&out, &errOut, path, "", false); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "WARNING") || !strings.Contains(out.String(), "136") {
@@ -129,7 +129,7 @@ func TestDroppedWarning(t *testing.T) {
 	}
 
 	out.Reset()
-	if err := run(&out, &errOut, path, 1, "", true); err != nil {
+	if err := run(&out, &errOut, path, "", true); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(errOut.String(), "WARNING") || !strings.Contains(errOut.String(), "136") {
@@ -145,7 +145,7 @@ func TestDroppedWarning(t *testing.T) {
 }
 
 func TestBadInputs(t *testing.T) {
-	if err := run(&bytes.Buffer{}, &bytes.Buffer{}, "/no/such/trace.json", 4, "", false); err == nil {
+	if err := run(&bytes.Buffer{}, &bytes.Buffer{}, "/no/such/trace.json", "", false); err == nil {
 		t.Error("no error for missing file")
 	}
 	dir := t.TempDir()
@@ -153,12 +153,12 @@ func TestBadInputs(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("not an access trace"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(&bytes.Buffer{}, &bytes.Buffer{}, bad, 4, "", false); err == nil {
+	if err := run(&bytes.Buffer{}, &bytes.Buffer{}, bad, "", false); err == nil {
 		t.Error("no error for non-trace input")
 	}
 	path := accessFile(t)
 	for _, caches := range []string{"zero", "-1", "12,"} {
-		if err := run(&bytes.Buffer{}, &bytes.Buffer{}, path, 4, caches, false); err == nil {
+		if err := run(&bytes.Buffer{}, &bytes.Buffer{}, path, caches, false); err == nil {
 			t.Errorf("no error for -caches %q", caches)
 		}
 	}

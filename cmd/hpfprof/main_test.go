@@ -22,11 +22,11 @@ func traceFiles(t *testing.T) (chromePath, v1Path string) {
 	m := machine.MustNew(2)
 	m.Run(func(p *machine.Proc) {
 		if p.Rank() == 0 {
-			p.Send(1, "ping", []float64{1, 2, 3}, nil)
+			p.Send(1, "ping", []float64{1, 2, 3})
 			p.Recv(1, "pong")
 		} else {
 			p.Recv(0, "ping")
-			p.Send(0, "pong", []float64{4}, nil)
+			p.Send(0, "pong", []float64{4})
 		}
 		p.Barrier()
 	})

@@ -4,7 +4,7 @@ package bench
 // the Figure 8 shape families. Each family's node loop runs through the
 // specialized kernels with the telemetry access recorder capturing the
 // exact per-processor address stream, and the reuse package computes the
-// Olken/Parda stack distances. Distances are taken at cache-line
+// Olken stack distances. Distances are taken at cache-line
 // granularity (LineElems elements per line): at element granularity a
 // repeated strict sweep has the same reuse profile under every layout,
 // while at line granularity the AM gap sequence's burstiness — bunched
@@ -88,7 +88,7 @@ func profileLayout(p, k, s, elems int64, sweeps int, tablesOnly bool, sizes []in
 			accs[j].Addr /= LineElems
 		}
 	}
-	rep := reuse.BuildReport(&doc, reuse.Options{Chunks: 4, CacheSizes: sizes})
+	rep := reuse.BuildReport(&doc, reuse.Options{CacheSizes: sizes})
 
 	prof := LocalityProfile{K: k, Kernel: kernels[0].Kind(), MissRates: make([]reuse.MissEstimate, len(sizes))}
 	for i, c := range sizes {

@@ -483,7 +483,7 @@ func execute(m *machine.Machine, dst localMem, ops []operand) error {
 				} else {
 					buf = o.e.packInto(buf, mem, me, r)
 				}
-				proc.Send(int(r), o.tag, buf, nil)
+				proc.Send(int(r), o.tag, buf)
 			}
 		}
 		// Receive and unpack.

@@ -102,8 +102,8 @@ func Exchange(m *machine.Machine, a *hpf.Array, w int64, pad float64) (*Halo, er
 			copy(toRight[row*w:], mem[row*k+k-w:row*k+k])
 			copy(toLeft[row*w:], mem[row*k:row*k+w])
 		}
-		proc.Send(rightNbr, tagL, toRight, nil)
-		proc.Send(leftNbr, tagR, toLeft, nil)
+		proc.Send(rightNbr, tagL, toRight)
+		proc.Send(leftNbr, tagR, toLeft)
 
 		fromLeft := proc.Recv(leftNbr, tagL).Data
 		fromRight := proc.Recv(rightNbr, tagR).Data

@@ -12,11 +12,11 @@ func BenchmarkPingPong(b *testing.B) {
 		other := 1 - p.Rank()
 		for i := 0; i < b.N; i++ {
 			if p.Rank() == 0 {
-				p.Send(other, "ping", payload, nil)
+				p.Send(other, "ping", payload)
 				p.Recv(other, "pong")
 			} else {
 				msg := p.Recv(other, "ping")
-				p.Send(other, "pong", msg.Data, nil)
+				p.Send(other, "pong", msg.Data)
 			}
 		}
 	})

@@ -51,7 +51,7 @@ func (p *Proc) Reduce(value float64, op ReduceOp, root int) float64 {
 	tr, t0 := p.collectiveSpan()
 	var acc float64
 	if p.rank != root {
-		p.Send(root, tag, []float64{value}, nil)
+		p.Send(root, tag, []float64{value})
 	} else {
 		acc = value
 		for r := 0; r < p.m.nprocs; r++ {
@@ -84,7 +84,7 @@ func (p *Proc) Bcast(value float64, root int) float64 {
 	if p.rank == root {
 		for r := 0; r < p.m.nprocs; r++ {
 			if r != root {
-				p.Send(r, tag, []float64{value}, nil)
+				p.Send(r, tag, []float64{value})
 			}
 		}
 	} else {
@@ -101,7 +101,7 @@ func (p *Proc) GatherSlices(local []float64, root int) [][]float64 {
 	tr, t0 := p.collectiveSpan()
 	var out [][]float64
 	if p.rank != root {
-		p.Send(root, tag, local, nil)
+		p.Send(root, tag, local)
 	} else {
 		out = make([][]float64, p.m.nprocs)
 		out[root] = local
@@ -114,29 +114,4 @@ func (p *Proc) GatherSlices(local []float64, root int) [][]float64 {
 	}
 	p.endCollectiveSpan(tr, "gather", t0)
 	return out
-}
-
-// AllToAll exchanges one slice per processor pair: send[r] goes to
-// processor r, and the result's entry q holds what processor q sent here.
-// nil entries are delivered as empty slices. Every processor must call it.
-func (p *Proc) AllToAll(send [][]float64) [][]float64 {
-	const tag = "__alltoall"
-	if len(send) != p.m.nprocs {
-		panic("machine: AllToAll send slice count must equal NProcs")
-	}
-	tr, t0 := p.collectiveSpan()
-	recv := make([][]float64, p.m.nprocs)
-	recv[p.rank] = send[p.rank]
-	for r := 0; r < p.m.nprocs; r++ {
-		if r != p.rank {
-			p.Send(r, tag, send[r], nil)
-		}
-	}
-	for r := 0; r < p.m.nprocs; r++ {
-		if r != p.rank {
-			recv[r] = p.Recv(r, tag).Data
-		}
-	}
-	p.endCollectiveSpan(tr, "alltoall", t0)
-	return recv
 }

@@ -75,11 +75,13 @@ func (fp *FaultPlan) Validate() error {
 		name string
 		v    float64
 	}{{"drop", fp.Drop}, {"dup", fp.Dup}, {"delay", fp.Delay}, {"reorder", fp.Reorder}} {
-		if pr.v < 0 || pr.v > 1 {
+		// Written as a negated range check so NaN, which fails every
+		// comparison, is rejected instead of silently disabling the fault.
+		if !(pr.v >= 0 && pr.v <= 1) {
 			return fmt.Errorf("machine: fault plan: %s probability %v outside [0, 1]", pr.name, pr.v)
 		}
 	}
-	if sum := fp.Drop + fp.Dup + fp.Delay + fp.Reorder; sum > 1 {
+	if sum := fp.Drop + fp.Dup + fp.Delay + fp.Reorder; !(sum <= 1) {
 		return fmt.Errorf("machine: fault plan: probabilities sum to %v > 1", sum)
 	}
 	if fp.DelayBy < 0 || fp.DelayBy > maxDelay {
@@ -248,13 +250,12 @@ func (p *Proc) injectSendFault(fp *FaultPlan, op int64, msg Message) bool {
 	case u < fp.Drop+fp.Dup:
 		p.m.recordFault(FaultEvent{Rank: p.rank, Op: op, Kind: FaultDup, To: msg.To, Tag: msg.Tag})
 		telFaultsDuplicated.Inc()
-		// The duplicate owns fresh payload slices, copied before the
+		// The duplicate owns a fresh payload slice, copied before the
 		// original is delivered: the receiver may recycle the original's
 		// buffer (machine.PutBuf) as soon as it arrives, and another
 		// sender may already be refilling it.
 		dup := msg
 		dup.Data = append([]float64(nil), msg.Data...)
-		dup.Ints = append([]int64(nil), msg.Ints...)
 		p.deliver(msg.To, msg, false)
 		p.deliver(msg.To, dup, false)
 		return true

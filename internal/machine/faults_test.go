@@ -27,6 +27,8 @@ func TestParseFaultSpec(t *testing.T) {
 		"drop",             // not key=value
 		"drop=2",           // probability out of range
 		"drop=0.6,dup=0.6", // probabilities sum > 1
+		"drop=NaN",         // NaN fails every comparison
+		"delay=NaN:1ms",    // NaN probability with a valid duration
 		"delay=0.1:zzz",    // malformed duration
 		"delay=0.1:30s",    // delay beyond the cap
 		"crash=x",          // malformed rank
@@ -40,19 +42,14 @@ func TestParseFaultSpec(t *testing.T) {
 }
 
 // chaosBody is a fixed message pattern: every rank sends `rounds`
-// tagged messages to the next rank and drains whatever arrives. Tags
-// are unique per (sender, round), so duplicates and reorderings never
-// confuse the receive side, and no receive blocks indefinitely.
+// messages to the next rank. Fault decisions are drawn on the send
+// side, so the body receives nothing: a dropped message can never
+// leave a receiver parked, and what arrives stays in the mailbox.
 func chaosBody(rounds int) func(p *Proc) {
 	return func(p *Proc) {
 		next := (p.Rank() + 1) % p.NProcs()
 		for i := 0; i < rounds; i++ {
-			p.Send(next, "chaos", []float64{float64(i)}, nil)
-		}
-		for {
-			if _, ok := p.RecvAnyTimeout("chaos", 20*time.Millisecond); !ok {
-				return
-			}
+			p.Send(next, "chaos", []float64{float64(i)})
 		}
 	}
 }
@@ -116,11 +113,11 @@ func TestDroppedSendBecomesStructuredFailure(t *testing.T) {
 	}()
 	m.Run(func(p *Proc) {
 		if p.Rank() == 0 {
-			p.Send(1, "ping", nil, nil)
+			p.Send(1, "ping", nil)
 			p.Recv(1, "pong")
 		} else {
 			p.Recv(0, "ping")
-			p.Send(0, "pong", nil, nil)
+			p.Send(0, "pong", nil)
 		}
 	})
 }
@@ -147,9 +144,9 @@ func TestCrashRankAtStep(t *testing.T) {
 		prev := (p.Rank() + 2) % 3
 		// Ops per rank: send (0), recv (1), send (2) — rank 1 dies at its
 		// second send while its peers sit in Recv.
-		p.Send(next, "a", nil, nil)
+		p.Send(next, "a", nil)
 		p.Recv(prev, "a")
-		p.Send(next, "b", nil, nil)
+		p.Send(next, "b", nil)
 		p.Recv(prev, "b")
 	})
 }
@@ -163,21 +160,17 @@ func TestDuplicateAndReorderDelivery(t *testing.T) {
 	var extras atomic.Int64
 	m.Run(func(p *Proc) {
 		if p.Rank() == 0 {
-			p.Send(1, "d", []float64{42}, []int64{7})
+			p.Send(1, "d", []float64{42})
 		} else {
-			a, ok := p.RecvTimeout(0, "d", time.Second)
-			b, bok := p.RecvTimeout(0, "d", time.Second)
-			if !ok || !bok {
-				t.Error("expected original and duplicate")
-				return
-			}
+			a := p.Recv(0, "d")
+			b := p.Recv(0, "d")
 			extras.Add(1)
-			if a.Data[0] != 42 || b.Data[0] != 42 || a.Ints[0] != 7 || b.Ints[0] != 7 {
-				t.Errorf("duplicate corrupted: %v/%v %v/%v", a.Data, b.Data, a.Ints, b.Ints)
+			if a.Data[0] != 42 || b.Data[0] != 42 {
+				t.Errorf("duplicate corrupted: %v/%v", a.Data, b.Data)
 			}
-			// The duplicate must own fresh backing arrays: recycling one
+			// The duplicate must own a fresh backing array: recycling one
 			// copy's buffer (machine.PutBuf) must not clobber the other.
-			if &a.Data[0] == &b.Data[0] || &a.Ints[0] == &b.Ints[0] {
+			if &a.Data[0] == &b.Data[0] {
 				t.Error("duplicate aliases the original payload")
 			}
 		}
@@ -190,8 +183,8 @@ func TestDuplicateAndReorderDelivery(t *testing.T) {
 	m2.SetFaults(&FaultPlan{Seed: 5, Reorder: 1, CrashRank: -1})
 	m2.Run(func(p *Proc) {
 		if p.Rank() == 0 {
-			p.Send(1, "one", []float64{1}, nil)
-			p.Send(1, "two", []float64{2}, nil)
+			p.Send(1, "one", []float64{1})
+			p.Send(1, "two", []float64{2})
 		} else {
 			// Tag matching routes both messages regardless of queue order.
 			if msg := p.Recv(0, "two"); msg.Data[0] != 2 {
@@ -217,13 +210,13 @@ func TestDelayedMessageDoesNotTripWatchdog(t *testing.T) {
 	m.SetFaults(&FaultPlan{Seed: 1, Delay: 1, DelayBy: 60 * time.Millisecond, CrashRank: -1})
 	m.Run(func(p *Proc) {
 		if p.Rank() == 0 {
-			p.Send(1, "slow", []float64{9}, nil)
+			p.Send(1, "slow", []float64{9})
 			p.Recv(1, "ack")
 		} else {
 			if msg := p.Recv(0, "slow"); msg.Data[0] != 9 {
 				t.Errorf("delayed payload corrupted: %v", msg.Data)
 			}
-			p.Send(0, "ack", nil, nil)
+			p.Send(0, "ack", nil)
 		}
 	})
 	if s := m.FaultSummary(); !strings.Contains(s, "delay=") {

@@ -11,8 +11,8 @@
 //
 // The machine also carries a robustness layer (see README, Robustness):
 // a deadlock watchdog with per-rank wait-site diagnostics (watchdog.go),
-// per-call and machine-wide receive deadlines, and deterministic seeded
-// fault injection (faults.go).
+// a machine-wide receive deadline, and deterministic seeded fault
+// injection (faults.go).
 package machine
 
 import (
@@ -24,9 +24,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Message is a tagged point-to-point message. Payloads carry float64
-// array data and/or int64 metadata; Tag disambiguates concurrent
-// conversations (like MPI tags).
+// Message is a tagged point-to-point message carrying float64 array
+// data; Tag disambiguates concurrent conversations (like MPI tags).
 //
 // Seq is the per-(From, To, Tag) FIFO sequence number Send assigned:
 // the first message on a given (sender, receiver, tag) channel is 1,
@@ -40,7 +39,6 @@ type Message struct {
 	Tag      string
 	Seq      int64
 	Data     []float64
-	Ints     []int64
 }
 
 // Machine is a simulated multiprocessor with a fixed processor count.
@@ -49,7 +47,7 @@ type Machine struct {
 	procs   []*Proc
 	barrier *barrier
 
-	// parked counts processors blocked in Recv/RecvAny/Barrier waits and
+	// parked counts processors blocked in Recv/Barrier waits and
 	// active counts processors whose body is still running. When every
 	// live (active) processor is parked no message can ever be delivered,
 	// so the run is deadlocked; Run's watchdog then aborts it with a
@@ -69,37 +67,11 @@ type Machine struct {
 
 	// Robustness knobs; set before Run (not concurrently with one).
 	quiescence time.Duration // watchdog confirmation window
-	deadline   time.Duration // machine-wide Recv/RecvAny deadline (0 = none)
+	deadline   time.Duration // machine-wide Recv deadline (0 = none)
 
 	faults   *FaultPlan
 	faultMu  sync.Mutex
 	faultLog []FaultEvent
-}
-
-// defaults are applied to every machine created by New, so CLIs can arm
-// fault injection and deadlines for machines constructed deep inside
-// other packages (e.g. the bench harness) without plumbing.
-var machineDefaults struct {
-	mu       sync.Mutex
-	deadline time.Duration
-	faults   *FaultPlan
-}
-
-// SetDefaultDeadline makes every subsequently created machine start with
-// the given machine-wide receive deadline (0 disables). Existing
-// machines are unaffected.
-func SetDefaultDeadline(d time.Duration) {
-	machineDefaults.mu.Lock()
-	machineDefaults.deadline = d
-	machineDefaults.mu.Unlock()
-}
-
-// SetDefaultFaults arms the given fault plan on every subsequently
-// created machine (nil disarms). Existing machines are unaffected.
-func SetDefaultFaults(plan *FaultPlan) {
-	machineDefaults.mu.Lock()
-	machineDefaults.faults = plan
-	machineDefaults.mu.Unlock()
 }
 
 // New creates a machine with p processors (p ≥ 1).
@@ -114,10 +86,6 @@ func New(p int) (*Machine, error) {
 		m.procs[i] = &Proc{rank: i, m: m}
 		m.procs[i].cond = sync.NewCond(&m.procs[i].mu)
 	}
-	machineDefaults.mu.Lock()
-	m.deadline = machineDefaults.deadline
-	m.faults = machineDefaults.faults
-	machineDefaults.mu.Unlock()
 	return m, nil
 }
 
@@ -134,10 +102,9 @@ func MustNew(p int) *Machine {
 func (m *Machine) NProcs() int { return m.nprocs }
 
 // WithDeadline sets a machine-wide deadline applied to every blocking
-// Recv/RecvAny (0 disables): a receive that waits longer panics with a
+// Recv (0 disables): a receive that waits longer panics with a
 // diagnostic naming the wait site, which Run converts into a structured
-// failure instead of a hang. Returns m for chaining. Per-call
-// RecvTimeout/RecvAnyTimeout deadlines are unaffected.
+// failure instead of a hang. Returns m for chaining.
 func (m *Machine) WithDeadline(d time.Duration) *Machine {
 	if d < 0 {
 		d = 0
@@ -270,7 +237,6 @@ type waitKind uint8
 const (
 	waitNone waitKind = iota
 	waitRecv
-	waitRecvAny
 	waitBarrier
 )
 
@@ -279,8 +245,6 @@ func (p *Proc) waitSiteLocked() string {
 	switch p.waitKind {
 	case waitRecv:
 		return fmt.Sprintf("Recv(from=%d, tag=%q)", p.waitFrom, p.waitTag)
-	case waitRecvAny:
-		return fmt.Sprintf("RecvAny(tag=%q)", p.waitTag)
 	case waitBarrier:
 		return "Barrier"
 	}
@@ -296,7 +260,7 @@ func (p *Proc) NProcs() int { return p.m.nprocs }
 // Send delivers a message to processor `to`. Payload slices are not
 // copied; senders must not mutate them after sending (ownership
 // transfers, as with channel sends).
-func (p *Proc) Send(to int, tag string, data []float64, ints []int64) {
+func (p *Proc) Send(to int, tag string, data []float64) {
 	if to < 0 || to >= p.m.nprocs {
 		panic(fmt.Sprintf("machine: send to invalid rank %d", to))
 	}
@@ -307,7 +271,7 @@ func (p *Proc) Send(to int, tag string, data []float64, ints []int64) {
 	telValuesSent.Add(int64(len(data)))
 	telSendBytes.Observe(int64(len(data)) * 8)
 	p.m.progress.Add(1)
-	msg := Message{From: p.rank, To: to, Tag: tag, Seq: p.nextSeq(to, tag), Data: data, Ints: ints}
+	msg := Message{From: p.rank, To: to, Tag: tag, Seq: p.nextSeq(to, tag), Data: data}
 	tr := telemetry.ActiveTracer()
 	var t0 int64
 	if tr != nil {
@@ -368,68 +332,22 @@ func (p *Proc) deliver(to int, msg Message, front bool) {
 // waiting past it panics with a diagnostic naming this wait site; Run
 // converts the panic into a structured failure.
 func (p *Proc) Recv(from int, tag string) Message {
-	msg, ok := p.recv(waitRecv, from, tag, p.m.deadline)
-	if !ok {
-		panic(fmt.Sprintf("machine: Recv(from=%d, tag=%q) exceeded machine deadline %v",
-			from, tag, p.m.deadline))
-	}
-	return msg
-}
-
-// RecvAny blocks until any message with the given tag arrives. The
-// machine-wide deadline applies as in Recv.
-func (p *Proc) RecvAny(tag string) Message {
-	msg, ok := p.recv(waitRecvAny, -1, tag, p.m.deadline)
-	if !ok {
-		panic(fmt.Sprintf("machine: RecvAny(tag=%q) exceeded machine deadline %v",
-			tag, p.m.deadline))
-	}
-	return msg
-}
-
-// RecvTimeout is Recv with a per-call deadline: it returns ok=false if
-// no matching message arrives within d, letting the caller degrade
-// gracefully instead of hanging. d ≤ 0 polls the mailbox without
-// blocking. A message that arrives after the timeout stays in the
-// mailbox for a later receive.
-func (p *Proc) RecvTimeout(from int, tag string, d time.Duration) (Message, bool) {
-	if d <= 0 {
-		d = -1 // recv treats a negative deadline as a non-blocking poll
-	}
-	return p.recv(waitRecv, from, tag, d)
-}
-
-// RecvAnyTimeout is RecvAny with a per-call deadline; see RecvTimeout.
-func (p *Proc) RecvAnyTimeout(tag string, d time.Duration) (Message, bool) {
-	if d <= 0 {
-		d = -1
-	}
-	return p.recv(waitRecvAny, -1, tag, d)
-}
-
-// recv is the shared receive loop. kind selects source matching (Recv)
-// or any-sender matching (RecvAny). d > 0 bounds the wait; d == 0 waits
-// forever; d < 0 polls. Returns ok=false on deadline expiry.
-func (p *Proc) recv(kind waitKind, from int, tag string, d time.Duration) (Message, bool) {
 	start := time.Now()
 	p.faultStep()
-	var deadline time.Time
-	if d != 0 {
-		deadline = start.Add(d)
-		if d > 0 {
-			// The timer broadcast wakes this processor so the expiry check
-			// below runs even if no message ever arrives.
-			timer := time.AfterFunc(d, p.cond.Broadcast)
-			defer timer.Stop()
-		}
+	d := p.m.deadline
+	if d > 0 {
+		// The timer broadcast wakes this processor so the expiry check
+		// below runs even if no message ever arrives.
+		timer := time.AfterFunc(d, p.cond.Broadcast)
+		defer timer.Stop()
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.waitKind, p.waitFrom, p.waitTag, p.waitSince = kind, from, tag, start
+	p.waitKind, p.waitFrom, p.waitTag, p.waitSince = waitRecv, from, tag, start
 	defer func() { p.waitKind = waitNone }()
 	for {
 		for i, msg := range p.mailbox {
-			if (kind != waitRecv || msg.From == from) && msg.Tag == tag {
+			if msg.From == from && msg.Tag == tag {
 				copy(p.mailbox[i:], p.mailbox[i+1:])
 				last := len(p.mailbox) - 1
 				// Zero the vacated tail slot so the backing array does not
@@ -438,15 +356,16 @@ func (p *Proc) recv(kind waitKind, from int, tag string, d time.Duration) (Messa
 				p.mailbox[last] = Message{}
 				p.mailbox = p.mailbox[:last]
 				p.recorded(msg, start)
-				return msg, true
+				return msg
 			}
 		}
 		if p.poisoned {
 			panic(poisonError(p.poisonMsg))
 		}
-		if d != 0 && !time.Now().Before(deadline) {
+		if d > 0 && time.Since(start) >= d {
 			telRecvTimeouts.Inc()
-			return Message{}, false
+			panic(fmt.Sprintf("machine: Recv(from=%d, tag=%q) exceeded machine deadline %v",
+				from, tag, d))
 		}
 		p.m.parked.Add(1)
 		p.cond.Wait()

@@ -42,10 +42,10 @@ func TestSendRecv(t *testing.T) {
 	m := MustNew(2)
 	m.Run(func(p *Proc) {
 		if p.Rank() == 0 {
-			p.Send(1, "data", []float64{1, 2, 3}, []int64{42})
+			p.Send(1, "data", []float64{1, 2, 3})
 		} else {
 			msg := p.Recv(0, "data")
-			if len(msg.Data) != 3 || msg.Data[2] != 3 || msg.Ints[0] != 42 {
+			if len(msg.Data) != 3 || msg.Data[2] != 3 {
 				t.Errorf("bad message: %+v", msg)
 			}
 			if msg.From != 0 || msg.To != 1 {
@@ -60,8 +60,8 @@ func TestRecvTagMatching(t *testing.T) {
 	m.Run(func(p *Proc) {
 		if p.Rank() == 0 {
 			// Send out of the order the receiver asks for them.
-			p.Send(1, "b", []float64{2}, nil)
-			p.Send(1, "a", []float64{1}, nil)
+			p.Send(1, "b", []float64{2})
+			p.Send(1, "a", []float64{1})
 		} else {
 			a := p.Recv(0, "a")
 			b := p.Recv(0, "b")
@@ -77,7 +77,7 @@ func TestRecvFIFOPerSenderTag(t *testing.T) {
 	m.Run(func(p *Proc) {
 		if p.Rank() == 0 {
 			for i := 0; i < 50; i++ {
-				p.Send(1, "seq", []float64{float64(i)}, nil)
+				p.Send(1, "seq", []float64{float64(i)})
 			}
 		} else {
 			for i := 0; i < 50; i++ {
@@ -86,24 +86,6 @@ func TestRecvFIFOPerSenderTag(t *testing.T) {
 					t.Fatalf("message %d out of order: %v", i, msg.Data[0])
 				}
 			}
-		}
-	})
-}
-
-func TestRecvAny(t *testing.T) {
-	m := MustNew(4)
-	m.Run(func(p *Proc) {
-		if p.Rank() == 0 {
-			got := map[int]bool{}
-			for i := 0; i < 3; i++ {
-				msg := p.RecvAny("hello")
-				got[msg.From] = true
-			}
-			if len(got) != 3 {
-				t.Errorf("expected messages from 3 distinct senders, got %v", got)
-			}
-		} else {
-			p.Send(0, "hello", nil, nil)
 		}
 	})
 }
@@ -181,30 +163,13 @@ func TestGatherSlices(t *testing.T) {
 	})
 }
 
-func TestAllToAll(t *testing.T) {
-	m := MustNew(4)
-	m.Run(func(p *Proc) {
-		send := make([][]float64, 4)
-		for r := range send {
-			send[r] = []float64{float64(p.Rank()*10 + r)}
-		}
-		recv := p.AllToAll(send)
-		for q := range recv {
-			want := float64(q*10 + p.Rank())
-			if recv[q][0] != want {
-				t.Errorf("rank %d: recv[%d] = %v, want %v", p.Rank(), q, recv[q], want)
-			}
-		}
-	})
-}
-
 func TestMultipleRuns(t *testing.T) {
 	m := MustNew(3)
 	for round := 0; round < 4; round++ {
 		m.Run(func(p *Proc) {
 			next := (p.Rank() + 1) % 3
 			prev := (p.Rank() + 2) % 3
-			p.Send(next, "ring", []float64{float64(p.Rank())}, nil)
+			p.Send(next, "ring", []float64{float64(p.Rank())})
 			msg := p.Recv(prev, "ring")
 			if int(msg.Data[0]) != prev {
 				t.Errorf("round %d rank %d: got %v", round, p.Rank(), msg.Data[0])
@@ -249,7 +214,7 @@ func TestMachineUsableAfterPanic(t *testing.T) {
 	m.Run(func(p *Proc) {
 		p.Barrier()
 		if p.Rank() == 0 {
-			p.Send(1, "ok", []float64{1}, nil)
+			p.Send(1, "ok", []float64{1})
 		} else {
 			if msg := p.Recv(0, "ok"); msg.Data[0] != 1 {
 				t.Error("recovery run failed")
@@ -267,7 +232,7 @@ func TestSendInvalidRankPanics(t *testing.T) {
 	}()
 	m.Run(func(p *Proc) {
 		if p.Rank() == 0 {
-			p.Send(5, "x", nil, nil)
+			p.Send(5, "x", nil)
 		}
 	})
 }
@@ -276,8 +241,8 @@ func TestStatsCounting(t *testing.T) {
 	m := MustNew(3)
 	m.Run(func(p *Proc) {
 		if p.Rank() == 0 {
-			p.Send(1, "x", []float64{1, 2, 3}, nil)
-			p.Send(2, "x", []float64{4}, nil)
+			p.Send(1, "x", []float64{1, 2, 3})
+			p.Send(2, "x", []float64{4})
 		}
 		if p.Rank() != 0 {
 			p.Recv(0, "x")
@@ -312,35 +277,12 @@ func TestStatsCounting(t *testing.T) {
 	}
 }
 
-// TestStatsReceiveViaRecvAny covers the receive-side counters on the
-// RecvAny path, where the sender is not known in advance.
-func TestStatsReceiveViaRecvAny(t *testing.T) {
-	m := MustNew(3)
-	m.Run(func(p *Proc) {
-		if p.Rank() == 0 {
-			for i := 0; i < 2; i++ {
-				p.RecvAny("any")
-			}
-		} else {
-			p.Send(0, "any", []float64{1, 2, 3, 4, 5}, nil)
-		}
-	})
-	s0 := m.Stats(0)
-	if s0.MessagesReceived != 2 || s0.ValuesReceived != 10 {
-		t.Errorf("RecvAny stats = %+v, want 2 msgs / 10 values", s0)
-	}
-	total := m.TotalStats()
-	if total.MessagesSent != total.MessagesReceived || total.ValuesSent != total.ValuesReceived {
-		t.Errorf("send/receive totals disagree: %+v", total)
-	}
-}
-
 func TestStatsAccumulateAcrossRuns(t *testing.T) {
 	m := MustNew(2)
 	for round := 0; round < 3; round++ {
 		m.Run(func(p *Proc) {
 			if p.Rank() == 0 {
-				p.Send(1, "r", []float64{1, 2}, nil)
+				p.Send(1, "r", []float64{1, 2})
 			} else {
 				p.Recv(0, "r")
 			}
@@ -375,11 +317,11 @@ func TestNoFalseDeadlockUnderChatter(t *testing.T) {
 		other := 1 - p.Rank()
 		for i := 0; i < 2000; i++ {
 			if p.Rank() == 0 {
-				p.Send(other, "ping", []float64{float64(i)}, nil)
+				p.Send(other, "ping", []float64{float64(i)})
 				p.Recv(other, "pong")
 			} else {
 				p.Recv(other, "ping")
-				p.Send(other, "pong", nil, nil)
+				p.Send(other, "pong", nil)
 			}
 		}
 		p.Barrier()
@@ -394,9 +336,9 @@ func TestRecvReleasesMailboxSlot(t *testing.T) {
 	m := MustNew(2)
 	m.Run(func(p *Proc) {
 		if p.Rank() == 0 {
-			p.Send(1, "a", make([]float64, 4096), []int64{1, 2, 3})
-			p.Send(1, "b", make([]float64, 4096), []int64{4, 5, 6})
-			p.Send(1, "c", make([]float64, 4096), nil)
+			p.Send(1, "a", make([]float64, 4096))
+			p.Send(1, "b", make([]float64, 4096))
+			p.Send(1, "c", make([]float64, 4096))
 		} else {
 			// Receive out of order so deletions happen at interior indexes too.
 			p.Recv(0, "b")
@@ -409,24 +351,22 @@ func TestRecvReleasesMailboxSlot(t *testing.T) {
 		t.Fatalf("mailbox should be empty, has %d messages", len(box))
 	}
 	for i, msg := range box[:cap(box)] {
-		if msg.Data != nil || msg.Ints != nil {
-			t.Errorf("vacated mailbox slot %d still pins payload (Data=%v Ints=%v)",
-				i, msg.Data != nil, msg.Ints != nil)
+		if msg.Data != nil {
+			t.Errorf("vacated mailbox slot %d still pins its payload", i)
 		}
 	}
 }
 
 // TestPoisonWakesAllWaitSites checks the poison path across every
-// blocking wait: a rank that panics while peers are parked in Recv,
-// RecvAny or Barrier must wake and poison all of them, and Run must
-// report the root cause.
+// blocking wait: a rank that panics while peers are parked in Recv or
+// Barrier must wake and poison all of them, and Run must report the
+// root cause.
 func TestPoisonWakesAllWaitSites(t *testing.T) {
 	cases := []struct {
 		name string
 		wait func(p *Proc)
 	}{
 		{"Recv", func(p *Proc) { p.Recv(0, "never-sent") }},
-		{"RecvAny", func(p *Proc) { p.RecvAny("never-sent") }},
 		{"Barrier", func(p *Proc) { p.Barrier() }},
 	}
 	for _, tc := range cases {
@@ -470,7 +410,7 @@ func TestWatchdogNamesEveryParkedRank(t *testing.T) {
 		for _, want := range []string{
 			"deadlock",
 			`rank 0 parked in Recv(from=1, tag="halo-left")`,
-			`rank 1 parked in RecvAny(tag="gather")`,
+			`rank 1 parked in Recv(from=2, tag="gather")`,
 			"rank 2 parked in Barrier",
 		} {
 			if !strings.Contains(msg, want) {
@@ -483,7 +423,7 @@ func TestWatchdogNamesEveryParkedRank(t *testing.T) {
 		case 0:
 			p.Recv(1, "halo-left")
 		case 1:
-			p.RecvAny("gather")
+			p.Recv(2, "gather")
 		case 2:
 			p.Barrier()
 		}
@@ -513,70 +453,25 @@ func TestWatchdogCatchesExitedPeerDeadlock(t *testing.T) {
 	})
 }
 
-func TestRecvTimeoutExpires(t *testing.T) {
-	m := MustNew(2)
-	var timedOut atomic.Bool
-	m.Run(func(p *Proc) {
-		if p.Rank() == 0 {
-			if _, ok := p.RecvTimeout(1, "never", 20*time.Millisecond); !ok {
-				timedOut.Store(true)
-			}
-		}
-	})
-	if !timedOut.Load() {
-		t.Error("RecvTimeout should report expiry")
-	}
-}
-
+// TestRecvTimeoutDelivers: under a machine deadline, a message that
+// arrives after the receiver parks but before the deadline is delivered
+// and counts no timeout.
 func TestRecvTimeoutDelivers(t *testing.T) {
 	m := MustNew(2)
+	m.WithDeadline(5 * time.Second)
+	before := telRecvTimeouts.Value()
 	m.Run(func(p *Proc) {
 		if p.Rank() == 0 {
-			msg, ok := p.RecvTimeout(1, "late", 5*time.Second)
-			if !ok || msg.Data[0] != 7 {
-				t.Errorf("RecvTimeout = %+v, %v; want delivery", msg, ok)
+			if msg := p.Recv(1, "late"); msg.Data[0] != 7 {
+				t.Errorf("Recv = %+v; want the late message", msg)
 			}
 		} else {
 			time.Sleep(5 * time.Millisecond)
-			p.Send(0, "late", []float64{7}, nil)
+			p.Send(0, "late", []float64{7})
 		}
 	})
-}
-
-func TestRecvTimeoutPoll(t *testing.T) {
-	m := MustNew(2)
-	m.Run(func(p *Proc) {
-		if p.Rank() == 0 {
-			if _, ok := p.RecvTimeout(1, "nope", 0); ok {
-				t.Error("empty-mailbox poll should miss")
-			}
-			msg := p.Recv(1, "yes")
-			if got, ok := p.RecvTimeout(1, "yes2", -1); ok || got.Tag != "" {
-				t.Error("negative-deadline poll should miss")
-			}
-			_ = msg
-		} else {
-			p.Send(0, "yes", []float64{1}, nil)
-		}
-	})
-}
-
-func TestRecvAnyTimeout(t *testing.T) {
-	m := MustNew(3)
-	var got atomic.Int64
-	m.Run(func(p *Proc) {
-		if p.Rank() == 0 {
-			for {
-				if _, ok := p.RecvAnyTimeout("burst", 20*time.Millisecond); !ok {
-					return
-				}
-				got.Add(1)
-			}
-		}
-		p.Send(0, "burst", nil, nil)
-	})
-	if got.Load() != 2 {
-		t.Errorf("received %d burst messages, want 2", got.Load())
+	if got := telRecvTimeouts.Value() - before; got != 0 {
+		t.Errorf("machine.recv_timeouts rose by %d on a delivered receive", got)
 	}
 }
 
@@ -586,10 +481,14 @@ func TestMachineDeadlineConvertsHangToFailure(t *testing.T) {
 	m := MustNew(2)
 	m.SetQuiescence(10 * time.Second) // keep the watchdog out of this test
 	m.WithDeadline(25 * time.Millisecond)
+	before := telRecvTimeouts.Value()
 	defer func() {
 		r := recover()
 		if r == nil {
 			t.Fatal("expected deadline panic")
+		}
+		if got := telRecvTimeouts.Value() - before; got != 1 {
+			t.Errorf("machine.recv_timeouts rose by %d, want 1", got)
 		}
 		msg := r.(string)
 		if !strings.Contains(msg, `Recv(from=1, tag="never")`) || !strings.Contains(msg, "deadline") {

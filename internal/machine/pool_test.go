@@ -38,7 +38,7 @@ func TestBufPoolConcurrentSendRecv(t *testing.T) {
 			for r := 0; r < procs; r++ {
 				buf := GetBuf(4)
 				buf = append(buf, float64(me), float64(r))
-				p.Send(r, "pool.test", buf, nil)
+				p.Send(r, "pool.test", buf)
 			}
 			for q := 0; q < procs; q++ {
 				msg := p.Recv(q, "pool.test")

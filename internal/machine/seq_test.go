@@ -15,9 +15,9 @@ func TestSendSeqNumbers(t *testing.T) {
 	m.Run(func(p *Proc) {
 		if p.Rank() == 0 {
 			for i := 0; i < 3; i++ {
-				p.Send(1, "a", []float64{float64(i)}, nil)
+				p.Send(1, "a", []float64{float64(i)})
 			}
-			p.Send(1, "b", nil, nil)
+			p.Send(1, "b", nil)
 		} else {
 			for i := 0; i < 3; i++ {
 				seqs["a"] = append(seqs["a"], p.Recv(0, "a").Seq)
@@ -28,7 +28,7 @@ func TestSendSeqNumbers(t *testing.T) {
 	// Second run: the "a" channel continues from 3.
 	m.Run(func(p *Proc) {
 		if p.Rank() == 0 {
-			p.Send(1, "a", nil, nil)
+			p.Send(1, "a", nil)
 		} else {
 			seqs["a"] = append(seqs["a"], p.Recv(0, "a").Seq)
 		}
@@ -60,7 +60,7 @@ func TestTraceSeqPairing(t *testing.T) {
 		next := (proc.Rank() + 1) % p
 		prev := (proc.Rank() + p - 1) % p
 		for i := 0; i < 5; i++ {
-			proc.Send(next, "ring", []float64{1}, nil)
+			proc.Send(next, "ring", []float64{1})
 			proc.Recv(prev, "ring")
 		}
 		proc.Barrier()

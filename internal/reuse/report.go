@@ -26,10 +26,6 @@ func DefaultCacheSizes() []int64 { return []int64{512, 4096, 32768, 262144} }
 
 // Options configures BuildReport.
 type Options struct {
-	// Chunks is the Parda partition count per rank; ≤ 1 analyzes each
-	// rank sequentially. Ranks are always analyzed in parallel with each
-	// other.
-	Chunks int
 	// CacheSizes are the LRU capacities to estimate miss rates for;
 	// nil means DefaultCacheSizes.
 	CacheSizes []int64
@@ -91,8 +87,7 @@ type Report struct {
 }
 
 // BuildReport analyzes every rank sequence of the trace. Rank analyses
-// run concurrently; within a rank the Parda decomposition applies when
-// opts.Chunks > 1.
+// run concurrently, one goroutine per rank.
 func BuildReport(doc *telemetry.AccessDoc, opts Options) *Report {
 	sizes := opts.CacheSizes
 	if sizes == nil {
@@ -126,7 +121,7 @@ func BuildReport(doc *telemetry.AccessDoc, opts Options) *Report {
 					reads++
 				}
 			}
-			dists := Distances(addrs, opts.Chunks)
+			dists := Distances(addrs)
 			var h Histogram
 			for _, d := range dists {
 				h.Add(d)

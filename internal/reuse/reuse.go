@@ -10,19 +10,10 @@
 //
 // The algorithm is Olken's: a hash from address to its last access
 // time plus an order-statistics splay tree over those times, giving
-// amortized O(log n) per access. For long traces the Parda
-// decomposition applies: the sequence is cut into chunks, each chunk
-// resolves its internal reuses independently (an access and its
-// predecessor in the same chunk see exactly the same interval either
-// way), and only each chunk's first-touches are stitched sequentially
-// against the merged history of earlier chunks.
+// amortized O(log n) per access.
 package reuse
 
-import (
-	"math/bits"
-	"runtime"
-	"sync"
-)
+import "math/bits"
 
 // Cold marks a first access: no previous touch, infinite reuse
 // distance.
@@ -31,126 +22,24 @@ const Cold = int64(-1)
 // Distances returns the exact reuse distance of every access in addrs:
 // out[i] is the number of distinct addresses in addrs[j..i-1] where j
 // is the previous occurrence of addrs[i], or Cold when addrs[i] has not
-// been touched before. chunks ≤ 1 runs the sequential Olken algorithm;
-// chunks > 1 runs the Parda decomposition with the per-chunk phase in
-// parallel. Both produce identical output.
-func Distances(addrs []int64, chunks int) []int64 {
+// been touched before.
+func Distances(addrs []int64) []int64 {
 	if len(addrs) == 0 {
 		return nil
 	}
-	if chunks <= 1 || len(addrs) < 2*chunks {
-		out := make([]int64, len(addrs))
-		sequentialDistances(addrs, 0, out, nil)
-		return out
-	}
-	return pardaDistances(addrs, chunks)
-}
-
-// sequentialDistances runs Olken's algorithm over one chunk of the
-// sequence, writing distances (or Cold) into out, which aliases the
-// full output array at the chunk's offset. base is the global time of
-// addrs[0]. When unresolved is non-nil, every first touch appends its
-// (addr, global first time) pair — the chunk's boundary set for the
-// stitch phase — and the function returns the chunk's last-touch map.
-func sequentialDistances(addrs []int64, base int64, out []int64, unresolved *[]boundaryAccess) map[int64]int64 {
+	out := make([]int64, len(addrs))
 	last := make(map[int64]int64, len(addrs)/4+16)
 	var t tree
 	for i, a := range addrs {
-		now := base + int64(i)
+		now := int64(i)
 		if prev, ok := last[a]; ok {
 			out[i] = t.countGreater(prev)
 			t.delete(prev)
 		} else {
 			out[i] = Cold
-			if unresolved != nil {
-				*unresolved = append(*unresolved, boundaryAccess{addr: a, time: now, index: i})
-			}
 		}
 		t.insert(now)
 		last[a] = now
-	}
-	return last
-}
-
-// boundaryAccess is one chunk-first touch awaiting resolution against
-// earlier chunks' history.
-type boundaryAccess struct {
-	addr  int64
-	time  int64 // global timestamp (position in the full sequence)
-	index int   // index into the chunk's slice of the output array
-}
-
-// chunkState is the phase-1 result of one chunk.
-type chunkState struct {
-	unresolved []boundaryAccess
-	last       map[int64]int64 // addr → global time of last touch in chunk
-}
-
-// pardaDistances is the two-phase decomposition. Phase 1 (parallel):
-// each chunk resolves its internal reuses with a local tree — correct
-// because the whole reuse interval of an intra-chunk pair lies inside
-// the chunk. Phase 2 (sequential sweep): a global tree holds, for every
-// address seen in chunks before c, the time of its last access before
-// chunk c; each of chunk c's first-touches resolves against it exactly
-// as Olken would, inserting its own first-touch time so later boundary
-// accesses of the same chunk count it once; after the chunk, its
-// last-touch map advances the global tree's per-address times.
-func pardaDistances(addrs []int64, chunks int) []int64 {
-	n := len(addrs)
-	out := make([]int64, n)
-	states := make([]chunkState, chunks)
-	bounds := make([]int, chunks+1)
-	for c := 0; c <= chunks; c++ {
-		bounds[c] = c * n / chunks
-	}
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > chunks {
-		workers = chunks
-	}
-	var wg sync.WaitGroup
-	next := make(chan int, chunks)
-	for c := 0; c < chunks; c++ {
-		next <- c
-	}
-	close(next)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for c := range next {
-				lo, hi := bounds[c], bounds[c+1]
-				st := &states[c]
-				st.last = sequentialDistances(addrs[lo:hi], int64(lo), out[lo:hi], &st.unresolved)
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Sequential stitch. globalTime[a] is the timestamp currently in the
-	// tree for address a.
-	var t tree
-	globalTime := make(map[int64]int64)
-	for c := 0; c < chunks; c++ {
-		lo := bounds[c]
-		for _, b := range states[c].unresolved {
-			if prev, ok := globalTime[b.addr]; ok {
-				out[lo+b.index] = t.countGreater(prev)
-				t.delete(prev)
-			}
-			t.insert(b.time)
-			globalTime[b.addr] = b.time
-		}
-		// Advance every address the chunk touched to its last-in-chunk
-		// time, so the next chunk's boundary accesses count "distinct
-		// since prev" against up-to-date history.
-		for a, lastT := range states[c].last {
-			if cur := globalTime[a]; cur != lastT {
-				t.delete(cur)
-				t.insert(lastT)
-				globalTime[a] = lastT
-			}
-		}
 	}
 	return out
 }

@@ -32,22 +32,18 @@ func oracleDistances(addrs []int64) []int64 {
 
 func checkAgainstOracle(t *testing.T, label string, addrs []int64) {
 	t.Helper()
-	want := oracleDistances(addrs)
-	for _, chunks := range []int{1, 2, 3, 7} {
-		got := Distances(addrs, chunks)
-		if len(addrs) == 0 {
-			if got != nil {
-				t.Fatalf("%s chunks=%d: non-nil result for empty input", label, chunks)
-			}
-			continue
+	got := Distances(addrs)
+	if len(addrs) == 0 {
+		if got != nil {
+			t.Fatalf("%s: non-nil result for empty input", label)
 		}
-		if !reflect.DeepEqual(got, want) {
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s chunks=%d: distance[%d] = %d, want %d (addr %d)",
-						label, chunks, i, got[i], want[i], addrs[i])
-				}
-			}
+		return
+	}
+	want := oracleDistances(addrs)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: distance[%d] = %d, want %d (addr %d)",
+				label, i, got[i], want[i], addrs[i])
 		}
 	}
 }
@@ -55,13 +51,13 @@ func checkAgainstOracle(t *testing.T, label string, addrs []int64) {
 func TestDistancesSmallHandChecked(t *testing.T) {
 	// The canonical example: a b c b a → distances ∞ ∞ ∞ 1 2.
 	addrs := []int64{10, 20, 30, 20, 10}
-	got := Distances(addrs, 1)
+	got := Distances(addrs)
 	want := []int64{Cold, Cold, Cold, 1, 2}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Distances = %v, want %v", got, want)
 	}
 	// Immediate repeat has distance 0.
-	if got := Distances([]int64{5, 5, 5}, 1); !reflect.DeepEqual(got, []int64{Cold, 0, 0}) {
+	if got := Distances([]int64{5, 5, 5}); !reflect.DeepEqual(got, []int64{Cold, 0, 0}) {
 		t.Fatalf("repeat distances = %v", got)
 	}
 }
@@ -142,7 +138,9 @@ func TestDistancesKernelWalks(t *testing.T) {
 	checkAgainstOracle(t, "kernel-walk", doubled)
 }
 
-func TestDistancesChunkedMatchesSequentialLong(t *testing.T) {
+// TestDistancesLongTraceAgainstOracle runs one trace long enough for the
+// splay tree to grow deep and rebalance many times.
+func TestDistancesLongTraceAgainstOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	addrs := make([]int64, 20000)
 	for i := range addrs {
@@ -153,12 +151,7 @@ func TestDistancesChunkedMatchesSequentialLong(t *testing.T) {
 			addrs[i] = r.Int63n(1 << 20)
 		}
 	}
-	want := Distances(addrs, 1)
-	for _, chunks := range []int{2, 4, 16, 37} {
-		if got := Distances(addrs, chunks); !reflect.DeepEqual(got, want) {
-			t.Fatalf("chunks=%d differs from sequential", chunks)
-		}
-	}
+	checkAgainstOracle(t, "long", addrs)
 }
 
 func TestHistogramAndMissEstimates(t *testing.T) {
@@ -205,7 +198,7 @@ func TestHistogramCDFMatchesMissEstimates(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = r.Int63n(700)
 	}
-	dists := Distances(addrs, 4)
+	dists := Distances(addrs)
 	var h Histogram
 	for _, d := range dists {
 		h.Add(d)

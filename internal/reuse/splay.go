@@ -1,7 +1,7 @@
 package reuse
 
 // An order-statistics splay tree over access timestamps — the classic
-// Parda/Olken structure for exact LRU stack distances. Keys are the
+// Olken structure for exact LRU stack distances. Keys are the
 // (unique) times of each address's most recent access; CountGreater
 // answers "how many distinct addresses were touched since time t" in
 // amortized O(log n) by summing right-subtree sizes on the search path.

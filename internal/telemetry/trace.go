@@ -19,7 +19,7 @@ const (
 	KindSend                // point-to-point send: Peer is the destination, Bytes the payload
 	KindRecv                // point-to-point receive: Dur is the time blocked waiting
 	KindBarrier             // barrier wait
-	KindReduce              // collective operation (reduce, bcast, gather, alltoall)
+	KindReduce              // collective operation (reduce, allreduce, bcast, gather)
 )
 
 // String returns the Chrome-trace category name for the kind.

@@ -26,7 +26,7 @@ func TestAnalyzeMachineInvariants(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			// Rank-skewed compute so one rank clearly straggles.
 			time.Sleep(time.Duration(proc.Rank()+1) * 300 * time.Microsecond)
-			proc.Send(next, "ring", []float64{float64(i)}, nil)
+			proc.Send(next, "ring", []float64{float64(i)})
 			proc.Recv(prev, "ring")
 			proc.Barrier()
 		}
