@@ -9,9 +9,6 @@ import (
 // BinOp combines the destination's current value with an incoming value.
 type BinOp func(old, incoming float64) float64
 
-// Replace is the assignment operator (Execute's behaviour).
-func Replace(_, incoming float64) float64 { return incoming }
-
 // Add accumulates into the destination.
 func Add(old, incoming float64) float64 { return old + incoming }
 

@@ -101,9 +101,6 @@ func TestExecuteWithMachineTooSmall(t *testing.T) {
 }
 
 func TestReplaceOp(t *testing.T) {
-	if Replace(5, 7) != 7 {
-		t.Error("Replace should return the incoming value")
-	}
 	if Add(5, 7) != 12 {
 		t.Error("Add wrong")
 	}

@@ -30,3 +30,39 @@ func BenchmarkGetSet(b *testing.B) {
 		a.Set(idx, a.Get(idx)+1)
 	}
 }
+
+// rectBenchCase is a 1024×1024 array over a 2×2 grid of cyclic(16) ×
+// cyclic(8), with a 3 × 5 strided section.
+func rectBenchCase() (*Array2D, section.Rect) {
+	g := dist.MustNewGrid(dist.MustNew(2, 16), dist.MustNew(2, 8))
+	a := MustNewArray2D(g, 1024, 1024)
+	rect, err := section.NewRect(section.MustNew(1, 1022, 3), section.MustNew(2, 1021, 5))
+	if err != nil {
+		panic(err)
+	}
+	return a, rect
+}
+
+// BenchmarkSumRect measures a warm 2-D strided sum.
+func BenchmarkSumRect(b *testing.B) {
+	a, rect := rectBenchCase()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := a.SumRect(rect); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFillRect measures a warm 2-D strided fill.
+func BenchmarkFillRect(b *testing.B) {
+	a, rect := rectBenchCase()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := a.FillRect(rect, 1.0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

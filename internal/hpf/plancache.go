@@ -3,6 +3,7 @@ package hpf
 import (
 	"fmt"
 
+	"repro/internal/dist"
 	"repro/internal/plancache"
 	"repro/internal/section"
 )
@@ -52,18 +53,25 @@ func SectionPlanCacheStats() plancache.Stats { return sectionPlanCache.Stats() }
 func ResetSectionPlanCache() { sectionPlanCache.Reset() }
 
 // cachedSectionPlans returns the memoized per-processor plans for the
-// section, building them on first use. A nil result (with nil error)
-// means the section is empty and there is nothing to do.
+// array's section, building them on first use. A nil result (with nil
+// error) means the section is empty and there is nothing to do.
 func (a *Array) cachedSectionPlans(sec section.Section) (*sectionPlans, error) {
+	return cachedSectionPlans(a.layout, a.n, sec)
+}
+
+// cachedSectionPlans returns the memoized plans of section sec of an
+// n-element dimension distributed by layout: one plan per processor of
+// the layout, indexed by its coordinate along that dimension.
+func cachedSectionPlans(layout dist.Layout, n int64, sec section.Section) (*sectionPlans, error) {
 	asc, _ := sec.Ascending()
 	if asc.Empty() {
 		return nil, nil
 	}
-	if asc.Lo < 0 || asc.Last() >= a.n {
-		return nil, fmt.Errorf("hpf: section %v outside array [0, %d)", sec, a.n)
+	if asc.Lo < 0 || asc.Last() >= n {
+		return nil, fmt.Errorf("hpf: section %v outside array [0, %d)", sec, n)
 	}
 	key := sectionKey{
-		p: a.layout.P(), k: a.layout.K(), n: a.n,
+		p: layout.P(), k: layout.K(), n: n,
 		lo: asc.Lo, hi: asc.Hi, stride: asc.Stride,
 	}
 	return sectionPlanCache.GetOrCompute(key, func() (*sectionPlans, error) {
@@ -71,6 +79,6 @@ func (a *Array) cachedSectionPlans(sec section.Section) (*sectionPlans, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &sectionPlans{plans: BuildPlans(ts, a.layout, asc)}, nil
+		return &sectionPlans{plans: BuildPlans(ts, layout, asc)}, nil
 	})
 }

@@ -93,17 +93,24 @@ func TestChaosCollectivesDropFailsStructured(t *testing.T) {
 }
 
 // TestChaosCrashDuringCollective: a rank crashing mid-collective must
-// poison every peer parked inside the collective's receives.
+// poison every peer parked inside the collective's receives. Step 3 is
+// rank 2's Send inside AllReduce's Reduce, while rank 0 is parked in
+// Recv(2, "__reduce"): only the poison wakes it, so a missing poison
+// shows up as a watchdog trip (the crash panic is reported either way).
 func TestChaosCrashDuringCollective(t *testing.T) {
 	m := MustNew(4)
-	m.SetFaults(&FaultPlan{Seed: 1, CrashRank: 2, CrashStep: 5})
+	m.SetFaults(&FaultPlan{Seed: 1, CrashRank: 2, CrashStep: 3})
+	trips := telWatchdogTrips.Value()
 	defer func() {
 		r := recover()
 		if r == nil {
 			t.Fatal("expected crash panic")
 		}
-		if !strings.Contains(r.(string), "rank 2 crashed at step 5") {
+		if !strings.Contains(r.(string), "rank 2 crashed at step 3") {
 			t.Errorf("panic %q should name the injected crash", r)
+		}
+		if got := telWatchdogTrips.Value(); got != trips {
+			t.Errorf("watchdog tripped %d times; the crash should have poisoned the parked peer", got-trips)
 		}
 	}()
 	for i := 0; i < 100; i++ {

@@ -202,12 +202,6 @@ func (s Span) EndLink(link uint64) {
 // spanCtxKey carries the current Span through a context.Context.
 type spanCtxKey struct{}
 
-// SpanFromContext returns the span stored in ctx, if any.
-func SpanFromContext(ctx context.Context) (Span, bool) {
-	s, ok := ctx.Value(spanCtxKey{}).(Span)
-	return s, ok
-}
-
 // StartSpan begins a span named name as a child of the span carried by
 // ctx (inheriting its trace ID; a fresh trace is minted when ctx has
 // none) and returns a derived context carrying the new span. When no

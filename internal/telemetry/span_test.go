@@ -101,8 +101,8 @@ func TestSpanRecordsAndParents(t *testing.T) {
 	if child.Context().TraceHi != root.Context().TraceHi || child.Context().TraceLo != root.Context().TraceLo {
 		t.Fatal("child did not inherit trace ID")
 	}
-	if got, ok := SpanFromContext(cctx); !ok || got.Context() != child.Context() {
-		t.Fatal("SpanFromContext did not return the child span")
+	if got, ok := cctx.Value(spanCtxKey{}).(Span); !ok || got.Context() != child.Context() {
+		t.Fatal("StartSpan did not store the child span in its context")
 	}
 	child.EndLink(0xdead)
 	root.End()

@@ -33,7 +33,7 @@ func TestAnalyzeMachineInvariants(t *testing.T) {
 		proc.AllReduce(float64(proc.Rank()), machine.Sum)
 	})
 
-	trace := FromTracer(tr)
+	trace := &Trace{Ranks: tr.Ranks(), Dropped: tr.Dropped(), Events: tr.Events()}
 	if trace.Dropped != 0 {
 		t.Fatalf("trace dropped %d events; enlarge the ring", trace.Dropped)
 	}

@@ -37,11 +37,6 @@ type Trace struct {
 	Events  []telemetry.Event
 }
 
-// FromTracer captures a live tracer's retained events as a Trace.
-func FromTracer(t *telemetry.Tracer) *Trace {
-	return &Trace{Ranks: t.Ranks(), Dropped: t.Dropped(), Events: t.Events()}
-}
-
 // RankBreakdown decomposes one rank's lifetime — the span from its
 // first to its last trace event — into exclusive components:
 // LifetimeNs = ComputeNs + SendNs + RecvWaitNs + BarrierWaitNs.
