@@ -9,24 +9,40 @@ import (
 	"repro/internal/section"
 )
 
-// BenchmarkNewPlan measures closed-form communication-set planning: all
-// (sender, receiver) transfer sets for a 100k-element strided copy
-// between different cyclic(k) distributions, with no per-element work.
+// BenchmarkNewPlan measures communication-set planning: all (sender,
+// receiver) transfer sets of a copy between different distributions.
+// The planner takes one step per transfer section, min(n, lcm of the two
+// position periods) of them: 2,048 for the strided copy, and one per
+// element (65,536) for block → cyclic(64), whose block side's period is
+// the whole array, and for cyclic(512) → cyclic(511), whose lcm period
+// is 4,186,112.
 func BenchmarkNewPlan(b *testing.B) {
-	dstL := dist.MustNew(32, 64)
-	srcL := dist.MustNew(32, 16)
-	n := int64(100_000)
-	dstSec := section.Section{Lo: 0, Hi: 3*n - 3, Stride: 3}
-	srcSec := section.Section{Lo: 5, Hi: 5 + 7*(n-1), Stride: 7}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		plan, err := NewPlan(dstL, 3*n, dstSec, srcL, 8*n, srcSec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if plan.TotalVolume() != n {
-			b.Fatalf("volume %d", plan.TotalVolume())
-		}
+	const whole = 65536
+	all := section.Section{Lo: 0, Hi: whole - 1, Stride: 1}
+	cases := []struct {
+		name           string
+		dstL, srcL     dist.Layout
+		dstN, srcN     int64
+		dstSec, srcSec section.Section
+	}{
+		{"strided", dist.MustNew(32, 64), dist.MustNew(32, 16), 300_000, 800_000,
+			section.Section{Lo: 0, Hi: 299_997, Stride: 3},
+			section.Section{Lo: 5, Hi: 5 + 7*99_999, Stride: 7}},
+		{"block-cyclic64", dist.MustNew(16, 64), dist.MustNew(16, whole/16), whole, whole, all, all},
+		{"cyclic512-cyclic511", dist.MustNew(16, 511), dist.MustNew(16, 512), whole, whole, all, all},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				plan, err := NewPlan(c.dstL, c.dstN, c.dstSec, c.srcL, c.srcN, c.srcSec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if plan.TotalVolume() != c.dstSec.Count() {
+					b.Fatalf("volume %d", plan.TotalVolume())
+				}
+			}
+		})
 	}
 }
 

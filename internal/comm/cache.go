@@ -13,8 +13,8 @@ import (
 // sets are (Section 6.1's amortization applied to the Section 7
 // communication problem). Executing a cached plan also reuses its
 // compiled pack/unpack strided runs, so iteration 2..N does no
-// planning, no intersection solving and no address arithmetic beyond
-// one add per strided load or store.
+// planning, no owner walk and no address arithmetic beyond one add per
+// strided load or store.
 
 // planKey identifies one 1-D communication pattern. Sections are keyed
 // by their (Lo, Hi, Stride) triplet verbatim; two spellings of the same

@@ -5,15 +5,14 @@
 // al. and Stichnoth et al.).
 //
 // Position t of the assignment pairs destination element dstSec(t) with
-// source element srcSec(t). The positions a processor owns on either side
-// form a union of at most k arithmetic progressions in t (one per block
-// offset, with common difference pk/gcd(|s|, pk)); the set of positions
-// processor q must send to processor r is the pairwise intersection of
-// q's source progressions with r's destination progressions, each
-// computed in closed form by the extended Euclidean algorithm (package
-// section's Intersect). No per-element scanning is involved in planning.
+// source element srcSec(t). On each side, the element's owner and block
+// offset repeat every P = pk/gcd(|s|, pk) positions, so the (source
+// owner, destination owner) pair of position t depends only on t mod
+// L = lcm(P_src, P_dst). Each residue class t mod L below n is one
+// transfer section, and the planner emits them in one pass over
+// min(n, L) positions: its work is one step per section it returns.
 //
-// Each intersection is also a constant-stride run in both local
+// Each transfer section is also a constant-stride run in both local
 // memories, so a plan compiles to one strided run per transfer section
 // (pack base and step on the source rank, unpack base and step on the
 // destination rank) and the executor packs and unpacks by walking runs,
@@ -35,9 +34,10 @@ import (
 )
 
 // Plan is the full communication schedule of one array assignment:
-// Transfers[q][r] lists, as sections over the position index t, the
-// elements processor q sends to processor r. Both sides traverse each
-// list in order, so packing and unpacking agree without extra metadata.
+// Transfers[q][r] lists, as sections over the position index t in
+// ascending order of first position, the elements processor q sends to
+// processor r. Both sides traverse each list in order, so packing and
+// unpacking agree without extra metadata.
 type Plan struct {
 	NDst, NSrc int64
 	DstSec     section.Section
@@ -113,11 +113,11 @@ func newExec(ndst int64, runs [][][]run) *planExec {
 }
 
 // compiled returns the plan's compiled runs, building them on first
-// use: one run per transfer section. A section's position stride is a
-// multiple of both sides' progression periods, so its consecutive
-// elements lie a whole number of layout rows apart at a fixed block
-// offset, and their local addresses advance by a constant step, read off
-// the section's first two positions. Concurrent builders race benignly:
+// use: one run per transfer section. A section of two or more positions
+// has stride lcm(P_src, P_dst), a multiple of both sides' position
+// periods, so its consecutive elements lie a whole number of layout rows
+// apart at a fixed block offset, and their local addresses advance by a
+// constant step, read off the section's first two positions. Concurrent builders race benignly:
 // both compute identical runs and the last store wins.
 func (p *Plan) compiled() *planExec {
 	if e := p.exec.Load(); e != nil {
@@ -258,28 +258,6 @@ func (e *planExec) unpackTraced(mem []float64, data []float64, q, r int64, op Bi
 	}
 }
 
-// OwnedPositions returns the arithmetic progressions of positions t in
-// [0, n) whose section element sec(t) = lo + t·stride is owned by
-// processor m of the layout. At most k progressions, found by solving one
-// congruence per block offset. This is the building block for every
-// structured communication/intersection set in this package.
-func OwnedPositions(l dist.Layout, sec section.Section, m, n int64) []section.Section {
-	pk := l.RowLen()
-	k := l.K()
-	d := intmath.GCD(sec.Stride, pk)
-	period := pk / d
-	var out []section.Section
-	for c := m * k; c < (m+1)*k; c++ {
-		t0, ok := intmath.SolveCongruence(sec.Stride, c-sec.Lo, pk)
-		if !ok || t0 >= n {
-			continue
-		}
-		last := t0 + (n-1-t0)/period*period
-		out = append(out, section.Section{Lo: t0, Hi: last, Stride: period})
-	}
-	return out
-}
-
 // NewPlan computes the communication schedule for dst(dstSec) = src(srcSec).
 // The two sections must have equal element counts and lie within their
 // arrays' bounds.
@@ -315,29 +293,25 @@ func NewPlan(dstLayout dist.Layout, dstN int64, dstSec section.Section,
 	for q := range p.Transfers {
 		p.Transfers[q] = make([][]section.Section, p.NDst)
 	}
-	if n == 0 {
-		return p, nil
+	// One transfer section per residue class t mod L below n (see the
+	// package comment). An lcm that overflows int64 exceeds n.
+	period := n
+	if l, err := intmath.LCM(positionPeriod(srcLayout, srcSec), positionPeriod(dstLayout, dstSec)); err == nil {
+		period = min(n, l)
 	}
-	srcProgs := make([][]section.Section, p.NSrc)
-	for q := int64(0); q < p.NSrc; q++ {
-		srcProgs[q] = OwnedPositions(srcLayout, srcSec, q, n)
-	}
-	dstProgs := make([][]section.Section, p.NDst)
-	for r := int64(0); r < p.NDst; r++ {
-		dstProgs[r] = OwnedPositions(dstLayout, dstSec, r, n)
-	}
-	for q := int64(0); q < p.NSrc; q++ {
-		for r := int64(0); r < p.NDst; r++ {
-			for _, sp := range srcProgs[q] {
-				for _, dp := range dstProgs[r] {
-					if common, ok := section.Intersect(sp, dp); ok {
-						p.Transfers[q][r] = append(p.Transfers[q][r], common)
-					}
-				}
-			}
-		}
+	for t := int64(0); t < period; t++ {
+		q := srcLayout.Owner(srcSec.Element(t))
+		r := dstLayout.Owner(dstSec.Element(t))
+		p.Transfers[q][r] = append(p.Transfers[q][r],
+			section.Section{Lo: t, Hi: t + (n-1-t)/period*period, Stride: period})
 	}
 	return p, nil
+}
+
+// positionPeriod returns pk/gcd(|s|, pk): every that many positions, the
+// section's element returns to the same owner and block offset.
+func positionPeriod(l dist.Layout, sec section.Section) int64 {
+	return l.RowLen() / intmath.GCD(sec.Stride, l.RowLen())
 }
 
 func checkBounds(sec section.Section, n int64) error {

@@ -8,47 +8,119 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/hpf"
+	"repro/internal/intmath"
 	"repro/internal/machine"
 	"repro/internal/section"
 )
 
-func TestOwnedPositionsCoverExactly(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 300; trial++ {
-		p := r.Int63n(5) + 1
-		k := r.Int63n(6) + 1
-		layout := dist.MustNew(p, k)
-		stride := r.Int63n(20) + 1
-		if r.Intn(2) == 0 {
-			stride = -stride
+// oracleSide returns a layout, an array length and a count-element
+// section in it: p ≤ 8, k up to 400 or a block layout, stride in
+// ±[1, 20].
+func oracleSide(r *rand.Rand, count int64) (dist.Layout, int64, section.Section) {
+	stride := r.Int63n(20) + 1
+	lo := r.Int63n(50)
+	sec := section.Section{Lo: lo, Hi: lo + (count-1)*stride, Stride: stride}
+	if r.Intn(2) == 0 {
+		sec = section.Section{Lo: sec.Hi, Hi: lo, Stride: -stride}
+	}
+	n := max(sec.Lo, sec.Hi) + 1 + r.Int63n(50)
+	p := r.Int63n(8) + 1
+	if r.Intn(3) == 0 {
+		l, err := dist.Block(p, n)
+		if err != nil {
+			panic(err)
 		}
-		lo := r.Int63n(200)
-		n := r.Int63n(100) + 1
-		sec := section.Section{Lo: lo, Hi: lo + (n-1)*stride, Stride: stride}
-		if sec.Count() != n {
-			t.Fatalf("test bug: count %d != %d", sec.Count(), n)
+		return l, n, sec
+	}
+	return dist.MustNew(p, r.Int63n(400)+1), n, sec
+}
+
+// TestPlanMatchesOwnerWalk checks NewPlan against a brute-force owner
+// walk over the positions, for random layouts (cyclic(k) with k up to
+// 400 and block, either stride sign, empty sections) and for a
+// whole-array cyclic(512) → cyclic(511) copy on 16 processors, whose lcm
+// period is far longer than the array. Every position t must be in
+// exactly one Transfers[q][r], with q the owner of srcSec(t) and r the
+// owner of dstSec(t), and each pair's sections in ascending order of
+// first position. There must be min(n, lcm(P_src, P_dst)) sections in
+// all, where P = pk/gcd(|s|, pk) is a side's position period: the
+// planner takes one step per section, so the count bounds its work. The
+// compiled runs must match the walk's local addresses.
+func TestPlanMatchesOwnerWalk(t *testing.T) {
+	period := func(l dist.Layout, sec section.Section) int64 {
+		return l.RowLen() / intmath.GCD(sec.Stride, l.RowLen())
+	}
+	// check returns whether the lcm period exceeds n.
+	check := func(dstL dist.Layout, dn int64, dstSec section.Section,
+		srcL dist.Layout, sn int64, srcSec section.Section) bool {
+		plan, err := NewPlan(dstL, dn, dstSec, srcL, sn, srcSec)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// Union over processors must partition [0, n).
-		covered := make([]int, n)
-		for m := int64(0); m < p; m++ {
-			for _, prog := range OwnedPositions(layout, sec, m, n) {
-				for _, tt := range prog.Slice() {
-					if tt < 0 || tt >= n {
-						t.Fatalf("position %d out of [0,%d)", tt, n)
+		n := dstSec.Count()
+		seen := make([]bool, n)
+		var sections int64
+		for q := int64(0); q < plan.NSrc; q++ {
+			for r := int64(0); r < plan.NDst; r++ {
+				for i, s := range plan.Transfers[q][r] {
+					if i > 0 && s.Lo <= plan.Transfers[q][r][i-1].Lo {
+						t.Fatalf("pair %d→%d: section %v follows %v", q, r, s, plan.Transfers[q][r][i-1])
 					}
-					if layout.Owner(sec.Element(tt)) != m {
-						t.Fatalf("position %d claimed by %d but owned by %d",
-							tt, m, layout.Owner(sec.Element(tt)))
+					sections++
+					for _, tt := range s.Slice() {
+						if tt < 0 || tt >= n || seen[tt] {
+							t.Fatalf("pair %d→%d: position %d out of [0, %d) or planned twice", q, r, tt, n)
+						}
+						seen[tt] = true
+						if so, do := srcL.Owner(srcSec.Element(tt)), dstL.Owner(dstSec.Element(tt)); so != q || do != r {
+							t.Fatalf("position %d planned %d→%d, owners are %d→%d", tt, q, r, so, do)
+						}
 					}
-					covered[tt]++
 				}
 			}
 		}
-		for tt, c := range covered {
-			if c != 1 {
-				t.Fatalf("position %d covered %d times", tt, c)
+		for tt, ok := range seen {
+			if !ok {
+				t.Fatalf("position %d is in no transfer", tt)
 			}
 		}
+		lcm, err := intmath.LCM(period(srcL, srcSec), period(dstL, dstSec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := min(n, lcm); sections != want {
+			t.Fatalf("%d sections, want min(n = %d, lcm = %d) = %d", sections, n, lcm, want)
+		}
+		moves := make([]move, n)
+		for i := range moves {
+			gs, gd := srcSec.Element(int64(i)), dstSec.Element(int64(i))
+			moves[i] = move{srcL.Owner(gs), srcL.Local(gs), dstL.Owner(gd), dstL.Local(gd)}
+		}
+		checkRuns(t, plan.compiled(), moves)
+		return lcm > n
+	}
+	r := rand.New(rand.NewSource(4))
+	var short, long int
+	for trial := 0; trial < 300; trial++ {
+		count := r.Int63n(3000)
+		if trial%10 == 0 {
+			count = 0
+		}
+		dstL, dn, dstSec := oracleSide(r, count)
+		srcL, sn, srcSec := oracleSide(r, count)
+		if check(dstL, dn, dstSec, srcL, sn, srcSec) {
+			long++
+		} else if count > 0 {
+			short++
+		}
+	}
+	if short == 0 || long == 0 {
+		t.Fatalf("trials cover lcm ≤ n %d times and lcm > n %d times", short, long)
+	}
+	const n = 65536
+	whole := section.MustNew(0, n-1, 1)
+	if !check(dist.MustNew(16, 511), n, whole, dist.MustNew(16, 512), n, whole) {
+		t.Fatal("cyclic(512) → cyclic(511): lcm period within n")
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package intmath provides the integer arithmetic underlying block-cyclic
 // address generation: Euclidean (floor-style, always-nonnegative-remainder)
 // division, greatest common divisors, the extended Euclidean algorithm, and
-// solvers for linear Diophantine equations and congruences.
+// a solver for linear congruences.
 //
 // All routines operate on int64 and are deterministic. Where intermediate
 // products could overflow (e.g. solving a·x ≡ b (mod n) with large a, n),
@@ -188,41 +188,6 @@ func MulModBig(a, b, n int64) int64 {
 		b >>= 1
 	}
 	return acc
-}
-
-// Diophantine describes the solution set of a linear Diophantine equation
-// a·x + b·y = c: X0, Y0 is one particular solution and the full set is
-// { (X0 + t·StepX, Y0 - t·StepY) : t ∈ Z }.
-type Diophantine struct {
-	X0, Y0       int64
-	StepX, StepY int64
-}
-
-// SolveDiophantine solves a·x + b·y = c over the integers. It reports
-// ok = false when no solution exists (c not divisible by GCD(a, b)) and
-// errors when a == b == 0 with c != 0 or when scaling the Bézout solution
-// overflows.
-func SolveDiophantine(a, b, c int64) (sol Diophantine, ok bool, err error) {
-	if a == 0 && b == 0 {
-		if c == 0 {
-			return Diophantine{}, true, nil
-		}
-		return Diophantine{}, false, nil
-	}
-	d, x, y := ExtGCD(a, b)
-	if FloorMod(c, d) != 0 {
-		return Diophantine{}, false, nil
-	}
-	scale := c / d
-	x0, err := MulChecked(x, scale)
-	if err != nil {
-		return Diophantine{}, false, err
-	}
-	y0, err := MulChecked(y, scale)
-	if err != nil {
-		return Diophantine{}, false, err
-	}
-	return Diophantine{X0: x0, Y0: y0, StepX: b / d, StepY: a / d}, true, nil
 }
 
 // SolveCongruence finds the smallest nonnegative x with a·x ≡ c (mod n).

@@ -213,37 +213,6 @@ func TestMulModBigHuge(t *testing.T) {
 	}
 }
 
-func TestSolveDiophantine(t *testing.T) {
-	// 9x + 32y = 5 has solutions since gcd = 1.
-	sol, ok, err := SolveDiophantine(9, 32, 5)
-	if err != nil || !ok {
-		t.Fatalf("SolveDiophantine(9,32,5): ok=%v err=%v", ok, err)
-	}
-	if 9*sol.X0+32*sol.Y0 != 5 {
-		t.Errorf("particular solution wrong: %+v", sol)
-	}
-	// Check a few points of the family.
-	for _, tt := range []int64{-3, -1, 0, 1, 5} {
-		x := sol.X0 + tt*sol.StepX
-		y := sol.Y0 - tt*sol.StepY
-		if 9*x+32*y != 5 {
-			t.Errorf("family member t=%d fails: x=%d y=%d", tt, x, y)
-		}
-	}
-	// 4x + 6y = 3 has no solution (gcd 2 does not divide 3).
-	_, ok, err = SolveDiophantine(4, 6, 3)
-	if err != nil || ok {
-		t.Errorf("SolveDiophantine(4,6,3): ok=%v err=%v, want no solution", ok, err)
-	}
-	// Degenerate: 0x + 0y = 0 is trivially solvable; = 1 is not.
-	if _, ok, _ = SolveDiophantine(0, 0, 0); !ok {
-		t.Error("0x+0y=0 should be solvable")
-	}
-	if _, ok, _ = SolveDiophantine(0, 0, 1); ok {
-		t.Error("0x+0y=1 should not be solvable")
-	}
-}
-
 func TestSolveCongruence(t *testing.T) {
 	// The paper's start-location computation: smallest j >= 0 with
 	// 9j ≡ i (mod 32) for i = 4..11 (p=4, k=8, l=4, m=1).

@@ -17,17 +17,6 @@ func ExampleSection() {
 	// contains 22: true
 }
 
-// Intersections of regular sections are regular sections, computed in
-// closed form — the primitive behind structured communication sets.
-func ExampleIntersect() {
-	a := section.MustNew(1, 100, 6) // 1, 7, 13, ...
-	b := section.MustNew(3, 100, 4) // 3, 7, 11, ...
-	common, ok := section.Intersect(a, b)
-	fmt.Println(ok, common)
-	// Output:
-	// true 7:91:12
-}
-
 // Descending sections normalize to ascending element sets.
 func ExampleSection_Ascending() {
 	d := section.MustNew(40, 4, -9)

@@ -155,45 +155,6 @@ func (s Section) ClampTo(lo, hi int64) Section {
 	return out
 }
 
-// Intersect returns the section whose element set is the intersection of a
-// and b, traversed in a's direction. ok is false when the intersection is
-// empty. Both sections' element sets are arithmetic progressions, so the
-// intersection is one too (possibly a single element).
-func Intersect(a, b Section) (Section, bool) {
-	aa, arev := a.Ascending()
-	bb, _ := b.Ascending()
-	if aa.Empty() || bb.Empty() {
-		return Section{}, false
-	}
-	// Solve aa.Lo + x*aa.Stride == bb.Lo + y*bb.Stride.
-	sol, ok, err := intmath.SolveDiophantine(aa.Stride, -bb.Stride, bb.Lo-aa.Lo)
-	if err != nil || !ok {
-		return Section{}, false
-	}
-	step, lcmErr := intmath.LCM(aa.Stride, bb.Stride)
-	if lcmErr != nil {
-		return Section{}, false
-	}
-	// One common element: aa.Lo + x0*aa.Stride; all others differ by step.
-	common := aa.Lo + sol.X0*aa.Stride
-	// Find the smallest common element >= max(aa.Lo, bb.Lo).
-	lo := max(aa.Lo, bb.Lo)
-	hi := min(aa.Hi, bb.Hi)
-	if lo > hi {
-		return Section{}, false
-	}
-	first := common + intmath.CeilDiv(lo-common, step)*step
-	if first > hi {
-		return Section{}, false
-	}
-	last := common + intmath.FloorDiv(hi-common, step)*step
-	out := Section{Lo: first, Hi: last, Stride: step}
-	if arev {
-		out = Section{Lo: last, Hi: first, Stride: -step}
-	}
-	return out, true
-}
-
 // Shift translates every element by delta, preserving stride and order.
 func (s Section) Shift(delta int64) Section {
 	return Section{Lo: s.Lo + delta, Hi: s.Hi + delta, Stride: s.Stride}

@@ -1,7 +1,6 @@
 package section
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -138,95 +137,6 @@ func TestClampTo(t *testing.T) {
 	c3 := s.ClampTo(-100, 1000)
 	if !reflect.DeepEqual(c3.Slice(), s.Slice()) {
 		t.Errorf("wide ClampTo changed elements: %v", c3.Slice())
-	}
-}
-
-func TestIntersectBasic(t *testing.T) {
-	a := MustNew(0, 100, 6)
-	b := MustNew(0, 100, 4)
-	got, ok := Intersect(a, b)
-	if !ok {
-		t.Fatal("intersection should be non-empty")
-	}
-	want := []int64{0, 12, 24, 36, 48, 60, 72, 84, 96}
-	if !reflect.DeepEqual(got.Slice(), want) {
-		t.Errorf("Intersect = %v, want %v", got.Slice(), want)
-	}
-}
-
-func TestIntersectPhase(t *testing.T) {
-	a := MustNew(1, 100, 6) // 1, 7, 13, ...
-	b := MustNew(3, 100, 4) // 3, 7, 11, ...
-	got, ok := Intersect(a, b)
-	if !ok {
-		t.Fatal("should intersect")
-	}
-	// common elements ≡ 7 (mod 12)
-	want := []int64{7, 19, 31, 43, 55, 67, 79, 91}
-	if !reflect.DeepEqual(got.Slice(), want) {
-		t.Errorf("Intersect = %v, want %v", got.Slice(), want)
-	}
-}
-
-func TestIntersectEmpty(t *testing.T) {
-	a := MustNew(0, 100, 2) // evens
-	b := MustNew(1, 99, 2)  // odds
-	if _, ok := Intersect(a, b); ok {
-		t.Error("evens ∩ odds should be empty")
-	}
-	// Disjoint ranges.
-	c := MustNew(0, 10, 1)
-	d := MustNew(20, 30, 1)
-	if _, ok := Intersect(c, d); ok {
-		t.Error("disjoint ranges should not intersect")
-	}
-	// Empty input.
-	e := MustNew(5, 4, 1)
-	if _, ok := Intersect(c, e); ok {
-		t.Error("intersection with empty should be empty")
-	}
-}
-
-func TestIntersectDirectionFollowsA(t *testing.T) {
-	// a's elements are 100, 94, …, 4 (≡ 4 mod 6); b's are ≡ 0 mod 4.
-	// Common: ≡ 4 mod 12, traversed descending like a.
-	a := MustNew(100, 0, -6)
-	b := MustNew(0, 100, 4)
-	got, ok := Intersect(a, b)
-	if !ok {
-		t.Fatal("should intersect")
-	}
-	want := []int64{100, 88, 76, 64, 52, 40, 28, 16, 4}
-	if !reflect.DeepEqual(got.Slice(), want) {
-		t.Errorf("Intersect = %v, want %v", got.Slice(), want)
-	}
-}
-
-func TestIntersectAgainstBruteForce(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 500; trial++ {
-		a := MustNew(r.Int63n(40)-20, r.Int63n(200)-20, r.Int63n(12)+1)
-		b := MustNew(r.Int63n(40)-20, r.Int63n(200)-20, r.Int63n(12)+1)
-		want := map[int64]bool{}
-		for _, x := range a.Slice() {
-			if b.Contains(x) {
-				want[x] = true
-			}
-		}
-		got, ok := Intersect(a, b)
-		if ok != (len(want) > 0) {
-			t.Fatalf("a=%v b=%v: ok=%v, brute size %d", a, b, ok, len(want))
-		}
-		if !ok {
-			continue
-		}
-		gotSet := map[int64]bool{}
-		for _, x := range got.Slice() {
-			gotSet[x] = true
-		}
-		if !reflect.DeepEqual(gotSet, want) {
-			t.Fatalf("a=%v b=%v: got %v, want %v", a, b, got.Slice(), want)
-		}
 	}
 }
 
