@@ -197,6 +197,38 @@ func TestLintSARIF(t *testing.T) {
 	}
 }
 
+// TestLintSARIFEveryScript lints each analysis fixture and example
+// script with -sarif: the exit status must be 1 exactly when the
+// script's golden holds an error (scripts without a golden lint clean or
+// with warnings only), and the output must be valid JSON.
+func TestLintSARIFEveryScript(t *testing.T) {
+	var scripts []string
+	for _, pattern := range []string{"../../internal/analysis/testdata/*.hpf", "../../examples/scripts/*.hpf"} {
+		matches, err := filepath.Glob(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scripts = append(scripts, matches...)
+	}
+	if len(scripts) < 20 {
+		t.Fatalf("found only %d scripts", len(scripts))
+	}
+	for _, script := range scripts {
+		want := 0
+		if golden, err := os.ReadFile(strings.TrimSuffix(script, ".hpf") + ".golden"); err == nil &&
+			strings.Contains(string(golden), "error[") {
+			want = 1
+		}
+		var out, errOut strings.Builder
+		if code := run([]string{"-sarif", script}, nil, &out, &errOut); code != want {
+			t.Errorf("%s: exit %d, want %d (stderr %q)", script, code, want, errOut.String())
+		}
+		if !json.Valid([]byte(out.String())) {
+			t.Errorf("%s: invalid SARIF:\n%s", script, out.String())
+		}
+	}
+}
+
 func TestLintFix(t *testing.T) {
 	src := `processors P(4)
 array A(64) distribute cyclic(4) onto P

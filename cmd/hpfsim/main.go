@@ -16,7 +16,7 @@
 // Before the machine starts, the demo workload is rendered as a
 // mini-HPF script and run through the hpflint analysis passes; findings
 // (for example the cross-distribution copy's HPF010) are printed to
-// stderr as a pre-flight report. -nocheck skips it.
+// stderr as a pre-flight report.
 package main
 
 import (
@@ -53,13 +53,12 @@ func main() {
 		pprof    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		faults   = flag.String("faults", "", "inject seeded message faults: seed=<n>,drop=<p>,dup=<p>,reorder=<p>,delay=<p>[:<dur>],crash=<rank>@<step>")
 		deadline = flag.Duration("deadline", 0, "per-receive deadline: a Recv blocked longer than this fails the run instead of hanging")
-		nocheck  = flag.Bool("nocheck", false, "skip the static pre-flight analysis of the workload")
 	)
 	flag.Parse()
 	cfg := config{P: *p, K: *k, K2: *k2, N: *n,
 		TracePath: *trace, Metrics: *metrics, PprofAddr: *pprof,
 		HTTPAddr: *httpAddr, Linger: *linger,
-		FaultSpec: *faults, Deadline: *deadline, NoCheck: *nocheck}
+		FaultSpec: *faults, Deadline: *deadline}
 	if err := runConfig(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "hpfsim:", err)
 		os.Exit(1)
@@ -75,7 +74,6 @@ type config struct {
 	Linger      time.Duration
 	FaultSpec   string
 	Deadline    time.Duration
-	NoCheck     bool
 
 	// afterRun, when set, is called with the -http server's bound
 	// address after the workload finishes but before the linger sleep
@@ -152,9 +150,7 @@ func runConfig(cfg config) error {
 		telemetry.StartTracing(int(cfg.P), traceCapacity)
 		defer telemetry.StopTracing()
 	}
-	if !cfg.NoCheck {
-		preflight(cfg, os.Stderr)
-	}
+	preflight(cfg, os.Stderr)
 	runErr := run(cfg, faults)
 	if httpLn != nil && runErr == nil {
 		if cfg.afterRun != nil {
@@ -227,7 +223,7 @@ func preflight(cfg config, w io.Writer) {
 	if len(diags) == 0 {
 		return
 	}
-	fmt.Fprintln(w, "pre-flight: hpflint findings on the workload script (-nocheck to skip):")
+	fmt.Fprintln(w, "pre-flight: hpflint findings on the workload script:")
 	for _, d := range diags {
 		fmt.Fprintf(w, "pre-flight: workload.hpf:%s\n", d)
 	}

@@ -37,9 +37,6 @@ func TestPreflightReportsCrossDistributionCopy(t *testing.T) {
 	if !strings.Contains(out, "HPF010") {
 		t.Errorf("pre-flight should flag the cyclic(8)->cyclic(5) copy:\n%s", out)
 	}
-	if !strings.Contains(out, "-nocheck") {
-		t.Errorf("pre-flight should mention the opt-out flag:\n%s", out)
-	}
 	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
 		if !strings.HasPrefix(line, "pre-flight:") {
 			t.Errorf("unprefixed pre-flight line %q", line)
@@ -226,7 +223,7 @@ func TestUnwritableTracePath(t *testing.T) {
 // workload runs, so an unusable address is a startup error naming the
 // flag — not an async complaint after the machine started.
 func TestBadPprofAddrFailsFast(t *testing.T) {
-	err := runConfig(config{P: 2, K: 4, K2: 3, N: 64, NoCheck: true,
+	err := runConfig(config{P: 2, K: 4, K2: 3, N: 64,
 		PprofAddr: "256.256.256.256:1"})
 	if err == nil {
 		t.Fatal("unusable -pprof address should fail the run")
@@ -240,7 +237,7 @@ func TestBadPprofAddrFailsFast(t *testing.T) {
 // binds synchronously (the old ListenAndServe goroutine could not
 // report its bound port at all).
 func TestPprofAnyPort(t *testing.T) {
-	err := runConfig(config{P: 2, K: 4, K2: 3, N: 64, NoCheck: true,
+	err := runConfig(config{P: 2, K: 4, K2: 3, N: 64,
 		PprofAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)

@@ -13,14 +13,18 @@
 //   - section copies between incompatible cyclic(k) layouts, which force
 //     all-to-all communication (HPF010)
 //   - table statements naming processors outside the arrangement (HPF012)
+//   - communication and computation nobody observes: redundant and dead
+//     redistributes, dead stores, reads before any write, layout
+//     suggestions and the whole-script communication budget
+//     (HPF013–HPF018)
 //
 // The analyzer tracks the *current* distribution of every array across
 // redistribute statements, so layout-sensitive checks apply to the
 // layout an array will actually have when a statement runs.
 //
-// Checks are organized as composable passes (see Pass); Analyze runs
-// DefaultPasses over each statement in order, updating the symbol table
-// between statements.
+// Analyze walks a script once, in order, running every check on each
+// statement before the symbol table absorbs it; the waste checks also
+// read what next observes each write from one backward scan made first.
 package analysis
 
 import (
@@ -47,13 +51,14 @@ type ArrayInfo struct {
 	DeclPos ast.Pos
 	Extents []int64  // per-dimension sizes; len is the rank (1 or 2)
 	Layouts []Layout // per-dimension current distribution
+	def     DefState // how much has been written so far
 }
 
 // Rank returns the array's dimensionality.
 func (a *ArrayInfo) Rank() int { return len(a.Extents) }
 
 // Checker carries the symbol table and accumulated diagnostics while
-// passes walk a script.
+// Analyze walks a script.
 type Checker struct {
 	diags    []Diagnostic
 	flatName string
@@ -72,54 +77,41 @@ func (c *Checker) Report(code string, sev Severity, pos ast.Pos, msg string) {
 // Array returns the symbol-table entry for name, or nil.
 func (c *Checker) Array(name string) *ArrayInfo { return c.arrays[name] }
 
-// Pass is one composable analysis. Check, if set, is called once per
-// statement, in script order, before the symbol table absorbs that
-// statement. Finish, if set, is called once after the whole script has
-// been walked — whole-script passes (the dataflow diagnostics) live
-// there, with the final symbol table at their disposal.
-type Pass struct {
-	Name   string
-	Check  func(c *Checker, st ast.Stmt)
-	Finish func(c *Checker, sc *ast.Script)
-}
-
-// DefaultPasses returns the standard pass list in reporting order.
-func DefaultPasses() []Pass {
-	return []Pass{
-		{Name: "decls", Check: checkDecls},
-		{Name: "bounds", Check: checkBounds},
-		{Name: "shape", Check: checkShape},
-		{Name: "overflow", Check: checkOverflow},
-		{Name: "commcost", Check: checkCommCost},
-		{Name: "dataflow", Finish: checkDataflow},
-	}
-}
-
-// Analyze runs the given passes (DefaultPasses when none are given) over
-// a parsed script and returns the diagnostics sorted by position.
-func Analyze(sc *ast.Script, passes ...Pass) []Diagnostic {
-	if len(passes) == 0 {
-		passes = DefaultPasses()
-	}
+// Analyze checks a parsed script and returns the diagnostics sorted by
+// position. Each statement is checked against the symbol table as it
+// stands before that statement, then absorbed into it.
+func Analyze(sc *ast.Script) []Diagnostic {
 	c := &Checker{
 		grids:  map[string][]int64{},
 		arrays: map[string]*ArrayInfo{},
 	}
-	for _, st := range sc.Stmts {
-		for _, p := range passes {
-			if p.Check != nil {
-				p.Check(c, st)
-			}
-		}
+	w := &wasteWalker{c: c}
+	after := observations(sc.Stmts, firstDecls(sc.Stmts))
+	for i, st := range sc.Stmts {
+		checkDecls(c, st)
+		checkBounds(c, st)
+		checkShape(c, st)
+		checkOverflow(c, st)
+		checkCommCost(c, st)
+		w.visit(st, after[i])
 		c.track(st)
 	}
-	for _, p := range passes {
-		if p.Finish != nil {
-			p.Finish(c, sc)
-		}
-	}
+	w.reportBudget()
 	sortDiags(c.diags)
 	return c.diags
+}
+
+// firstDecls maps each array name to the extents of its first
+// declaration anywhere in the script, so a read before the declaration
+// still counts as an observation.
+func firstDecls(stmts []ast.Stmt) func(string) *ArrayInfo {
+	decls := map[string]*ArrayInfo{}
+	for _, st := range stmts {
+		if d, ok := st.(*ast.ArrayDecl); ok && decls[d.Name] == nil {
+			decls[d.Name] = &ArrayInfo{Name: d.Name, Extents: d.Extents}
+		}
+	}
+	return func(name string) *ArrayInfo { return decls[name] }
 }
 
 // AnalyzeSource parses src (collecting every line's syntax error as an
@@ -150,8 +142,9 @@ func sortDiags(diags []Diagnostic) {
 	})
 }
 
-// track updates the symbol table with a statement's declarations and
-// redistributions. It never reports; the decls pass does.
+// track updates the symbol table with a statement's declarations,
+// redistributions and writes. It is the only code that changes an
+// array's layout or definedness, and it never reports; checkDecls does.
 func (c *Checker) track(st ast.Stmt) {
 	switch s := st.(type) {
 	case *ast.Processors:
@@ -190,6 +183,16 @@ func (c *Checker) track(st ast.Stmt) {
 			return
 		}
 		info.Layouts[0] = resolveLayout(s.Dist, info.Layouts[0].P, info.Extents[0])
+	default:
+		_, writes := effects(c.Array, st)
+		for _, w := range writes {
+			info := c.arrays[w.name]
+			if w.full {
+				info.def = DefFull
+			} else if info.def == DefUnwritten {
+				info.def = DefPartial
+			}
+		}
 	}
 }
 

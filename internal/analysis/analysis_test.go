@@ -237,28 +237,6 @@ sum U(0:7, 0:11)
 	}
 }
 
-// TestComposablePasses runs a single pass in isolation.
-func TestComposablePasses(t *testing.T) {
-	sc, err := ast.Parse(`
-processors P(4)
-array A(64) distribute cyclic(4) onto P
-A(0:99) = 1.0
-B(0:5) = 2.0
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boundsOnly := Analyze(sc, Pass{Name: "bounds", Check: checkBounds})
-	for _, d := range boundsOnly {
-		if d.Code != CodeBounds {
-			t.Errorf("bounds-only run leaked %v", d)
-		}
-	}
-	if len(boundsOnly) != 1 {
-		t.Errorf("want 1 bounds diagnostic, got %v", boundsOnly)
-	}
-}
-
 // TestCascadeSuppression: one unknown array should not drown the report
 // in follow-on diagnostics from other passes.
 func TestCascadeSuppression(t *testing.T) {

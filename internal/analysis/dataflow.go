@@ -5,152 +5,15 @@ import (
 	"repro/internal/section"
 )
 
-// This file is the dataflow framework: a generic worklist solver over the
-// CFG of cfg.go, plus the two concrete problems the HPF013–HPF018 passes
-// consume — a forward definedness-and-layout analysis and a backward
-// liveness analysis. Both lattices track, per array, the states the
-// paper's access-sequence machinery makes statically decidable:
-// {unwritten, written, live, dead} × the current cyclic(k) Layout.
-
-// Direction says which way facts propagate through the CFG.
-type Direction int
-
-const (
-	Forward Direction = iota
-	Backward
-)
-
-// Problem describes one dataflow analysis over facts of type F. Transfer
-// must treat its input as immutable (clone-on-write or pure); Join must
-// be monotone for the fixed point to terminate.
-type Problem[F any] struct {
-	Dir      Direction
-	Boundary func() F // fact at entry (Forward) or exit (Backward)
-	Init     func() F // initial fact for all other blocks (bottom)
-	Transfer func(F, ast.Stmt) F
-	Join     func(a, b F) F
-	Equal    func(a, b F) bool
-}
-
-// Solution holds the per-block fixed point: In[b] is the fact at the top
-// of block b, Out[b] at the bottom (in control-flow order, regardless of
-// direction).
-type Solution[F any] struct {
-	In, Out []F
-}
-
-// Solve iterates the problem to a fixed point with a worklist seeded in
-// reverse post-order (forward) or post-order (backward). Straight-line
-// scripts converge in a single pass; graphs with back edges (FORALL)
-// iterate until facts stabilize.
-func Solve[F any](g *CFG, p Problem[F]) *Solution[F] {
-	n := len(g.Blocks)
-	sol := &Solution[F]{In: make([]F, n), Out: make([]F, n)}
-	for i := 0; i < n; i++ {
-		sol.In[i] = p.Init()
-		sol.Out[i] = p.Init()
-	}
-
-	var order []int
-	if p.Dir == Forward {
-		order = g.ReversePostOrder()
-		sol.In[g.Entry] = p.Boundary()
-	} else {
-		order = g.PostOrder()
-		sol.Out[g.Exit] = p.Boundary()
-	}
-
-	inList := make([]bool, n)
-	work := append([]int(nil), order...)
-	for _, b := range work {
-		inList[b] = true
-	}
-	for len(work) > 0 {
-		b := work[0]
-		work = work[1:]
-		inList[b] = false
-		blk := g.Blocks[b]
-
-		if p.Dir == Forward {
-			if len(blk.Preds) > 0 {
-				acc := sol.Out[blk.Preds[0]]
-				for _, pr := range blk.Preds[1:] {
-					acc = p.Join(acc, sol.Out[pr])
-				}
-				sol.In[b] = acc
-			}
-			out := sol.In[b]
-			for _, st := range blk.Stmts {
-				out = p.Transfer(out, st)
-			}
-			if !p.Equal(out, sol.Out[b]) {
-				sol.Out[b] = out
-				for _, s := range blk.Succs {
-					if !inList[s] {
-						work = append(work, s)
-						inList[s] = true
-					}
-				}
-			}
-		} else {
-			if len(blk.Succs) > 0 {
-				acc := sol.In[blk.Succs[0]]
-				for _, su := range blk.Succs[1:] {
-					acc = p.Join(acc, sol.In[su])
-				}
-				sol.Out[b] = acc
-			}
-			in := sol.Out[b]
-			for i := len(blk.Stmts) - 1; i >= 0; i-- {
-				in = p.Transfer(in, blk.Stmts[i])
-			}
-			if !p.Equal(in, sol.In[b]) {
-				sol.In[b] = in
-				for _, pr := range blk.Preds {
-					if !inList[pr] {
-						work = append(work, pr)
-						inList[pr] = true
-					}
-				}
-			}
-		}
-	}
-	return sol
-}
-
-// VisitForward walks every statement in control-flow order, calling visit
-// with the fact holding immediately *before* each statement.
-func VisitForward[F any](g *CFG, p Problem[F], sol *Solution[F], visit func(before F, st ast.Stmt)) {
-	for _, b := range g.ReversePostOrder() {
-		fact := sol.In[b]
-		for _, st := range g.Blocks[b].Stmts {
-			visit(fact, st)
-			fact = p.Transfer(fact, st)
-		}
-	}
-}
-
-// VisitBackward walks every statement in control-flow order, calling
-// visit with the fact holding immediately *after* each statement.
-func VisitBackward[F any](g *CFG, p Problem[F], sol *Solution[F], visit func(after F, st ast.Stmt)) {
-	for _, b := range g.ReversePostOrder() {
-		blk := g.Blocks[b]
-		// Facts after each statement, recovered by transferring from the
-		// block's bottom fact upward.
-		after := make([]F, len(blk.Stmts))
-		fact := sol.Out[b]
-		for i := len(blk.Stmts) - 1; i >= 0; i-- {
-			after[i] = fact
-			fact = p.Transfer(fact, blk.Stmts[i])
-		}
-		for i, st := range blk.Stmts {
-			visit(after[i], st)
-		}
-	}
-}
+// This file holds the facts the HPF013–HPF018 checks read. A script is
+// straight-line code, so both come from linear scans: the forward facts
+// (each array's current layout and how much of it has been written) are
+// the Checker's own symbol table as Analyze walks the script, and the
+// backward facts (what next observes the array a statement writes or
+// redistributes) come from one reverse scan, observations.
 
 // ---------------------------------------------------------------------------
-// Statement effects: the def/use sets the concrete problems share.
+// Statement effects: the def/use sets both scans share.
 
 // secRef is a resolved reference: the array name plus the normalized
 // (ascending) per-dimension sections it selects. full reports whether the
@@ -163,7 +26,7 @@ type secRef struct {
 
 // resolveRef normalizes a reference against the declared extents, or
 // returns ok=false when the array is unknown, the rank mismatches, or a
-// stride is zero (all reported by the statement-local passes).
+// stride is zero (all reported by the statement-local checks).
 func resolveRef(info *ArrayInfo, ref *ast.Ref) (secRef, bool) {
 	if info == nil {
 		return secRef{}, false
@@ -222,7 +85,7 @@ func (a secRef) coveredBy(b secRef) bool {
 // Lookup maps a name to its declaration info (nil for undeclared names,
 // which are skipped — HPF003 already fired). The table statement counts
 // as a read: it observes the array's layout, which is exactly what the
-// dead-redistribute pass must not miss.
+// dead-redistribute check must not miss.
 func effects(lookup func(string) *ArrayInfo, st ast.Stmt) (reads, writes []secRef) {
 	add := func(list []secRef, ref *ast.Ref) []secRef {
 		if r, ok := resolveRef(lookup(ref.Name), ref); ok {
@@ -254,10 +117,7 @@ func effects(lookup func(string) *ArrayInfo, st ast.Stmt) (reads, writes []secRe
 	return reads, writes
 }
 
-// ---------------------------------------------------------------------------
-// Forward problem: definedness × current layout.
-
-// DefState is the write-progress half of the array lattice.
+// DefState says how much of an array has been written so far.
 type DefState uint8
 
 const (
@@ -266,208 +126,11 @@ const (
 	DefFull                      // every element written
 )
 
-// joinDef merges definedness along two paths.
-func joinDef(a, b DefState) DefState {
-	if a == b {
-		return a
-	}
-	return DefPartial
-}
-
-// arrayFlow is one array's forward fact: how much of it has been written
-// and the layout it currently has.
-type arrayFlow struct {
-	info    *ArrayInfo
-	def     DefState
-	layouts []Layout
-}
-
-// flowState is the whole forward fact: the symbol environment as of a
-// program point. It is persistent-by-copy: transfer clones before
-// mutating, so facts at different points never alias.
-type flowState struct {
-	flatName string
-	flatP    int64
-	grids    map[string][]int64
-	arrays   map[string]*arrayFlow
-}
-
-func newFlowState() *flowState {
-	return &flowState{
-		grids:  map[string][]int64{},
-		arrays: map[string]*arrayFlow{},
-	}
-}
-
-func (f *flowState) clone() *flowState {
-	c := &flowState{flatName: f.flatName, flatP: f.flatP,
-		grids:  make(map[string][]int64, len(f.grids)),
-		arrays: make(map[string]*arrayFlow, len(f.arrays))}
-	for k, v := range f.grids {
-		c.grids[k] = v
-	}
-	for k, v := range f.arrays {
-		av := *v
-		av.layouts = append([]Layout(nil), v.layouts...)
-		c.arrays[k] = &av
-	}
-	return c
-}
-
-func (f *flowState) equal(g *flowState) bool {
-	if f.flatName != g.flatName || f.flatP != g.flatP ||
-		len(f.grids) != len(g.grids) || len(f.arrays) != len(g.arrays) {
-		return false
-	}
-	for k := range f.grids {
-		if _, ok := g.grids[k]; !ok {
-			return false
-		}
-	}
-	for k, a := range f.arrays {
-		b, ok := g.arrays[k]
-		if !ok || a.def != b.def || len(a.layouts) != len(b.layouts) {
-			return false
-		}
-		for d := range a.layouts {
-			if a.layouts[d] != b.layouts[d] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// join merges two forward facts: definedness joins pointwise, layouts
-// that disagree become unknown, and symbols missing on one path are kept
-// (their state joined with "unwritten/unknown" conservatism).
-func (f *flowState) join(g *flowState) *flowState {
-	out := f.clone()
-	if out.flatName != g.flatName || out.flatP != g.flatP {
-		out.flatName, out.flatP = "", 0
-	}
-	for k := range out.grids {
-		if _, ok := g.grids[k]; !ok {
-			delete(out.grids, k)
-		}
-	}
-	for k, b := range g.arrays {
-		a, ok := out.arrays[k]
-		if !ok {
-			bv := *b
-			bv.layouts = append([]Layout(nil), b.layouts...)
-			out.arrays[k] = &bv
-			continue
-		}
-		a.def = joinDef(a.def, b.def)
-		for d := range a.layouts {
-			if d >= len(b.layouts) || a.layouts[d] != b.layouts[d] {
-				a.layouts[d] = Layout{}
-			}
-		}
-	}
-	return out
-}
-
-// declProcsFlow mirrors Checker.declProcs against the flowing symbol
-// environment.
-func (f *flowState) declProcs(s *ast.ArrayDecl) []int64 {
-	if len(s.Extents) == 1 {
-		if f.flatName != "" && s.Target == f.flatName {
-			return []int64{f.flatP}
-		}
-		return nil
-	}
-	if dims, ok := f.grids[s.Target]; ok {
-		return dims
-	}
-	return nil
-}
-
-// transfer applies one statement to the forward fact. It mirrors
-// Checker.track for declarations and redistributes, and additionally
-// advances the definedness half of the lattice on writes.
-func (f *flowState) transfer(st ast.Stmt) *flowState {
-	out := f.clone()
-	switch s := st.(type) {
-	case *ast.Processors:
-		if len(s.Counts) == 1 {
-			if out.flatName == "" {
-				if _, isGrid := out.grids[s.Name]; !isGrid {
-					out.flatName, out.flatP = s.Name, s.Counts[0]
-				}
-			}
-			return out
-		}
-		if _, dup := out.grids[s.Name]; !dup && s.Name != out.flatName {
-			out.grids[s.Name] = append([]int64(nil), s.Counts...)
-		}
-	case *ast.ArrayDecl:
-		if _, dup := out.arrays[s.Name]; dup {
-			return out
-		}
-		info := &ArrayInfo{
-			Name:    s.Name,
-			DeclPos: s.Pos(),
-			Extents: append([]int64(nil), s.Extents...),
-			Layouts: make([]Layout, len(s.Extents)),
-		}
-		af := &arrayFlow{info: info, def: DefUnwritten,
-			layouts: make([]Layout, len(s.Extents))}
-		if procs := out.declProcs(s); procs != nil {
-			for d := range s.Dists {
-				af.layouts[d] = resolveLayout(s.Dists[d], procs[d], s.Extents[d])
-			}
-		}
-		out.arrays[s.Name] = af
-	case *ast.Redistribute:
-		af := out.arrays[s.Name]
-		if af == nil || af.info.Rank() != 1 || !af.layouts[0].known() {
-			return out
-		}
-		out.arrays[s.Name].layouts[0] = resolveLayout(s.Dist, af.layouts[0].P, af.info.Extents[0])
-	default:
-		_, writes := effects(out.lookup, st)
-		for _, w := range writes {
-			af := out.arrays[w.name]
-			if af == nil {
-				continue
-			}
-			if w.full {
-				af.def = DefFull
-			} else if af.def == DefUnwritten {
-				af.def = DefPartial
-			}
-		}
-	}
-	return out
-}
-
-// lookup resolves a name to its declaration info for effects().
-func (f *flowState) lookup(name string) *ArrayInfo {
-	if af, ok := f.arrays[name]; ok {
-		return af.info
-	}
-	return nil
-}
-
-// flowProblem packages the forward analysis for Solve.
-func flowProblem() Problem[*flowState] {
-	return Problem[*flowState]{
-		Dir:      Forward,
-		Boundary: newFlowState,
-		Init:     newFlowState,
-		Transfer: func(f *flowState, st ast.Stmt) *flowState { return f.transfer(st) },
-		Join:     func(a, b *flowState) *flowState { return a.join(b) },
-		Equal:    func(a, b *flowState) bool { return a.equal(b) },
-	}
-}
-
 // ---------------------------------------------------------------------------
-// Backward problem: liveness / next observation.
+// Backward facts: the next observation.
 
 // obsKind classifies what happens to an array's current value and layout
-// next along the control flow.
+// next.
 type obsKind uint8
 
 const (
@@ -479,7 +142,8 @@ const (
 
 // liveInfo is one array's backward fact: its next observation, plus the
 // writes that happen after this point with no intervening read (the kill
-// set the dead-store pass checks coverage against).
+// set the dead-store check tests coverage against). The zero value is
+// the end of the script: nothing observes the array.
 type liveInfo struct {
 	kind    obsKind
 	line    int // line of the observing statement; 0 for obsEnd
@@ -493,150 +157,46 @@ type pendingWrite struct {
 	line int
 }
 
-// liveState maps array name -> backward fact. Arrays absent from the map
-// are at the boundary state (obsEnd, nothing pending).
-type liveState struct {
-	lookup func(string) *ArrayInfo
-	m      map[string]*liveInfo
-}
-
-func (l *liveState) clone() *liveState {
-	c := &liveState{lookup: l.lookup, m: make(map[string]*liveInfo, len(l.m))}
-	for k, v := range l.m {
-		lv := *v
-		lv.pending = append([]pendingWrite(nil), v.pending...)
-		c.m[k] = &lv
-	}
-	return c
-}
-
-func (l *liveState) get(name string) *liveInfo {
-	if v, ok := l.m[name]; ok {
-		return v
-	}
-	v := &liveInfo{kind: obsEnd}
-	l.m[name] = v
-	return v
-}
-
-func (l *liveState) equal(g *liveState) bool {
-	boundary := liveInfo{kind: obsEnd}
-	at := func(s *liveState, k string) *liveInfo {
-		if v, ok := s.m[k]; ok {
-			return v
-		}
-		return &boundary
-	}
-	for k := range l.m {
-		a, b := at(l, k), at(g, k)
-		if a.kind != b.kind || a.line != b.line || len(a.pending) != len(b.pending) {
-			return false
-		}
-		for i := range a.pending {
-			if a.pending[i].line != b.pending[i].line ||
-				a.pending[i].ref.name != b.pending[i].ref.name {
-				return false
+// observations scans stmts backward once. Entry i is the fact just after
+// statement i for the array that statement writes (an assignment) or
+// redistributes; every other entry is zero. lookup maps a name to its
+// declaration info; extents never change after declaration, so one
+// lookup serves the whole scan.
+//
+// Writes are applied before reads, so a statement that both reads and
+// writes an array (A = A + 1) leaves it live. Recorded facts share their
+// pending slice's backing array with the scan; that is safe because the
+// scan only appends to a pending list or replaces it.
+func observations(stmts []ast.Stmt, lookup func(string) *ArrayInfo) []liveInfo {
+	out := make([]liveInfo, len(stmts))
+	next := map[string]liveInfo{} // absent: zero, the end of the script
+	for i := len(stmts) - 1; i >= 0; i-- {
+		st := stmts[i]
+		line := st.Pos().Line
+		switch s := st.(type) {
+		case *ast.Redistribute:
+			out[i] = next[s.Name]
+			if info := lookup(s.Name); info != nil && info.Rank() == 1 {
+				// A redistribute reads every element to move it.
+				next[s.Name] = liveInfo{kind: obsRedist, line: line}
 			}
-		}
-	}
-	for k := range g.m {
-		if _, ok := l.m[k]; !ok {
-			b := g.m[k]
-			if b.kind != obsEnd || b.line != 0 || len(b.pending) != 0 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// join merges backward facts from two successor paths. An array absent
-// from a side's map is at that side's boundary state (obsEnd, nothing
-// pending). Paths that disagree on the next observation join to "may be
-// read" — the summary under which no waste diagnostic fires — and the
-// pending kill sets intersect: only writes that happen on every path may
-// justify a dead store.
-func (l *liveState) join(g *liveState) *liveState {
-	out := &liveState{lookup: l.lookup, m: map[string]*liveInfo{}}
-	boundary := liveInfo{kind: obsEnd}
-	at := func(s *liveState, k string) liveInfo {
-		if v, ok := s.m[k]; ok {
-			return *v
-		}
-		return boundary
-	}
-	keys := map[string]bool{}
-	for k := range l.m {
-		keys[k] = true
-	}
-	for k := range g.m {
-		keys[k] = true
-	}
-	for k := range keys {
-		a, b := at(l, k), at(g, k)
-		v := &liveInfo{kind: a.kind, line: a.line}
-		if a.kind != b.kind || a.line != b.line {
-			v.kind, v.line = obsRead, 0
-			out.m[k] = v
 			continue
+		case *ast.Assign:
+			out[i] = next[s.LHS.Name]
 		}
-		for _, pa := range a.pending {
-			for _, pb := range b.pending {
-				if pa.line == pb.line && pa.ref.name == pb.ref.name {
-					v.pending = append(v.pending, pa)
-					break
-				}
+		reads, writes := effects(lookup, st)
+		for _, w := range writes {
+			v := next[w.name]
+			if w.full {
+				v = liveInfo{kind: obsOverwrite, line: line, pending: []pendingWrite{{ref: w, line: line}}}
+			} else {
+				v.pending = append(v.pending, pendingWrite{ref: w, line: line})
 			}
+			next[w.name] = v
 		}
-		out.m[k] = v
+		for _, r := range reads {
+			next[r.name] = liveInfo{kind: obsRead, line: line}
+		}
 	}
 	return out
-}
-
-// transfer applies one statement backward: compute the fact *before* the
-// statement from the fact *after* it. Writes are applied before reads so
-// a statement that both reads and writes an array (A = A + 1) leaves it
-// live.
-func (l *liveState) transfer(st ast.Stmt) *liveState {
-	out := l.clone()
-	if s, ok := st.(*ast.Redistribute); ok {
-		info := out.lookup(s.Name)
-		if info != nil && info.Rank() == 1 {
-			v := out.get(s.Name)
-			v.kind, v.line = obsRedist, s.Pos().Line
-			v.pending = nil // a redistribute reads every element to move it
-		}
-		return out
-	}
-	reads, writes := effects(out.lookup, st)
-	for _, w := range writes {
-		v := out.get(w.name)
-		if w.full {
-			v.kind, v.line = obsOverwrite, st.Pos().Line
-			v.pending = []pendingWrite{{ref: w, line: st.Pos().Line}}
-		} else {
-			v.pending = append(v.pending, pendingWrite{ref: w, line: st.Pos().Line})
-		}
-	}
-	for _, r := range reads {
-		v := out.get(r.name)
-		v.kind, v.line = obsRead, st.Pos().Line
-		v.pending = nil
-	}
-	return out
-}
-
-// liveProblem packages the backward analysis for Solve. The lookup maps
-// names to declaration info gathered by a pre-scan (extents never change
-// after declaration, unlike layouts).
-func liveProblem(lookup func(string) *ArrayInfo) Problem[*liveState] {
-	mk := func() *liveState { return &liveState{lookup: lookup, m: map[string]*liveInfo{}} }
-	return Problem[*liveState]{
-		Dir:      Backward,
-		Boundary: mk,
-		Init:     mk,
-		Transfer: func(l *liveState, st ast.Stmt) *liveState { return l.transfer(st) },
-		Join:     func(a, b *liveState) *liveState { return a.join(b) },
-		Equal:    func(a, b *liveState) bool { return a.equal(b) },
-	}
 }

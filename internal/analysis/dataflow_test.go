@@ -1,96 +1,125 @@
 package analysis
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/lang/ast"
 	"repro/internal/section"
 )
 
-// TestSolveFixedPointOnLoop hand-builds a CFG with a back edge — the
-// shape FORALL will produce — and checks both concrete problems converge
-// to the conservative fixed point rather than the single-pass answer.
-func TestSolveFixedPointOnLoop(t *testing.T) {
-	sc, err := ast.Parse(`
+// TestObservations pins the backward scan's fact just after each
+// statement, for the array that statement writes or redistributes.
+func TestObservations(t *testing.T) {
+	type want struct {
+		kind    obsKind
+		line    int
+		pending []int // lines of the pending writes, in scan order
+	}
+	cases := []struct {
+		name string
+		src  string
+		want []want // one per statement
+	}{
+		{"partial write then full overwrite", `
+processors P(4)
+array A(64) distribute cyclic(4) onto P
+A(0:9) = 1.0
+A(0:31:2) = 2.0
+A = 3.0
+sum A
+`, []want{{}, {},
+			{obsOverwrite, 6, []int{6, 5}},
+			{obsOverwrite, 6, []int{6}},
+			{obsRead, 7, nil},
+			{}}},
+		{"read and write in one statement", `
+processors P(4)
+array A(64) distribute cyclic(4) onto P
+A = 1.0
+A = A + 1
+`, []want{{}, {},
+			{obsRead, 5, nil},
+			{}}},
+		{"read after a redistribute", `
 processors P(4)
 array A(64) distribute cyclic(4) onto P
 A = 1.0
 redistribute A cyclic(8)
-sum A(0:9)
-`)
-	if err != nil {
-		t.Fatal(err)
+print A(0:3)
+`, []want{{}, {},
+			{obsRedist, 5, nil},
+			{obsRead, 6, nil},
+			{}}},
+		{"redistribute of a 2-D array changes nothing", `
+processors Q(2,2)
+array M(8,8) distribute (cyclic(2),cyclic(2)) onto Q
+M = 1.0
+redistribute M cyclic(4)
+M = 2.0
+`, []want{{}, {},
+			{obsOverwrite, 6, []int{6}},
+			{obsOverwrite, 6, []int{6}},
+			{}}},
+		{"use before the declaration", `
+processors P(4)
+sum A
+array A(64) distribute cyclic(4) onto P
+A = 1.0
+`, []want{{}, {}, {}, {}}},
 	}
-	// entry -> prologue -> loop{redistribute; sum} -> exit, with the loop
-	// block feeding back into itself.
-	g := &CFG{Blocks: []*Block{
-		{Index: 0},
-		{Index: 1, Stmts: sc.Stmts[:3]},
-		{Index: 2, Stmts: sc.Stmts[3:]},
-		{Index: 3},
-	}, Entry: 0, Exit: 3}
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 2)
-	g.AddEdge(2, 3)
-
-	fp := flowProblem()
-	sol := Solve(g, fp)
-	in := sol.In[2].arrays["A"]
-	if in == nil {
-		t.Fatal("A missing from the loop-header fact")
-	}
-	// The first iteration enters the loop with cyclic(4); the back edge
-	// brings cyclic(8). The join must stabilize at unknown, not at
-	// whichever layout was seen first.
-	if in.layouts[0].known() {
-		t.Errorf("loop-header layout should join to unknown, got %+v", in.layouts[0])
-	}
-	if in.def != DefFull {
-		t.Errorf("A is fully written on every path to the loop, got def=%d", in.def)
-	}
-	exit := sol.Out[g.Exit].arrays["A"]
-	if exit == nil || exit.layouts[0].known() {
-		t.Errorf("exit layout should be unknown after the loop, got %+v", exit)
-	}
-
-	lp := liveProblem(sol.Out[g.Exit].lookup)
-	lsol := Solve(g, lp)
-	// At the bottom of the loop block control may loop back to the sum,
-	// so the next observation of A must be "read", not "end of script".
-	if v := lsol.Out[2].get("A"); v.kind != obsRead {
-		t.Errorf("loop bottom: next observation of A = %d, want obsRead", v.kind)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sc, err := ast.Parse(c.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := observations(sc.Stmts, firstDecls(sc.Stmts))
+			if len(got) != len(c.want) {
+				t.Fatalf("%d facts, want %d", len(got), len(c.want))
+			}
+			for i, w := range c.want {
+				var lines []int
+				for _, pw := range got[i].pending {
+					lines = append(lines, pw.line)
+				}
+				if got[i].kind != w.kind || got[i].line != w.line || !slices.Equal(lines, w.pending) {
+					t.Errorf("statement %d (line %d): got (%d, %d, %v), want (%d, %d, %v)",
+						i, sc.Stmts[i].Pos().Line, got[i].kind, got[i].line, lines, w.kind, w.line, w.pending)
+				}
+			}
+		})
 	}
 }
 
-// TestVisitOrderRecoversFacts checks VisitForward/VisitBackward agree on
-// statement order, so checkDataflow's index pairing is sound.
-func TestVisitOrderRecoversFacts(t *testing.T) {
-	sc, err := ast.Parse(`
-processors P(4)
-array A(64) distribute cyclic(4) onto P
-A = 1.0
-sum A(0:9)
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := BuildCFG(sc)
-	fp := flowProblem()
-	fsol := Solve(g, fp)
-	var fwd []ast.Stmt
-	VisitForward(g, fp, fsol, func(_ *flowState, st ast.Stmt) { fwd = append(fwd, st) })
-	lp := liveProblem(fsol.Out[g.Exit].lookup)
-	lsol := Solve(g, lp)
-	var bwd []ast.Stmt
-	VisitBackward(g, lp, lsol, func(_ *liveState, st ast.Stmt) { bwd = append(bwd, st) })
-	if len(fwd) != len(sc.Stmts) || len(bwd) != len(sc.Stmts) {
-		t.Fatalf("visitors saw %d/%d statements, want %d", len(fwd), len(bwd), len(sc.Stmts))
-	}
-	for i := range fwd {
-		if fwd[i] != sc.Stmts[i] || bwd[i] != sc.Stmts[i] {
-			t.Errorf("statement %d visited out of order", i)
+// TestAnalyzeAllocsLinear guards the cost of one Analyze: with n arrays
+// and n copies, doubling n must not much more than double the
+// allocations. A per-statement copy of the symbol table would quadruple
+// them.
+func TestAnalyzeAllocsLinear(t *testing.T) {
+	allocs := func(n int) float64 {
+		var b strings.Builder
+		b.WriteString("processors P(4)\n")
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, "array A%d(64) distribute cyclic(%d) onto P\n", i, i%4+1)
 		}
+		b.WriteString("A0 = 1.0\n")
+		for i := 1; i < n; i++ {
+			fmt.Fprintf(&b, "A%d = A%d\n", i, i-1)
+		}
+		fmt.Fprintf(&b, "sum A%d\n", n-1)
+		sc, err := ast.Parse(b.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(3, func() { Analyze(sc) })
+	}
+	a200, a400 := allocs(200), allocs(400)
+	if a400 >= 2.5*a200 {
+		t.Errorf("Analyze allocations grow superlinearly: %.0f at n=200, %.0f at n=400 (×%.2f, want < 2.5)",
+			a200, a400, a400/a200)
 	}
 }
 

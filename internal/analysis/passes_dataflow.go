@@ -8,44 +8,12 @@ import (
 	"repro/internal/section"
 )
 
-// This file is the reporting half of the dataflow layer: it solves the
-// forward definedness×layout problem and the backward liveness problem
-// from dataflow.go over the script's CFG, then walks the statements once
-// emitting the communication-waste diagnostics HPF013–HPF018. Everything
-// here is a warning: the constructs are legal, they just pay for
-// communication (or computation) nobody observes.
-
-// checkDataflow is the Finish hook of the "dataflow" pass.
-func checkDataflow(c *Checker, sc *ast.Script) {
-	g := BuildCFG(sc)
-
-	fp := flowProblem()
-	fsol := Solve(g, fp)
-	final := fsol.Out[g.Exit]
-
-	lp := liveProblem(final.lookup)
-	lsol := Solve(g, lp)
-
-	// Pair each statement with its before-forward and after-backward
-	// facts. Both visitors walk the same control-flow order, so a shared
-	// index lines them up.
-	var before []*flowState
-	VisitForward(g, fp, fsol, func(f *flowState, st ast.Stmt) {
-		before = append(before, f)
-	})
-	var after []*liveState
-	VisitBackward(g, lp, lsol, func(l *liveState, st ast.Stmt) {
-		after = append(after, l)
-	})
-
-	w := &wasteWalker{c: c}
-	idx := 0
-	VisitForward(g, fp, fsol, func(_ *flowState, st ast.Stmt) {
-		w.visit(before[idx], after[idx], st)
-		idx++
-	})
-	w.reportBudget()
-}
+// This file holds the communication-waste checks HPF013–HPF018. Analyze
+// calls wasteWalker.visit on each statement with the symbol table as it
+// stands before that statement (the forward facts) and the statement's
+// entry from observations (the backward fact), then reportBudget once at
+// the end. Everything here is a warning: the constructs are legal, they
+// just pay for communication (or computation) nobody observes.
 
 // wasteWalker accumulates whole-script communication totals while the
 // per-statement diagnostics fire.
@@ -57,25 +25,25 @@ type wasteWalker struct {
 	heavyMoved  int64
 }
 
-func (w *wasteWalker) visit(before *flowState, after *liveState, st ast.Stmt) {
+func (w *wasteWalker) visit(st ast.Stmt, after liveInfo) {
 	switch s := st.(type) {
 	case *ast.Redistribute:
-		w.visitRedistribute(before, after, s)
+		w.visitRedistribute(s, after)
 	case *ast.Assign:
-		w.visitAssign(before, after, s)
+		w.visitAssign(s, after)
 	}
-	w.checkUninit(before, st)
+	w.checkUninit(st)
 }
 
 // visitRedistribute emits HPF013 (no-op) and HPF014 (dead), and adds the
 // redistribute's estimated traffic to the budget.
-func (w *wasteWalker) visitRedistribute(before *flowState, after *liveState, s *ast.Redistribute) {
-	af := before.arrays[s.Name]
-	if af == nil || af.info.Rank() != 1 {
+func (w *wasteWalker) visitRedistribute(s *ast.Redistribute, after liveInfo) {
+	info := w.c.Array(s.Name)
+	if info == nil || info.Rank() != 1 {
 		return // HPF003/HPF008 already fired
 	}
-	ext := af.info.Extents[0]
-	cur := af.layouts[0]
+	ext := info.Extents[0]
+	cur := info.Layouts[0]
 	if cur.known() {
 		next := resolveLayout(s.Dist, cur.P, ext)
 		if next == cur {
@@ -91,15 +59,15 @@ func (w *wasteWalker) visitRedistribute(before *flowState, after *liveState, s *
 		}
 	}
 
-	switch v := after.get(s.Name); v.kind {
+	switch after.kind {
 	case obsOverwrite:
 		w.c.Report(CodeDeadRedist, Warning, s.Pos(), fmt.Sprintf(
 			"dead redistribute: %s is fully overwritten at line %d before its new layout is read",
-			s.Name, v.line))
+			s.Name, after.line))
 	case obsRedist:
 		w.c.Report(CodeDeadRedist, Warning, s.Pos(), fmt.Sprintf(
 			"dead redistribute: %s is redistributed again at line %d before being read",
-			s.Name, v.line))
+			s.Name, after.line))
 	case obsEnd:
 		w.c.Report(CodeDeadRedist, Warning, s.Pos(), fmt.Sprintf(
 			"dead redistribute: %s is never read afterwards", s.Name))
@@ -108,33 +76,33 @@ func (w *wasteWalker) visitRedistribute(before *flowState, after *liveState, s *
 
 // visitAssign emits HPF015 (dead store) and HPF017 (layout suggestion)
 // and adds copy traffic to the budget.
-func (w *wasteWalker) visitAssign(before *flowState, after *liveState, s *ast.Assign) {
-	dst, dstOK := resolveRef(before.lookup(s.LHS.Name), s.LHS)
+func (w *wasteWalker) visitAssign(s *ast.Assign, after liveInfo) {
+	dinfo := w.c.Array(s.LHS.Name)
+	dst, dstOK := resolveRef(dinfo, s.LHS)
 	if !dstOK {
 		return
 	}
 	w.checkDeadStore(after, s, dst)
 
-	daf := before.arrays[s.LHS.Name]
 	switch rhs := s.RHS.(type) {
 	case *ast.Ref:
-		src, ok := resolveRef(before.lookup(rhs.Name), rhs)
+		sinfo := w.c.Array(rhs.Name)
+		src, ok := resolveRef(sinfo, rhs)
 		if !ok {
 			return
 		}
-		saf := before.arrays[rhs.Name]
-		w.copyMoved += movedEstimate(daf.layouts, dst.secs, saf.layouts, src.secs)
-		w.suggestLayout(s, dst, daf, src, saf)
+		w.copyMoved += movedEstimate(dinfo.Layouts, dst.secs, sinfo.Layouts, src.secs)
+		w.suggestLayout(s, dst, dinfo, src, sinfo)
 	case *ast.Transpose:
-		src, ok := resolveRef(before.lookup(rhs.Src.Name), rhs.Src)
+		sinfo := w.c.Array(rhs.Src.Name)
+		src, ok := resolveRef(sinfo, rhs.Src)
 		if !ok || len(src.secs) != 2 || len(dst.secs) != 2 {
 			return
 		}
-		saf := before.arrays[rhs.Src.Name]
 		// Element (i, j) of the destination rect pairs with element
 		// (j, i) of the source rect, so compare against swapped dims.
-		w.copyMoved += movedEstimate(daf.layouts, dst.secs,
-			[]Layout{saf.layouts[1], saf.layouts[0]},
+		w.copyMoved += movedEstimate(dinfo.Layouts, dst.secs,
+			[]Layout{sinfo.Layouts[1], sinfo.Layouts[0]},
 			[]section.Section{src.secs[1], src.secs[0]})
 	case *ast.Binary:
 		operands := []*ast.Ref{rhs.Left}
@@ -142,12 +110,12 @@ func (w *wasteWalker) visitAssign(before *flowState, after *liveState, s *ast.As
 			operands = append(operands, r)
 		}
 		for _, op := range operands {
-			src, ok := resolveRef(before.lookup(op.Name), op)
+			sinfo := w.c.Array(op.Name)
+			src, ok := resolveRef(sinfo, op)
 			if !ok {
 				continue
 			}
-			saf := before.arrays[op.Name]
-			w.copyMoved += movedEstimate(daf.layouts, dst.secs, saf.layouts, src.secs)
+			w.copyMoved += movedEstimate(dinfo.Layouts, dst.secs, sinfo.Layouts, src.secs)
 		}
 	}
 }
@@ -155,7 +123,7 @@ func (w *wasteWalker) visitAssign(before *flowState, after *liveState, s *ast.As
 // checkDeadStore fires HPF015 when every element this statement writes is
 // overwritten by later writes before any read. The backward fact's
 // pending list holds exactly those later writes.
-func (w *wasteWalker) checkDeadStore(after *liveState, s *ast.Assign, dst secRef) {
+func (w *wasteWalker) checkDeadStore(after liveInfo, s *ast.Assign, dst secRef) {
 	switch s.RHS.(type) {
 	case *ast.Scalar, *ast.Ref:
 	default:
@@ -168,7 +136,7 @@ func (w *wasteWalker) checkDeadStore(after *liveState, s *ast.Assign, dst secRef
 	if total == 0 {
 		return // HPF006 covers empty sections
 	}
-	for _, pw := range after.get(dst.name).pending {
+	for _, pw := range after.pending {
 		if dst.coveredBy(pw.ref) {
 			w.c.Report(CodeDeadStore, Warning, s.Pos(), fmt.Sprintf(
 				"dead store: every element of %s is overwritten at line %d before any read",
@@ -184,11 +152,11 @@ func (w *wasteWalker) checkDeadStore(after *liveState, s *ast.Assign, dst secRef
 // cyclic(k) makes the copy communication-free: identical strides and
 // counts, and an offset that is a multiple of the source layout's period
 // p·k, so corresponding elements always land on the same processor.
-func (w *wasteWalker) suggestLayout(s *ast.Assign, dst secRef, daf *arrayFlow, src secRef, saf *arrayFlow) {
-	if daf == nil || saf == nil || len(dst.secs) != 1 || len(src.secs) != 1 {
+func (w *wasteWalker) suggestLayout(s *ast.Assign, dst secRef, dinfo *ArrayInfo, src secRef, sinfo *ArrayInfo) {
+	if len(dst.secs) != 1 || len(src.secs) != 1 {
 		return
 	}
-	dl, sl := daf.layouts[0], saf.layouts[0]
+	dl, sl := dinfo.Layouts[0], sinfo.Layouts[0]
 	if !dl.known() || !sl.known() || dl.P != sl.P || dl.K == sl.K {
 		return
 	}
@@ -219,18 +187,18 @@ func (w *wasteWalker) suggestLayout(s *ast.Assign, dst secRef, daf *arrayFlow, s
 // checkUninit fires HPF016 when a statement reads an array no element of
 // which has provably been written. Table is exempt: it observes the
 // layout, not the values.
-func (w *wasteWalker) checkUninit(before *flowState, st ast.Stmt) {
+func (w *wasteWalker) checkUninit(st ast.Stmt) {
 	if _, ok := st.(*ast.Table); ok {
 		return
 	}
-	reads, _ := effects(before.lookup, st)
+	reads, _ := effects(w.c.Array, st)
 	seen := map[string]bool{}
 	for _, r := range reads {
 		if seen[r.name] {
 			continue
 		}
 		seen[r.name] = true
-		if af := before.arrays[r.name]; af != nil && af.def == DefUnwritten {
+		if w.c.Array(r.name).def == DefUnwritten {
 			w.c.Report(CodeUninit, Warning, st.Pos(), fmt.Sprintf(
 				"array %s may be read before any element has been written", r.name))
 		}
