@@ -90,7 +90,8 @@ func TestJSONReport(t *testing.T) {
 			TotalNs int64 `json:"total_ns"`
 			Steps   []any `json:"steps"`
 		} `json:"critical_path"`
-		WallClockNs int64 `json:"wall_clock_ns"`
+		WallClockNs int64  `json:"wall_clock_ns"`
+		Dropped     *int64 `json:"dropped"`
 	}
 	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
 		t.Fatalf("-json output is not JSON: %v\n%s", err, out.String())
@@ -104,6 +105,9 @@ func TestJSONReport(t *testing.T) {
 	}
 	if doc.CriticalPath.TotalNs <= 0 || doc.CriticalPath.TotalNs > doc.WallClockNs {
 		t.Errorf("critical path %d vs wall clock %d", doc.CriticalPath.TotalNs, doc.WallClockNs)
+	}
+	if doc.Dropped == nil || *doc.Dropped != 0 {
+		t.Errorf("dropped = %v, want a 0 field", doc.Dropped)
 	}
 	if errOut.Len() != 0 {
 		t.Errorf("unexpected stderr output: %s", errOut.String())

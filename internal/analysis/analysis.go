@@ -20,7 +20,10 @@
 //
 // The analyzer tracks the *current* distribution of every array across
 // redistribute statements, so layout-sensitive checks apply to the
-// layout an array will actually have when a statement runs.
+// layout an array will actually have when a statement runs. Layouts are
+// dist.Layout values lowered by ast.DistSpec.Layout, the resolver the
+// interpreter uses too; a layout dist.New rejects gets HPF009 and is
+// unknown to every later check, which skips it.
 //
 // Analyze walks a script once, in order, running every check on each
 // statement before the symbol table absorbs it; the waste checks also
@@ -30,27 +33,20 @@ package analysis
 import (
 	"sort"
 
-	"repro/internal/intmath"
+	"repro/internal/dist"
 	"repro/internal/lang/ast"
 )
-
-// Layout is the analyzer's view of one dimension's distribution: a
-// cyclic(K) layout over P processors. P == 0 means unknown (the array
-// was declared onto an unknown arrangement); layout-sensitive checks
-// skip unknown layouts.
-type Layout struct {
-	P, K int64
-}
-
-// known reports whether the layout was resolved at declaration time.
-func (l Layout) known() bool { return l.P > 0 && l.K > 0 }
 
 // ArrayInfo is the symbol-table entry for a declared array.
 type ArrayInfo struct {
 	Name    string
 	DeclPos ast.Pos
-	Extents []int64  // per-dimension sizes; len is the rank (1 or 2)
-	Layouts []Layout // per-dimension current distribution
+	Extents []int64 // per-dimension sizes; len is the rank (1 or 2)
+	// Layouts holds each dimension's current distribution, lowered by
+	// ast.DistSpec.Layout. The zero value (P() == 0) means unknown: the
+	// arrangement is unknown or dist.New rejected the layout, and
+	// layout-sensitive checks skip it.
+	Layouts []dist.Layout
 	def     DefState // how much has been written so far
 }
 
@@ -168,21 +164,22 @@ func (c *Checker) track(st ast.Stmt) {
 			Name:    s.Name,
 			DeclPos: s.Pos(),
 			Extents: append([]int64(nil), s.Extents...),
-			Layouts: make([]Layout, len(s.Extents)),
+			Layouts: make([]dist.Layout, len(s.Extents)),
 		}
-		procs := c.declProcs(s)
-		for d := range s.Dists {
-			if procs != nil {
-				info.Layouts[d] = resolveLayout(s.Dists[d], procs[d], s.Extents[d])
+		if procs := c.declProcs(s); procs != nil {
+			for d := range s.Dists {
+				info.Layouts[d], _ = s.Dists[d].Layout(procs[d], s.Extents[d])
 			}
 		}
 		c.arrays[s.Name] = info
 	case *ast.Redistribute:
 		info := c.arrays[s.Name]
-		if info == nil || info.Rank() != 1 || !info.Layouts[0].known() {
+		if info == nil || info.Rank() != 1 {
 			return
 		}
-		info.Layouts[0] = resolveLayout(s.Dist, info.Layouts[0].P, info.Extents[0])
+		// An unknown layout (P() == 0) stays unknown, and one dist.New
+		// rejects (HPF009) becomes unknown: both leave the zero Layout.
+		info.Layouts[0], _ = s.Dist.Layout(info.Layouts[0].P(), info.Extents[0])
 	default:
 		_, writes := effects(c.Array, st)
 		for _, w := range writes {
@@ -209,20 +206,4 @@ func (c *Checker) declProcs(s *ast.ArrayDecl) []int64 {
 		return dims
 	}
 	return nil
-}
-
-// resolveLayout lowers a distribution spec to a concrete cyclic(k)
-// layout: block is cyclic(ceil(n/p)), cyclic is cyclic(1).
-func resolveLayout(spec ast.DistSpec, p, n int64) Layout {
-	if p < 1 {
-		return Layout{}
-	}
-	switch spec.Kind {
-	case ast.DistBlock:
-		return Layout{P: p, K: intmath.CeilDiv(n, p)}
-	case ast.DistCyclic:
-		return Layout{P: p, K: 1}
-	default:
-		return Layout{P: p, K: spec.K}
-	}
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dist"
 	"repro/internal/lang/ast"
 	"repro/internal/section"
 )
@@ -148,8 +149,8 @@ func TestCoveredBy(t *testing.T) {
 }
 
 func TestMovedEstimate(t *testing.T) {
-	c8 := []Layout{{P: 4, K: 8}}
-	c16 := []Layout{{P: 4, K: 16}}
+	c8 := []dist.Layout{dist.MustNew(4, 8)}
+	c16 := []dist.Layout{dist.MustNew(4, 16)}
 	whole := []section.Section{sec(0, 319, 1)}
 	// Redistributing 320 elements from cyclic(8) to cyclic(16) on 4
 	// procs relocates exactly 3/4 of them (period 64: blocks 8..55 move).
@@ -165,7 +166,7 @@ func TestMovedEstimate(t *testing.T) {
 		t.Errorf("shifted copy estimate = %d, want 312", got)
 	}
 	// Unknown layouts contribute nothing rather than guessing.
-	if got := movedEstimate([]Layout{{}}, whole, c8, whole); got != 0 {
+	if got := movedEstimate([]dist.Layout{{}}, whole, c8, whole); got != 0 {
 		t.Errorf("unknown layout estimate = %d, want 0", got)
 	}
 }

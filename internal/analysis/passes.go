@@ -1,8 +1,10 @@
 package analysis
 
 import (
+	"errors"
 	"fmt"
 
+	"repro/internal/dist"
 	"repro/internal/intmath"
 	"repro/internal/lang/ast"
 	"repro/internal/section"
@@ -121,11 +123,10 @@ func checkBounds(c *Checker, st ast.Stmt) {
 	}
 	if s, ok := st.(*ast.Table); ok {
 		info := c.arrays[s.Ref.Name]
-		if info != nil && info.Rank() == 1 && info.Layouts[0].known() {
-			if s.Proc < 0 || s.Proc >= info.Layouts[0].P {
+		if info != nil && info.Rank() == 1 {
+			if p := info.Layouts[0].P(); p > 0 && (s.Proc < 0 || s.Proc >= p) {
 				c.Report(CodeTableProc, Error, s.Pos(), fmt.Sprintf(
-					"table processor %d outside arrangement of %d processors",
-					s.Proc, info.Layouts[0].P))
+					"table processor %d outside arrangement of %d processors", s.Proc, p))
 			}
 		}
 	}
@@ -256,26 +257,22 @@ func checkOverflow(c *Checker, st ast.Stmt) {
 		if procs == nil {
 			return
 		}
-		for d := range s.Dists {
-			lay := resolveLayout(s.Dists[d], procs[d], s.Extents[d])
-			if !lay.known() {
-				continue
-			}
-			if _, err := intmath.MulChecked(lay.P, lay.K); err != nil {
+		for d, spec := range s.Dists {
+			if k, ok := overflowK(spec, procs[d], s.Extents[d]); ok {
 				c.Report(CodeOverflow, Error, s.Pos(), fmt.Sprintf(
-					"p*k = %d*%d%s overflows int64", lay.P, lay.K,
+					"p*k = %d*%d%s overflows int64", procs[d], k,
 					dimLabel(len(s.Dists), d)))
 			}
 		}
 	case *ast.Redistribute:
 		info := c.arrays[s.Name]
-		if info == nil || info.Rank() != 1 || !info.Layouts[0].known() {
+		if info == nil || info.Rank() != 1 {
 			return
 		}
-		lay := resolveLayout(s.Dist, info.Layouts[0].P, info.Extents[0])
-		if _, err := intmath.MulChecked(lay.P, lay.K); err != nil {
+		p := info.Layouts[0].P() // 0 when unknown, which never overflows
+		if k, ok := overflowK(s.Dist, p, info.Extents[0]); ok {
 			c.Report(CodeOverflow, Error, s.Pos(), fmt.Sprintf(
-				"p*k = %d*%d overflows int64", lay.P, lay.K))
+				"p*k = %d*%d overflows int64", p, k))
 		}
 	default:
 		for _, ref := range ast.Refs(st) {
@@ -284,13 +281,9 @@ func checkOverflow(c *Checker, st ast.Stmt) {
 				continue
 			}
 			for d, t := range ref.Subs {
-				lay := info.Layouts[d]
-				if !lay.known() {
-					continue
-				}
-				pk, err := intmath.MulChecked(lay.P, lay.K)
-				if err != nil {
-					continue // reported at the declaration
+				pk := info.Layouts[d].RowLen()
+				if pk == 0 {
+					continue // unknown, or rejected at the declaration
 				}
 				pks, err := intmath.MulChecked(pk, t.Stride)
 				if err != nil {
@@ -309,9 +302,22 @@ func checkOverflow(c *Checker, st ast.Stmt) {
 	}
 }
 
+// overflowK reports whether ast.DistSpec.Layout rejects spec on p
+// processors for an n-cell dimension because p·k overflows, and if so
+// the k it tried (block's is ceil(n/p)), which HPF009's message names.
+func overflowK(spec ast.DistSpec, p, n int64) (int64, bool) {
+	if _, err := spec.Layout(p, n); !errors.Is(err, intmath.ErrOverflow) {
+		return 0, false
+	}
+	if spec.Kind == ast.DistBlock {
+		return intmath.CeilDiv(n, p), true
+	}
+	return spec.K, true
+}
+
 // layoutStr renders a layout for HPF010 messages.
-func layoutStr(l Layout) string {
-	return fmt.Sprintf("cyclic(%d) on %d procs", l.K, l.P)
+func layoutStr(l dist.Layout) string {
+	return fmt.Sprintf("cyclic(%d) on %d procs", l.K(), l.P())
 }
 
 // checkCommCost flags section assignments between incompatible cyclic(k)
@@ -331,7 +337,7 @@ func checkCommCost(c *Checker, st ast.Stmt) {
 	}
 	compare := func(srcName string, src *ArrayInfo, dstDim, srcDim int, verb string) {
 		a, b := dst.Layouts[dstDim], src.Layouts[srcDim]
-		if a.known() && b.known() && a != b {
+		if a.P() > 0 && b.P() > 0 && a != b {
 			c.Report(CodeAllToAll, Warning, s.Pos(), fmt.Sprintf(
 				"%s from %s [%s] to %s [%s]%s forces all-to-all communication",
 				verb, srcName, layoutStr(b), s.LHS.Name, layoutStr(a),

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 
+	"repro/internal/dist"
 	"repro/internal/intmath"
 	"repro/internal/lang/ast"
 	"repro/internal/section"
@@ -44,15 +45,16 @@ func (w *wasteWalker) visitRedistribute(s *ast.Redistribute, after liveInfo) {
 	}
 	ext := info.Extents[0]
 	cur := info.Layouts[0]
-	if cur.known() {
-		next := resolveLayout(s.Dist, cur.P, ext)
+	// An unknown current layout (P() == 0) and a next one that dist.New
+	// rejects (HPF009) both make the resolver fail: nothing to compare.
+	if next, err := s.Dist.Layout(cur.P(), ext); err == nil {
 		if next == cur {
 			w.c.Report(CodeNoopRedist, Warning, s.Pos(), fmt.Sprintf(
 				"redundant redistribute: %s already has layout %s", s.Name, layoutStr(cur)))
 			return // a no-op moves nothing and is trivially "dead" too
 		}
 		whole := []section.Section{{Lo: 0, Hi: ext - 1, Stride: 1}}
-		moved := movedEstimate([]Layout{next}, whole, []Layout{cur}, whole)
+		moved := movedEstimate([]dist.Layout{next}, whole, []dist.Layout{cur}, whole)
 		w.redistMoved += moved
 		if moved > w.heavyMoved {
 			w.heavy, w.heavyMoved = s, moved
@@ -102,7 +104,7 @@ func (w *wasteWalker) visitAssign(s *ast.Assign, after liveInfo) {
 		// Element (i, j) of the destination rect pairs with element
 		// (j, i) of the source rect, so compare against swapped dims.
 		w.copyMoved += movedEstimate(dinfo.Layouts, dst.secs,
-			[]Layout{sinfo.Layouts[1], sinfo.Layouts[0]},
+			[]dist.Layout{sinfo.Layouts[1], sinfo.Layouts[0]},
 			[]section.Section{src.secs[1], src.secs[0]})
 	case *ast.Binary:
 		operands := []*ast.Ref{rhs.Left}
@@ -157,29 +159,29 @@ func (w *wasteWalker) suggestLayout(s *ast.Assign, dst secRef, dinfo *ArrayInfo,
 		return
 	}
 	dl, sl := dinfo.Layouts[0], sinfo.Layouts[0]
-	if !dl.known() || !sl.known() || dl.P != sl.P || dl.K == sl.K {
+	if dl.P() == 0 || dl.P() != sl.P() || dl.K() == sl.K() {
 		return
 	}
 	ds, ss := dst.secs[0], src.secs[0]
 	if ds.Empty() || ss.Empty() || ds.Stride != ss.Stride || ds.Count() != ss.Count() {
 		return
 	}
-	period, err := intmath.MulChecked(sl.P, sl.K)
-	if err != nil || (ds.Lo-ss.Lo)%period != 0 {
+	period := sl.RowLen()
+	if (ds.Lo-ss.Lo)%period != 0 {
 		return
 	}
-	lcm, err := intmath.LCM(dl.P*dl.K, period)
+	lcm, err := intmath.LCM(dl.RowLen(), period)
 	if err != nil {
 		lcm = 0
 	}
 	msg := fmt.Sprintf(
 		"redistribute %s cyclic(%d) before this copy to make it communication-free: "+
 			"the sections are aligned, but cyclic(%d)/cyclic(%d) owners realign only every %d elements",
-		dst.name, sl.K, dl.K, sl.K, lcm)
+		dst.name, sl.K(), dl.K(), sl.K(), lcm)
 	if lcm == 0 {
 		msg = fmt.Sprintf(
 			"redistribute %s cyclic(%d) before this copy to make it communication-free: "+
-				"the sections are aligned but the layouts interleave", dst.name, sl.K)
+				"the sections are aligned but the layouts interleave", dst.name, sl.K())
 	}
 	w.c.Report(CodeLayoutFix, Warning, s.Pos(), msg)
 }
@@ -231,11 +233,6 @@ const sampleCap = 4096
 // HPF005/HPF009) are excluded from estimates.
 const coordCap = int64(1) << 40
 
-// owner returns the processor that holds global index i under l.
-func owner(l Layout, i int64) int64 {
-	return intmath.FloorDiv(i, l.K) % l.P
-}
-
 // movedEstimate estimates how many of the paired elements of two
 // equally-shaped references live on different processors — the elements a
 // copy (or a redistribute, with both sections the whole array) must move.
@@ -244,14 +241,14 @@ func owner(l Layout, i int64) int64 {
 // is exact for the separable owner function (i/k) mod p. Returns 0 when
 // any layout is unknown or the shapes disagree (other passes report
 // those).
-func movedEstimate(dstL []Layout, dstS []section.Section, srcL []Layout, srcS []section.Section) int64 {
+func movedEstimate(dstL []dist.Layout, dstS []section.Section, srcL []dist.Layout, srcS []section.Section) int64 {
 	if len(dstL) != len(dstS) || len(srcL) != len(srcS) || len(dstL) != len(srcL) {
 		return 0
 	}
 	total := int64(1)
 	sameFrac := 1.0
 	for d := range dstS {
-		if !dstL[d].known() || !srcL[d].known() {
+		if dstL[d].P() == 0 || srcL[d].P() == 0 {
 			return 0
 		}
 		a, b := dstS[d], srcS[d]
@@ -269,7 +266,7 @@ func movedEstimate(dstL []Layout, dstS []section.Section, srcL []Layout, srcS []
 		sample := min(n, sampleCap)
 		same := int64(0)
 		for j := int64(0); j < sample; j++ {
-			if owner(dstL[d], a.Element(j)) == owner(srcL[d], b.Element(j)) {
+			if dstL[d].Owner(a.Element(j)) == srcL[d].Owner(b.Element(j)) {
 				same++
 			}
 		}

@@ -41,7 +41,7 @@ func New(p, k int64) (Layout, error) {
 	}
 	pk, err := intmath.MulChecked(p, k)
 	if err != nil {
-		return Layout{}, fmt.Errorf("dist: p*k overflows: %v", err)
+		return Layout{}, fmt.Errorf("dist: p*k overflows: %w", err)
 	}
 	return Layout{p: p, k: k, pk: pk}, nil
 }

@@ -3,6 +3,7 @@ package hpf
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -144,6 +145,44 @@ func TestSectionOpsSteadyStateZeroMisses(t *testing.T) {
 	}
 	if want := float64(sec.Count()) * 10; math.Abs(sum-want) > 1e-9 {
 		t.Fatalf("sum = %g, want %g", sum, want)
+	}
+}
+
+// TestPlansForBlockLongerThanArray: with k ≥ n the whole array is
+// rank 0's first block, so fill, map and sum on cyclic(2⁴⁰) must give
+// the values they give on a small block and allocate O(n), not O(k).
+func TestPlansForBlockLongerThanArray(t *testing.T) {
+	ResetSectionPlanCache()
+	plancache.ResetTables()
+	const p, n = 7, 100
+	ops := func(a *Array) []float64 {
+		t.Helper()
+		if err := a.FillSection(section.MustNew(0, n-1, 1), 1.5); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.MapSection(section.MustNew(97, 3, -5), func(v float64) float64 { return 2*v + 1 }); err != nil {
+			t.Fatal(err)
+		}
+		out := a.Gather()
+		for _, sec := range []section.Section{section.MustNew(0, n-1, 1), section.MustNew(1, 98, 3)} {
+			sum, err := a.SumSection(sec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, sum)
+		}
+		return out
+	}
+	huge := MustNewArray(dist.MustNew(p, 1<<40), n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := ops(huge)
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Errorf("fill, map and sum on cyclic(2^40) allocated %d bytes, want < 1 MB", d)
+	}
+	if want := ops(MustNewArray(dist.MustNew(p, 8), n)); !slices.Equal(got, want) {
+		t.Errorf("cyclic(2^40) gives %v, cyclic(8) gives %v", got, want)
 	}
 }
 

@@ -25,6 +25,8 @@ package ast
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/dist"
 )
 
 // Pos is a 1-based source position.
@@ -92,6 +94,22 @@ func (d DistSpec) String() string {
 		return "cyclic"
 	default:
 		return fmt.Sprintf("cyclic(%d)", d.K)
+	}
+}
+
+// Layout lowers the spec onto p processors for an n-cell dimension:
+// block is cyclic(ceil(n/p)), cyclic is cyclic(1). It is the one place a
+// DistSpec becomes a layout, so the interpreter and the analyzer agree
+// on every layout, and on every one dist.New rejects (an error wrapping
+// intmath.ErrOverflow when p·k does not fit in an int64).
+func (d DistSpec) Layout(p, n int64) (dist.Layout, error) {
+	switch d.Kind {
+	case DistBlock:
+		return dist.Block(p, n)
+	case DistCyclic:
+		return dist.Cyclic(p)
+	default:
+		return dist.New(p, d.K)
 	}
 }
 

@@ -1,6 +1,8 @@
 package lang
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -120,6 +122,21 @@ func FuzzAnalyzeExec(f *testing.F) {
 		"processors Q(2,2)\narray M(8,8) distribute (cyclic(2),cyclic(2)) onto Q\narray N(8,8) distribute (block,block) onto Q\nM = 2.0\nN(0:7,0:7) = transpose M(0:7,0:7)\nsum N(0:7,0:7)\n",
 		"processors P(4)\narray A(32) distribute cyclic(4) onto P\nA(0:15) = 1.0\nsum A(0:15)\nredistribute A cyclic(4)\n",
 	}
+	// Every fixture and example script is a seed too, among them the
+	// HPF009 scripts whose wrapped p*k once crashed the analyzer.
+	for _, pattern := range []string{"../analysis/testdata/*.hpf", "../../examples/scripts/*.hpf"} {
+		paths, err := filepath.Glob(pattern)
+		if err != nil || len(paths) == 0 {
+			f.Fatalf("no seed scripts match %s: %v", pattern, err)
+		}
+		for _, path := range paths {
+			src, err := os.ReadFile(path)
+			if err != nil {
+				f.Fatal(err)
+			}
+			seeds = append(seeds, string(src))
+		}
+	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
@@ -166,4 +183,42 @@ func FuzzAnalyzeExec(f *testing.F) {
 			t.Fatalf("analyzer-clean script failed at runtime: %v\ndiags: %v\nscript:\n%s", err, diags, src)
 		}
 	})
+}
+
+// TestLintAgreesWithInterpreter pins the layout half of that contract at
+// the int64 edge. The interpreter and the analyzer lower every DistSpec
+// through ast.DistSpec.Layout, so a statement fails at runtime exactly
+// when the analyzer reports an error on its line.
+func TestLintAgreesWithInterpreter(t *testing.T) {
+	scripts := map[string]string{
+		"p*k = MaxInt64":          "processors P(7)\narray A(100) distribute cyclic(1317624576693539401) onto P\nA = 1.0\nsum A\n",
+		"p*k = 2^63":              "processors P(2)\narray A(100) distribute cyclic(4611686018427387904) onto P\n",
+		"block of MaxInt64 cells": "processors P(4)\narray A(9223372036854775807) distribute block onto P\n",
+		"2-D, dim 1 overflows":    "processors Q(2,2)\narray M(8,8) distribute (cyclic(2),cyclic(4611686018427387904)) onto Q\n",
+		"redistribute":            "processors P(2)\narray A(100) distribute cyclic(4) onto P\nA = 1.0\nredistribute A cyclic(4611686018427387904)\n",
+	}
+	for name, src := range scripts {
+		sc, err := ast.Parse(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		lintErr := map[int]bool{}
+		for _, d := range analysis.Analyze(sc) {
+			if d.Severity == analysis.Error {
+				lintErr[d.Line] = true
+			}
+		}
+		in := New()
+		for _, st := range sc.Stmts {
+			line := st.Pos().Line
+			runErr := in.ExecStmt(st)
+			if (runErr != nil) != lintErr[line] {
+				t.Errorf("%s: line %d %q: runtime error %v, analyzer error %v",
+					name, line, st.Text(), runErr, lintErr[line])
+			}
+			if runErr != nil {
+				break
+			}
+		}
+	}
 }

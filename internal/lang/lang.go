@@ -42,7 +42,6 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/hpf"
 	"repro/internal/lang/ast"
 	"repro/internal/machine"
@@ -179,7 +178,7 @@ func (in *Interp) execArrayDecl(s *ast.ArrayDecl) error {
 		return err
 	}
 	n := s.Extents[0]
-	layout, err := layoutFor(s.Dists[0], in.procs, n)
+	layout, err := s.Dists[0].Layout(in.procs, n)
 	if err != nil {
 		return err
 	}
@@ -202,26 +201,13 @@ func (in *Interp) checkFreshName(name string) error {
 	return nil
 }
 
-// layoutFor lowers a distribution spec onto p processors for an n-cell
-// array: block is cyclic(ceil(n/p)), cyclic is cyclic(1).
-func layoutFor(spec ast.DistSpec, p, n int64) (dist.Layout, error) {
-	switch spec.Kind {
-	case ast.DistBlock:
-		return dist.Block(p, n)
-	case ast.DistCyclic:
-		return dist.Cyclic(p)
-	default:
-		return dist.New(p, spec.K)
-	}
-}
-
 // execRedistribute handles: redistribute A cyclic(16)
 func (in *Interp) execRedistribute(s *ast.Redistribute) error {
 	a, ok := in.arrays[s.Name]
 	if !ok {
 		return fmt.Errorf("unknown array %q", s.Name)
 	}
-	layout, err := layoutFor(s.Dist, in.procs, a.N())
+	layout, err := s.Dist.Layout(in.procs, a.N())
 	if err != nil {
 		return err
 	}

@@ -62,7 +62,7 @@ func (in *Interp) execArray2(s *ast.ArrayDecl) error {
 	}
 	layouts := make([]dist.Layout, 2)
 	for d := range s.Dists {
-		l, err := layoutFor(s.Dists[d], dims[d], s.Extents[d])
+		l, err := s.Dists[d].Layout(dims[d], s.Extents[d])
 		if err != nil {
 			return err
 		}
