@@ -24,7 +24,6 @@ import (
 	"repro/internal/hpf"
 	"repro/internal/machine"
 	"repro/internal/plancache"
-	"repro/internal/redist"
 	"repro/internal/section"
 )
 
@@ -242,11 +241,12 @@ func BenchmarkRedistributeCache(b *testing.B) {
 	m := machine.MustNew(benchProcs)
 	ra := hpf.MustNewArray(dist.MustNew(benchProcs, 4), n)
 	rb := hpf.MustNewArray(dist.MustNew(benchProcs, 7), n)
+	whole := section.Section{Lo: 0, Hi: n - 1, Stride: 1}
 	benchCachedVsUncached(b, func() error {
-		if err := redist.RedistributeInto(m, rb, ra); err != nil {
+		if err := comm.Copy(m, rb, whole, ra, whole); err != nil {
 			return err
 		}
-		return redist.RedistributeInto(m, ra, rb)
+		return comm.Copy(m, ra, whole, rb, whole)
 	})
 }
 

@@ -8,6 +8,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/comm"
+	"repro/internal/dist"
+	"repro/internal/hpf"
+	"repro/internal/machine"
+	"repro/internal/section"
 	"repro/internal/telemetry"
 )
 
@@ -24,6 +29,12 @@ func accessFile(t *testing.T) string {
 			}
 		}
 	}
+	return writeTrace(t, r)
+}
+
+// writeTrace writes r as an accesstrace/v1 document and returns its path.
+func writeTrace(t *testing.T, r *telemetry.AccessRecorder) string {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "access.json")
 	f, err := os.Create(path)
 	if err != nil {
@@ -109,16 +120,7 @@ func TestDroppedWarning(t *testing.T) {
 	for a := int64(0); a < 200; a++ {
 		r.Record(0, a, telemetry.AccessRead, step)
 	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "truncated.json")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.WriteJSON(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	path := writeTrace(t, r)
 
 	var out, errOut bytes.Buffer
 	if err := run(&out, &errOut, path, "", false); err != nil {
@@ -141,6 +143,74 @@ func TestDroppedWarning(t *testing.T) {
 	var doc map[string]any
 	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
 		t.Fatalf("-json stdout not valid JSON after warning: %v", err)
+	}
+}
+
+// TestJacobiSweepJSON records four sweeps of a 4-rank jacobi relaxation
+// (comm.Combine, MapSection, comm.Copy) and checks the -json report end
+// to end: schema, nothing dropped, every rank present, the pack and map
+// labels, and each rank's histogram counting every access once.
+func TestJacobiSweepJSON(t *testing.T) {
+	const p, n = 4, 64
+	layout := dist.MustNew(p, 4)
+	x := hpf.MustNewArray(layout, n)
+	tmp := hpf.MustNewArray(layout, n)
+	x.Set(n-1, 1)
+	interior := section.MustNew(1, n-2, 1)
+	m := machine.MustNew(p)
+	telemetry.StartAccessRecording(p, 1<<14)
+	for sweep := 0; sweep < 4; sweep++ {
+		err := comm.Combine(m, tmp, interior, x, section.MustNew(0, n-3, 1), x, section.MustNew(2, n-1, 1), comm.Add)
+		if err == nil {
+			err = tmp.MapSection(interior, func(v float64) float64 { return 0.5 * v })
+		}
+		if err == nil {
+			err = comm.Copy(m, x, interior, tmp, interior)
+		}
+		if err != nil {
+			telemetry.StopAccessRecording()
+			t.Fatal(err)
+		}
+	}
+	path := writeTrace(t, telemetry.StopAccessRecording())
+
+	var out, errOut bytes.Buffer
+	if err := run(&out, &errOut, path, "", true); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Schema  string `json:"schema"`
+		Ranks   int    `json:"ranks"`
+		Dropped int64  `json:"dropped"`
+		PerRank []struct {
+			Accesses  int64 `json:"accesses"`
+			Histogram struct {
+				Total int64 `json:"total"`
+			} `json:"histogram"`
+		} `json:"per_rank"`
+		PerLabel []struct {
+			Label string `json:"label"`
+		} `json:"per_label"`
+	}
+	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
+		t.Fatalf("-json output is not JSON: %v\n%s", err, out.String())
+	}
+	if doc.Schema != ReportSchema || doc.Dropped != 0 || doc.Ranks != p || len(doc.PerRank) != p {
+		t.Errorf("schema %q, dropped %d, ranks %d, per_rank %d; want %q, 0, %d, %d",
+			doc.Schema, doc.Dropped, doc.Ranks, len(doc.PerRank), ReportSchema, p, p)
+	}
+	var pack, mapped bool
+	for _, l := range doc.PerLabel {
+		pack = pack || l.Label == "comm.pack"
+		mapped = mapped || strings.HasPrefix(l.Label, "hpf.map_section:")
+	}
+	if !pack || !mapped {
+		t.Errorf("per_label %+v lacks comm.pack or an hpf.map_section:* label", doc.PerLabel)
+	}
+	for i, r := range doc.PerRank {
+		if r.Accesses == 0 || r.Histogram.Total != r.Accesses {
+			t.Errorf("rank %d: histogram total %d, accesses %d", i, r.Histogram.Total, r.Accesses)
+		}
 	}
 }
 

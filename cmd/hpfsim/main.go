@@ -35,7 +35,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/hpf"
 	"repro/internal/machine"
-	"repro/internal/redist"
 	"repro/internal/section"
 	"repro/internal/telemetry"
 )
@@ -294,8 +293,12 @@ func run(cfg config, faults *machine.FaultPlan) (err error) {
 	fmt.Printf("B(0) = %v, B(2) = %v (expect -1 -1)\n", b.Get(0), b.Get(2))
 
 	// Redistribute A onto layoutB and verify contents survive.
-	a2, err := redist.Redistribute(m, a, layoutB)
+	a2, err := hpf.NewArray(layoutB, n)
 	if err != nil {
+		return err
+	}
+	whole := section.Section{Lo: 0, Hi: n - 1, Stride: 1}
+	if err := comm.Copy(m, a2, whole, a, whole); err != nil {
 		return err
 	}
 	same := true

@@ -1,11 +1,11 @@
 // CG: conjugate gradients on a cyclic(k)-distributed 1-D Poisson system,
 // the flagship pattern for the whole runtime working together:
 //
-//   - the tridiagonal matvec runs on LOCAL data only, using halo
-//     exchange for the block-boundary neighbors (Fortran D overlap
-//     areas, the paper's reference [10]);
+//   - the tridiagonal matvec moves the neighbor values as two
+//     shifted-section statements (comm.Copy, then comm.Accumulate), the
+//     way jacobi moves its stencil operands, and finishes on local data;
 //   - dot products are machine AllReduce collectives;
-//   - axpy updates are local sweeps over the packed cyclic(k) storage,
+//   - axpby updates are local sweeps over the packed cyclic(k) storage,
 //     while the p = r + beta*p update runs through the cached section
 //     runtime (MapSection + comm.Accumulate) — iteration 2..N reuses
 //     memoized plans and builds no AM tables;
@@ -28,7 +28,6 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/dist"
-	"repro/internal/halo"
 	"repro/internal/hpf"
 	"repro/internal/machine"
 	"repro/internal/section"
@@ -38,42 +37,27 @@ import (
 var (
 	procs = flag.Int64("p", 4, "number of processors")
 	k     = flag.Int64("k", 8, "block size of the cyclic(k) distribution")
-	// n must stay a multiple of p*k so halos cover whole blocks.
-	n     = flag.Int64("n", 256, "unknowns (must be a multiple of p*k)")
+	n     = flag.Int64("n", 256, "unknowns")
 	trace = flag.String("trace", "", "write a Chrome trace_event JSON of the run to this file")
 	mem   = flag.String("memtrace", "", "write an accesstrace/v1 JSON of every distributed-memory access to this file (analyze with hpfmem)")
 )
 
-// matvec computes y = A·p for the tridiagonal Poisson matrix, using one
-// halo exchange and then only local memory.
-func matvec(m *machine.Machine, y, p *hpf.Array) error {
-	h, err := halo.Exchange(m, p, 1, 0) // pad 0 = Dirichlet boundary
-	if err != nil {
+// matvec computes y = A·x for the tridiagonal Poisson matrix:
+// y(0:n-2) = x(1:n-1) and y(1:n-1) += x(0:n-2) sum the neighbors
+// through planned communication sets (y(n-1) starts at 0, the
+// Dirichlet boundary), then y = 2x - y runs on local memory.
+func matvec(m *machine.Machine, y, x *hpf.Array) error {
+	n := x.N()
+	lower := section.Section{Lo: 0, Hi: n - 2, Stride: 1}
+	upper := section.Section{Lo: 1, Hi: n - 1, Stride: 1}
+	if err := comm.Copy(m, y, lower, x, upper); err != nil {
 		return err
 	}
-	layout := p.Layout()
-	kk := layout.K()
-	for proc := int64(0); proc < layout.P(); proc++ {
-		src := p.LocalMem(proc)
-		dst := y.LocalMem(proc)
-		for row := int64(0); row < h.Rows(); row++ {
-			base := row * kk
-			for off := int64(0); off < kk; off++ {
-				var left, right float64
-				if off > 0 {
-					left = src[base+off-1]
-				} else {
-					left = h.Left(proc, row, 1)
-				}
-				if off < kk-1 {
-					right = src[base+off+1]
-				} else {
-					right = h.Right(proc, row, 1)
-				}
-				dst[base+off] = 2*src[base+off] - left - right
-			}
-		}
+	y.Set(n-1, 0)
+	if err := comm.Accumulate(m, y, upper, x, lower, comm.Add); err != nil {
+		return err
 	}
+	axpby(2, x, -1, y)
 	return nil
 }
 
@@ -96,12 +80,12 @@ func dot(m *machine.Machine, x, y *hpf.Array) float64 {
 	return result
 }
 
-// axpy computes y += alpha*x on local memories.
-func axpy(alpha float64, x, y *hpf.Array) {
+// axpby computes y = alpha*x + beta*y on local memories.
+func axpby(alpha float64, x *hpf.Array, beta float64, y *hpf.Array) {
 	for proc := int64(0); proc < x.Layout().P(); proc++ {
 		xm, ym := x.LocalMem(proc), y.LocalMem(proc)
 		for i := range xm {
-			ym[i] += alpha * xm[i]
+			ym[i] = alpha*xm[i] + beta*ym[i]
 		}
 	}
 }
@@ -121,8 +105,8 @@ func xpay(m *machine.Machine, r, p *hpf.Array, beta float64) error {
 func main() {
 	flag.Parse()
 	procs, k, n := *procs, *k, *n
-	if n%(procs*k) != 0 {
-		log.Fatalf("-n %d must be a multiple of p*k = %d", n, procs*k)
+	if n < 1 {
+		log.Fatalf("-n %d: need at least one unknown", n)
 	}
 	if *trace != "" {
 		telemetry.StartTracing(int(procs), 1<<15)
@@ -164,8 +148,8 @@ func main() {
 			log.Fatal(err)
 		}
 		alpha := rr / dot(m, p, ap)
-		axpy(alpha, p, x)
-		axpy(-alpha, ap, r)
+		axpby(alpha, p, 1, x)
+		axpby(-alpha, ap, 1, r)
 		rrNew := dot(m, r, r)
 		if err := xpay(m, r, p, rrNew/rr); err != nil {
 			log.Fatal(err)

@@ -1,5 +1,6 @@
 // Redistribute: changing an array's cyclic(k) block size mid-computation,
-// with planned communication sets.
+// with planned communication sets: the whole-array assignment
+// B(0:n-1) = A(0:n-1) between the two layouts.
 //
 // ScaLAPACK-style dense solvers pick the block size per phase: a large k
 // for BLAS-3 locality, a small k for load balance. This example plans and
@@ -15,10 +16,11 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/comm"
 	"repro/internal/dist"
 	"repro/internal/hpf"
 	"repro/internal/machine"
-	"repro/internal/redist"
+	"repro/internal/section"
 )
 
 func main() {
@@ -34,12 +36,17 @@ func main() {
 		src.Set(i, float64(i))
 	}
 
-	// Inspect the plan before moving anything.
-	plan, err := redist.Plan(coarse, n, fine)
+	// Inspect the plan before moving anything. Both layouts span the
+	// same processors, so the diagonal of the traffic matrix stays put.
+	whole := section.Section{Lo: 0, Hi: n - 1, Stride: 1}
+	plan, err := comm.CachedPlan(fine, n, whole, coarse, n, whole)
 	if err != nil {
 		log.Fatal(err)
 	}
-	stay := redist.StayVolume(plan)
+	var stay int64
+	for q := int64(0); q < procs; q++ {
+		stay += plan.Volume(q, q)
+	}
 	fmt.Printf("redistribute %v -> %v over %d elements\n", coarse, fine, n)
 	fmt.Printf("plan: %d elements stay on-processor, %d cross the network (%.1f%%)\n",
 		stay, n-stay, 100*float64(n-stay)/float64(n))
@@ -54,14 +61,15 @@ func main() {
 		fmt.Println()
 	}
 
-	// Execute on the simulated machine and verify.
+	// Execute on the simulated machine (the copy reuses the cached plan)
+	// and verify.
 	m := machine.MustNew(procs)
-	mid, err := redist.Redistribute(m, src, fine)
-	if err != nil {
+	mid := hpf.MustNewArray(fine, n)
+	back := hpf.MustNewArray(coarse, n)
+	if err := comm.Copy(m, mid, whole, src, whole); err != nil {
 		log.Fatal(err)
 	}
-	back, err := redist.Redistribute(m, mid, coarse)
-	if err != nil {
+	if err := comm.Copy(m, back, whole, mid, whole); err != nil {
 		log.Fatal(err)
 	}
 	for i := int64(0); i < n; i++ {

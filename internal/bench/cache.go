@@ -18,7 +18,6 @@ import (
 	"repro/internal/hpf"
 	"repro/internal/machine"
 	"repro/internal/plancache"
-	"repro/internal/redist"
 	"repro/internal/section"
 )
 
@@ -98,7 +97,8 @@ func measureOp(iters int, uncached bool, op func() error) (nsPerOp, allocsPerOp 
 //     (pure addressing, no communication)
 //   - jacobi-sweep: one Jacobi iteration — Combine of shifted
 //     sections, pointwise scale, Copy back
-//   - redistribute: a cyclic(4) ⇄ cyclic(7) bounce via RedistributeInto
+//   - redistribute: a cyclic(4) ⇄ cyclic(7) bounce, two whole-array
+//     comm.Copy calls
 func CacheBenchmarks(procs int64, iters int) ([]CacheBenchResult, error) {
 	if procs < 1 {
 		return nil, fmt.Errorf("bench: need at least one processor, got %d", procs)
@@ -136,11 +136,12 @@ func CacheBenchmarks(procs int64, iters int) ([]CacheBenchResult, error) {
 
 	ra := hpf.MustNewArray(dist.MustNew(procs, 4), n)
 	rb := hpf.MustNewArray(dist.MustNew(procs, 7), n)
+	whole := section.Section{Lo: 0, Hi: n - 1, Stride: 1}
 	redistOp := func() error {
-		if err := redist.RedistributeInto(m, rb, ra); err != nil {
+		if err := comm.Copy(m, rb, whole, ra, whole); err != nil {
 			return err
 		}
-		return redist.RedistributeInto(m, ra, rb)
+		return comm.Copy(m, ra, whole, rb, whole)
 	}
 
 	families := []struct {

@@ -20,19 +20,26 @@ import (
 // timeout (chaos-smoke job).
 
 // chaosFixture builds differently-distributed src/dst arrays and the
-// plan for dst(0:2(cnt-1):2) = src(4:n-1:9).
-func chaosFixture(t *testing.T) (*Plan, *hpf.Array, *hpf.Array, section.Section, section.Section) {
+// plan for dst(0:2(cnt-1):2) = src(4:n-1:9) from cyclic(8) to cyclic(5)
+// on four ranks or, with whole set, for the whole-array copy from
+// cyclic(8) on four ranks to cyclic(3) on six (a redistribution).
+func chaosFixture(t *testing.T, whole bool) (*Plan, *hpf.Array, *hpf.Array, section.Section, section.Section) {
 	t.Helper()
 	const n = 320
 	srcL := dist.MustNew(4, 8)
 	dstL := dist.MustNew(4, 5)
+	srcSec := section.Section{Lo: 4, Hi: n - 1, Stride: 9}
+	dstSec := section.Section{Lo: 0, Hi: 2 * (srcSec.Count() - 1), Stride: 2}
+	if whole {
+		dstL = dist.MustNew(6, 3)
+		srcSec = section.Section{Lo: 0, Hi: n - 1, Stride: 1}
+		dstSec = srcSec
+	}
 	src := hpf.MustNewArray(srcL, n)
 	for i := int64(0); i < n; i++ {
 		src.Set(i, float64(i))
 	}
 	dst := hpf.MustNewArray(dstL, n)
-	srcSec := section.Section{Lo: 4, Hi: n - 1, Stride: 9}
-	dstSec := section.Section{Lo: 0, Hi: 2 * (srcSec.Count() - 1), Stride: 2}
 	plan, err := NewPlan(dstL, n, dstSec, srcL, n, srcSec)
 	if err != nil {
 		t.Fatal(err)
@@ -51,25 +58,27 @@ func checkCopied(t *testing.T, dst, src *hpf.Array, dstSec, srcSec section.Secti
 }
 
 func TestExecuteSurvivesDelayDupReorder(t *testing.T) {
-	for _, seed := range []int64{5, 19} {
-		plan, dst, src, dstSec, srcSec := chaosFixture(t)
-		m := machine.MustNew(4)
-		m.SetFaults(&machine.FaultPlan{
-			Seed: seed, Delay: 0.25, DelayBy: 300 * time.Microsecond,
-			Dup: 0.25, Reorder: 0.25, CrashRank: -1,
-		})
-		if err := plan.Execute(m, dst, src); err != nil {
-			t.Fatal(err)
-		}
-		checkCopied(t, dst, src, dstSec, srcSec)
-		if len(m.FaultEvents()) == 0 {
-			t.Errorf("seed %d: no faults injected; plan not exercised", seed)
+	for _, whole := range []bool{false, true} {
+		for _, seed := range []int64{5, 19} {
+			plan, dst, src, dstSec, srcSec := chaosFixture(t, whole)
+			m := machine.MustNew(int(max(plan.NSrc, plan.NDst)))
+			m.SetFaults(&machine.FaultPlan{
+				Seed: seed, Delay: 0.25, DelayBy: 300 * time.Microsecond,
+				Dup: 0.25, Reorder: 0.25, CrashRank: -1,
+			})
+			if err := plan.Execute(m, dst, src); err != nil {
+				t.Fatal(err)
+			}
+			checkCopied(t, dst, src, dstSec, srcSec)
+			if len(m.FaultEvents()) == 0 {
+				t.Errorf("whole=%v seed %d: no faults injected; plan not exercised", whole, seed)
+			}
 		}
 	}
 }
 
 func TestExecuteWithSurvivesFaults(t *testing.T) {
-	plan, dst, src, dstSec, srcSec := chaosFixture(t)
+	plan, dst, src, dstSec, srcSec := chaosFixture(t, false)
 	base := 0.5
 	for i := int64(0); i < dst.N(); i++ {
 		dst.Set(i, base)
@@ -94,7 +103,7 @@ func TestExecuteWithSurvivesFaults(t *testing.T) {
 // the unpack side forever; the watchdog must abort with a diagnostic
 // naming the comm tag instead of hanging the test suite.
 func TestExecuteDropBecomesStructuredFailure(t *testing.T) {
-	plan, dst, src, _, _ := chaosFixture(t)
+	plan, dst, src, _, _ := chaosFixture(t, false)
 	m := machine.MustNew(4)
 	m.SetQuiescence(15 * time.Millisecond)
 	m.SetFaults(&machine.FaultPlan{Seed: 3, Drop: 1, CrashRank: -1})
@@ -116,65 +125,90 @@ func TestExecuteDropBecomesStructuredFailure(t *testing.T) {
 	t.Fatal("Execute with all messages dropped should not complete")
 }
 
-// combineChaosCase is a three-layout Combine whose two operands travel
-// under different tags (comm.copy and comm.combine) in one step.
-func combineChaosCase() execCase {
-	return execCase{
-		dst:    filled(dist.MustNew(4, 5), 1000),
-		a:      filled(dist.MustNew(4, 8), 0),
-		b:      filled(dist.MustNew(3, 2), 500),
-		dstSec: section.Section{Lo: 0, Hi: 68, Stride: 2},
-		aSec:   section.Section{Lo: 4, Hi: 276, Stride: 8},
-		bSec:   section.Section{Lo: 299, Hi: 197, Stride: -3},
-		op:     func(old, in float64) float64 { return 2*old - in },
+// combineChaosCases are the statements the Combine chaos tests run: a
+// three-layout Combine whose two operands travel under different tags
+// (comm.copy and comm.combine) in one step, and jacobi's and cg's
+// shifted-section stencil steps on one array, x(1:n-2) = x(0:n-3) +
+// x(2:n-1) and x(1:n-1) += x(0:n-2), which read every operand value
+// before they write the destination.
+func combineChaosCases() map[string]execCase {
+	x := filled(dist.MustNew(4, 5), 0)
+	y := filled(dist.MustNew(4, 5), 0)
+	return map[string]execCase{
+		"three-layout": {
+			dst:    filled(dist.MustNew(4, 5), 1000),
+			a:      filled(dist.MustNew(4, 8), 0),
+			b:      filled(dist.MustNew(3, 2), 500),
+			dstSec: section.Section{Lo: 0, Hi: 68, Stride: 2},
+			aSec:   section.Section{Lo: 4, Hi: 276, Stride: 8},
+			bSec:   section.Section{Lo: 299, Hi: 197, Stride: -3},
+			op:     func(old, in float64) float64 { return 2*old - in },
+		},
+		"shifted-combine": {
+			dst: x, a: x, b: x,
+			dstSec: section.Section{Lo: 1, Hi: execN - 2, Stride: 1},
+			aSec:   section.Section{Lo: 0, Hi: execN - 3, Stride: 1},
+			bSec:   section.Section{Lo: 2, Hi: execN - 1, Stride: 1},
+			op:     Add,
+		},
+		"shifted-accumulate": {
+			dst: y, a: y, accumulate: true,
+			dstSec: section.Section{Lo: 1, Hi: execN - 1, Stride: 1},
+			aSec:   section.Section{Lo: 0, Hi: execN - 2, Stride: 1},
+			op:     Add,
+		},
 	}
 }
 
 func TestCombineSurvivesDelayReorder(t *testing.T) {
 	for _, seed := range []int64{5, 19} {
-		c := combineChaosCase()
-		want := c.reference()
-		m := machine.MustNew(4)
-		m.SetFaults(&machine.FaultPlan{
-			Seed: seed, Delay: 0.3, DelayBy: 300 * time.Microsecond, Reorder: 0.3,
-			CrashRank: -1,
-		})
-		if err := c.run(m); err != nil {
-			t.Fatal(err)
-		}
-		got := c.dst.Gather()
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: dst(%d) = %v, want %v", seed, i, got[i], want[i])
+		for name, c := range combineChaosCases() {
+			want := c.reference()
+			m := machine.MustNew(4)
+			m.SetFaults(&machine.FaultPlan{
+				Seed: seed, Delay: 0.25, DelayBy: 300 * time.Microsecond,
+				Dup: 0.25, Reorder: 0.25, CrashRank: -1,
+			})
+			if err := c.run(m); err != nil {
+				t.Fatal(err)
 			}
-		}
-		if len(m.FaultEvents()) == 0 {
-			t.Errorf("seed %d: no faults injected; step not exercised", seed)
+			got := c.dst.Gather()
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s seed %d: dst(%d) = %v, want %v", name, seed, i, got[i], want[i])
+				}
+			}
+			if len(m.FaultEvents()) == 0 {
+				t.Errorf("%s seed %d: no faults injected; step not exercised", name, seed)
+			}
 		}
 	}
 }
 
-// TestCombineDropBecomesStructuredFailure: with both operands' messages
+// TestCombineDropBecomesStructuredFailure: with every operand message
 // lost, the watchdog must abort the step with a diagnostic naming a comm
 // tag.
 func TestCombineDropBecomesStructuredFailure(t *testing.T) {
-	c := combineChaosCase()
-	m := machine.MustNew(4)
-	m.SetQuiescence(15 * time.Millisecond)
-	m.SetFaults(&machine.FaultPlan{Seed: 3, Drop: 1, CrashRank: -1})
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected watchdog abort when every message is dropped")
-		}
-		msg := r.(string)
-		if !strings.Contains(msg, "deadlock") ||
-			!(strings.Contains(msg, "comm.copy") || strings.Contains(msg, "comm.combine")) {
-			t.Errorf("diagnostic %q should name the deadlock and a comm tag", msg)
-		}
-	}()
-	_ = c.run(m)
-	t.Fatal("Combine with all messages dropped should not complete")
+	for name, c := range combineChaosCases() {
+		t.Run(name, func(t *testing.T) {
+			m := machine.MustNew(4)
+			m.SetQuiescence(15 * time.Millisecond)
+			m.SetFaults(&machine.FaultPlan{Seed: 3, Drop: 1, CrashRank: -1})
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatal("expected watchdog abort when every message is dropped")
+				}
+				msg := r.(string)
+				if !strings.Contains(msg, "deadlock") ||
+					!(strings.Contains(msg, "comm.copy") || strings.Contains(msg, "comm.combine")) {
+					t.Errorf("diagnostic %q should name the deadlock and a comm tag", msg)
+				}
+			}()
+			_ = c.run(m)
+			t.Fatal("a step with all messages dropped should not complete")
+		})
+	}
 }
 
 // transposeFixture builds differently-distributed 4-rank arrays for

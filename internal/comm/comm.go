@@ -266,6 +266,9 @@ func NewPlan(dstLayout dist.Layout, dstN int64, dstSec section.Section,
 	if tr := telemetry.ActiveTracer(); tr != nil {
 		defer tr.EndSpan(telemetry.HostRank, "comm.plan", tr.Now())
 	}
+	if dstN < 0 || srcN < 0 {
+		return nil, fmt.Errorf("comm: negative array size: dst %d, src %d", dstN, srcN)
+	}
 	n := dstSec.Count()
 	if sn := srcSec.Count(); sn != n {
 		return nil, fmt.Errorf("comm: section size mismatch: dst %v has %d elements, src %v has %d",

@@ -168,6 +168,10 @@ func TestPlanMismatchedSizes(t *testing.T) {
 		l, 5, section.MustNew(0, 9, 1)); err == nil {
 		t.Error("out-of-bounds source should fail")
 	}
+	if _, err := NewPlan(l, -1, section.MustNew(0, -2, 1),
+		l, -1, section.MustNew(0, -2, 1)); err == nil {
+		t.Error("negative array size should fail")
+	}
 }
 
 func TestCopySameDistribution(t *testing.T) {
@@ -272,6 +276,11 @@ func TestCopyEmptySections(t *testing.T) {
 	dst := hpf.MustNewArray(layout, 30)
 	if err := Copy(m, dst, section.MustNew(5, 4, 1), src, section.MustNew(5, 4, 1)); err != nil {
 		t.Fatalf("empty copy should succeed: %v", err)
+	}
+	// The whole-array copy of an empty array onto another layout.
+	none := section.MustNew(0, -1, 1)
+	if err := Copy(m, hpf.MustNewArray(dist.MustNew(2, 4), 0), none, hpf.MustNewArray(layout, 0), none); err != nil {
+		t.Fatalf("empty whole-array copy should succeed: %v", err)
 	}
 }
 

@@ -125,6 +125,19 @@ func (l Layout) Owns(m, i int64) bool {
 	return l.Owner(i) == m
 }
 
+// Within returns a layout that gives every index in [0, n) the owner and
+// local address l gives it, with a block of at most n cells: when
+// k > n ≥ 1, all of [0, n) lies in rank 0's first block at local address
+// i under cyclic(k) and cyclic(n) alike, so anything built from
+// cyclic(n)'s row costs O(n) where cyclic(k)'s costs O(k). p·n fits,
+// being below the p·k that New accepted.
+func (l Layout) Within(n int64) Layout {
+	if n < 1 || l.k <= n {
+		return l
+	}
+	return Layout{p: l.p, k: n, pk: l.p * n}
+}
+
 // LocalCount returns the number of global indices in [0, n) owned by
 // processor m — the size of m's local array segment for an n-cell template.
 func (l Layout) LocalCount(m, n int64) int64 {

@@ -152,6 +152,26 @@ func TestLocalCountProperty(t *testing.T) {
 	}
 }
 
+// TestWithin: the layout Within returns places every index in [0, n)
+// where the original does, with a block of at most n cells when k > n.
+func TestWithin(t *testing.T) {
+	for _, k := range []int64{1, 5, 64, 1 << 40} {
+		l := MustNew(7, k)
+		for _, n := range []int64{0, 1, 5, 63, 100} {
+			w := l.Within(n)
+			if w.P() != 7 || (k > n && n > 0 && w.K() != n) || (k <= n && w != l) {
+				t.Errorf("cyclic(%d).Within(%d) = %v", k, n, w)
+			}
+			for i := int64(0); i < n; i++ {
+				if w.Owner(i) != l.Owner(i) || w.Local(i) != l.Local(i) {
+					t.Fatalf("cyclic(%d).Within(%d): index %d at (%d, %d), want (%d, %d)",
+						k, n, i, w.Owner(i), w.Local(i), l.Owner(i), l.Local(i))
+				}
+			}
+		}
+	}
+}
+
 func TestBlockStart(t *testing.T) {
 	l := MustNew(4, 8)
 	if got := l.BlockStart(1, 3); got != 104 {

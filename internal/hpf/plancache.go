@@ -70,13 +70,7 @@ func cachedSectionPlans(layout dist.Layout, n int64, sec section.Section) (*sect
 	if asc.Lo < 0 || asc.Last() >= n {
 		return nil, fmt.Errorf("hpf: section %v outside array [0, %d)", sec, n)
 	}
-	if layout.K() > n {
-		// Every index in [0, n) lies in rank 0's first block at local
-		// address i under cyclic(k) and cyclic(n) alike, so cyclic(n)
-		// gives the same plans in O(n) where cyclic(k) takes O(k). p·n
-		// fits, being below the p·k that dist.New accepted.
-		layout = dist.MustNew(layout.P(), n)
-	}
+	layout = layout.Within(n)
 	key := sectionKey{
 		p: layout.P(), k: layout.K(), n: n,
 		lo: asc.Lo, hi: asc.Hi, stride: asc.Stride,

@@ -45,7 +45,6 @@ import (
 	"repro/internal/hpf"
 	"repro/internal/lang/ast"
 	"repro/internal/machine"
-	"repro/internal/redist"
 	"repro/internal/section"
 	"repro/internal/viz"
 )
@@ -211,8 +210,12 @@ func (in *Interp) execRedistribute(s *ast.Redistribute) error {
 	if err != nil {
 		return err
 	}
-	b, err := redist.Redistribute(in.machine, a, layout)
+	b, err := hpf.NewArray(layout, a.N())
 	if err != nil {
+		return err
+	}
+	whole := section.Section{Lo: 0, Hi: a.N() - 1, Stride: 1}
+	if err := comm.Copy(in.machine, b, whole, a, whole); err != nil {
 		return err
 	}
 	in.arrays[s.Name] = b
@@ -361,10 +364,8 @@ func (in *Interp) execTable(s *ast.Table) error {
 		fmt.Fprintf(in.out, "table %s(%v) on %d: empty section\n", s.Ref.Name, sec, m)
 		return nil
 	}
-	pr := core.Problem{
-		P: a.Layout().P(), K: a.Layout().K(),
-		L: asc.Lo, S: asc.Stride, M: m,
-	}
+	layout := a.Layout().Within(a.N())
+	pr := core.Problem{P: layout.P(), K: layout.K(), L: asc.Lo, S: asc.Stride, M: m}
 	seq, err := core.Lattice(pr)
 	if err != nil {
 		return err

@@ -211,6 +211,27 @@ table A(3:63:8) on 0
 	}
 }
 
+// TestTableBlockLongerThanArray: with k > n the whole array is rank 0's
+// first block, so the AM table is cyclic(n)'s: at most n entries, not
+// the 10⁶ of cyclic(10⁶).
+func TestTableBlockLongerThanArray(t *testing.T) {
+	in := New()
+	if err := in.Run(`
+processors P(7)
+array A(100) distribute cyclic(1000000) onto P
+table A(0:99) on 0
+`); err != nil {
+		t.Fatal(err)
+	}
+	out := in.Output()
+	am := out[strings.Index(out, "AM = [")+len("AM = ["):]
+	am = am[:strings.Index(am, "]")]
+	if !strings.Contains(out, "start=0 (local 0)") || strings.Count(am, ",")+1 > 100 {
+		t.Errorf("table for a 100-element array should start at 0 with at most 100 entries; got %d bytes:\n%.200s",
+			len(out), out)
+	}
+}
+
 func TestBinaryArrayExpression(t *testing.T) {
 	in := New()
 	script := `

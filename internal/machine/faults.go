@@ -44,9 +44,10 @@ func (e FaultEvent) String() string {
 }
 
 // FaultPlan is a seeded, reproducible fault-injection plan applied
-// inside Send/Recv, so every layer built on the machine (comm, redist,
-// halo, hpf) is exercised unmodified. Probabilities are per-Send and
-// must sum to at most 1; at most one fault is injected per message.
+// inside Send/Recv, so every layer built on the machine (comm, the
+// collectives, hpf) is exercised unmodified. Probabilities are
+// per-Send and must sum to at most 1; at most one fault is injected
+// per message.
 //
 // Caveats: a duplicated payload is deep-copied (the pooled-buffer
 // ownership convention survives), but the duplicate stays in the
