@@ -58,22 +58,24 @@ func checkCopied(t *testing.T, dst, src *hpf.Array, dstSec, srcSec section.Secti
 }
 
 func TestExecuteSurvivesDelayDupReorder(t *testing.T) {
-	for _, whole := range []bool{false, true} {
-		for _, seed := range []int64{5, 19} {
-			plan, dst, src, dstSec, srcSec := chaosFixture(t, whole)
-			m := machine.MustNew(int(max(plan.NSrc, plan.NDst)))
-			m.SetFaults(&machine.FaultPlan{
-				Seed: seed, Delay: 0.25, DelayBy: 300 * time.Microsecond,
-				Dup: 0.25, Reorder: 0.25, CrashRank: -1,
-			})
-			if err := plan.Execute(m, dst, src); err != nil {
-				t.Fatal(err)
+	for name, whole := range map[string]bool{"section": false, "redistribute": true} {
+		t.Run(name, func(t *testing.T) {
+			for _, seed := range []int64{5, 19} {
+				plan, dst, src, dstSec, srcSec := chaosFixture(t, whole)
+				m := machine.MustNew(int(max(plan.NSrc, plan.NDst)))
+				m.SetFaults(&machine.FaultPlan{
+					Seed: seed, Delay: 0.25, DelayBy: 300 * time.Microsecond,
+					Dup: 0.25, Reorder: 0.25, CrashRank: -1,
+				})
+				if err := plan.Execute(m, dst, src); err != nil {
+					t.Fatal(err)
+				}
+				checkCopied(t, dst, src, dstSec, srcSec)
+				if len(m.FaultEvents()) == 0 {
+					t.Errorf("seed %d: no faults injected; plan not exercised", seed)
+				}
 			}
-			checkCopied(t, dst, src, dstSec, srcSec)
-			if len(m.FaultEvents()) == 0 {
-				t.Errorf("whole=%v seed %d: no faults injected; plan not exercised", whole, seed)
-			}
-		}
+		})
 	}
 }
 
@@ -161,27 +163,29 @@ func combineChaosCases() map[string]execCase {
 }
 
 func TestCombineSurvivesDelayReorder(t *testing.T) {
-	for _, seed := range []int64{5, 19} {
-		for name, c := range combineChaosCases() {
-			want := c.reference()
-			m := machine.MustNew(4)
-			m.SetFaults(&machine.FaultPlan{
-				Seed: seed, Delay: 0.25, DelayBy: 300 * time.Microsecond,
-				Dup: 0.25, Reorder: 0.25, CrashRank: -1,
-			})
-			if err := c.run(m); err != nil {
-				t.Fatal(err)
-			}
-			got := c.dst.Gather()
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s seed %d: dst(%d) = %v, want %v", name, seed, i, got[i], want[i])
+	for name, c := range combineChaosCases() {
+		t.Run(name, func(t *testing.T) {
+			for _, seed := range []int64{5, 19} {
+				want := c.reference()
+				m := machine.MustNew(4)
+				m.SetFaults(&machine.FaultPlan{
+					Seed: seed, Delay: 0.25, DelayBy: 300 * time.Microsecond,
+					Dup: 0.25, Reorder: 0.25, CrashRank: -1,
+				})
+				if err := c.run(m); err != nil {
+					t.Fatal(err)
+				}
+				got := c.dst.Gather()
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("seed %d: dst(%d) = %v, want %v", seed, i, got[i], want[i])
+					}
+				}
+				if len(m.FaultEvents()) == 0 {
+					t.Errorf("seed %d: no faults injected; step not exercised", seed)
 				}
 			}
-			if len(m.FaultEvents()) == 0 {
-				t.Errorf("%s seed %d: no faults injected; step not exercised", name, seed)
-			}
-		}
+		})
 	}
 }
 

@@ -156,21 +156,21 @@ func TestPlanVolumes(t *testing.T) {
 
 func TestPlanMismatchedSizes(t *testing.T) {
 	l := dist.MustNew(2, 2)
-	if _, err := NewPlan(l, 100, section.MustNew(0, 9, 1),
-		l, 100, section.MustNew(0, 9, 2)); err == nil {
-		t.Error("mismatched counts should fail")
-	}
-	if _, err := NewPlan(l, 5, section.MustNew(0, 9, 1),
-		l, 100, section.MustNew(0, 9, 1)); err == nil {
-		t.Error("out-of-bounds destination should fail")
-	}
-	if _, err := NewPlan(l, 100, section.MustNew(0, 9, 1),
-		l, 5, section.MustNew(0, 9, 1)); err == nil {
-		t.Error("out-of-bounds source should fail")
-	}
-	if _, err := NewPlan(l, -1, section.MustNew(0, -2, 1),
-		l, -1, section.MustNew(0, -2, 1)); err == nil {
-		t.Error("negative array size should fail")
+	for _, c := range []struct {
+		name        string
+		dstN, srcN  int64
+		dstSec, sec section.Section
+	}{
+		{"mismatched-counts", 100, 100, section.MustNew(0, 9, 1), section.MustNew(0, 9, 2)},
+		{"destination-out-of-bounds", 5, 100, section.MustNew(0, 9, 1), section.MustNew(0, 9, 1)},
+		{"source-out-of-bounds", 100, 5, section.MustNew(0, 9, 1), section.MustNew(0, 9, 1)},
+		{"negative-size", -1, -1, section.MustNew(0, -2, 1), section.MustNew(0, -2, 1)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := NewPlan(l, c.dstN, c.dstSec, l, c.srcN, c.sec); err == nil {
+				t.Error("NewPlan should fail")
+			}
+		})
 	}
 }
 
@@ -274,14 +274,18 @@ func TestCopyEmptySections(t *testing.T) {
 	m := machine.MustNew(2)
 	src := hpf.MustNewArray(layout, 30)
 	dst := hpf.MustNewArray(layout, 30)
-	if err := Copy(m, dst, section.MustNew(5, 4, 1), src, section.MustNew(5, 4, 1)); err != nil {
-		t.Fatalf("empty copy should succeed: %v", err)
-	}
+	t.Run("empty-section", func(t *testing.T) {
+		if err := Copy(m, dst, section.MustNew(5, 4, 1), src, section.MustNew(5, 4, 1)); err != nil {
+			t.Fatalf("empty copy should succeed: %v", err)
+		}
+	})
 	// The whole-array copy of an empty array onto another layout.
-	none := section.MustNew(0, -1, 1)
-	if err := Copy(m, hpf.MustNewArray(dist.MustNew(2, 4), 0), none, hpf.MustNewArray(layout, 0), none); err != nil {
-		t.Fatalf("empty whole-array copy should succeed: %v", err)
-	}
+	t.Run("empty-array", func(t *testing.T) {
+		none := section.MustNew(0, -1, 1)
+		if err := Copy(m, hpf.MustNewArray(dist.MustNew(2, 4), 0), none, hpf.MustNewArray(layout, 0), none); err != nil {
+			t.Fatalf("empty whole-array copy should succeed: %v", err)
+		}
+	})
 }
 
 func TestExecuteMachineTooSmall(t *testing.T) {
