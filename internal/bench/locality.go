@@ -50,29 +50,27 @@ type LocalityResult struct {
 }
 
 // profileLayout records sweeps full fill sweeps of every processor's
-// node loop under the (p, k, s) layout and analyzes the trace.
-func profileLayout(p, k, s, elems int64, sweeps int, tablesOnly bool, sizes []int64) (LocalityProfile, error) {
-	workloads := make([]Workload, p)
-	kernels := make([]codegen.Kernel, p)
+// node loop under the (p, k, s) layout and analyzes the trace. Ranks
+// record into separate sequences, so each processor runs all its sweeps
+// before the next one's workload is built: only one workload's memory
+// and tables (O(k) for the block layouts) are live at a time.
+func profileLayout(p, k, s, elems int64, sweeps int, sizes []int64) (LocalityProfile, error) {
+	// Capacity covers every record so the profile sees the whole run.
+	ar := telemetry.NewAccessRecorder(int(p), sweeps*int(elems))
+	var kind codegen.KernelKind
+	var step uint32
 	for m := int64(0); m < p; m++ {
 		w, err := BuildWorkload(p, k, s, m, elems)
 		if err != nil {
 			return LocalityProfile{}, err
 		}
-		kn, err := w.SpecializedKernel(tablesOnly)
-		if err != nil {
-			return LocalityProfile{}, err
+		kn := w.SpecializedKernel()
+		if m == 0 {
+			kind = kn.Kind()
+			step = ar.BeginStep("bench.fill:" + kind.String())
 		}
-		workloads[m] = w
-		kernels[m] = kn
-	}
-	// Capacity covers every record so the profile sees the whole run.
-	ar := telemetry.NewAccessRecorder(int(p), sweeps*int(elems))
-	step := ar.BeginStep("bench.fill:" + kernels[0].Kind().String())
-	for sw := 0; sw < sweeps; sw++ {
-		for m := int64(0); m < p; m++ {
-			w := &workloads[m]
-			if n := kernels[m].FillTraced(w.mem, 1.0, ar, int32(m), step); n != w.count {
+		for sw := 0; sw < sweeps; sw++ {
+			if n := kn.FillTraced(w.mem, 1.0, ar, int32(m), step); n != w.count {
 				return LocalityProfile{}, fmt.Errorf("bench: sweep wrote %d of %d elements", n, w.count)
 			}
 		}
@@ -90,7 +88,7 @@ func profileLayout(p, k, s, elems int64, sweeps int, tablesOnly bool, sizes []in
 	}
 	rep := reuse.BuildReport(&doc, reuse.Options{CacheSizes: sizes})
 
-	prof := LocalityProfile{K: k, Kernel: kernels[0].Kind(), MissRates: make([]reuse.MissEstimate, len(sizes))}
+	prof := LocalityProfile{K: k, Kernel: kind, MissRates: make([]reuse.MissEstimate, len(sizes))}
 	for i, c := range sizes {
 		prof.MissRates[i].CacheSize = c
 	}
@@ -136,11 +134,11 @@ func LocalityBench(p, elems int64, sweeps int, sizes []int64) ([]LocalityResult,
 		if k == 0 {
 			k = blockK(fam.S, elems)
 		}
-		cyc, err := profileLayout(p, k, fam.S, elems, sweeps, fam.TablesOnly, sizes)
+		cyc, err := profileLayout(p, k, fam.S, elems, sweeps, sizes)
 		if err != nil {
 			return nil, fmt.Errorf("family %s cyclic(%d): %w", fam.Name, k, err)
 		}
-		blk, err := profileLayout(p, blockK(fam.S, elems), fam.S, elems, sweeps, false, sizes)
+		blk, err := profileLayout(p, blockK(fam.S, elems), fam.S, elems, sweeps, sizes)
 		if err != nil {
 			return nil, fmt.Errorf("family %s block: %w", fam.Name, err)
 		}

@@ -73,7 +73,7 @@ func TestFormatLocality(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := FormatLocality(results)
-	for _, want := range []string{"Locality matrix", "cyclic1", "offsetdispatch", "miss@512"} {
+	for _, want := range []string{"Locality matrix", "cyclic1", "generic", "miss@512"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("formatted matrix missing %q:\n%s", want, out)
 		}

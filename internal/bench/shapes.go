@@ -13,17 +13,15 @@ import (
 	"time"
 
 	"repro/internal/codegen"
-	"repro/internal/core"
 )
 
 // ShapeFamily is one (k, stride) workload family of the shapes matrix,
 // chosen so the selector maps it to a specific kernel kind.
 type ShapeFamily struct {
-	Name       string
-	K          int64 // 0 means "smallest power of two > S·elems" (block family)
-	S          int64
-	TablesOnly bool               // compile without a gap list (memory-frugal plan)
-	Want       codegen.KernelKind // expected selection (informational)
+	Name string
+	K    int64 // 0 means "smallest power of two > S·elems" (block family)
+	S    int64
+	Want codegen.KernelKind // expected selection (informational)
 }
 
 // ShapeFamilies returns the benchmark families, one per specialized
@@ -39,7 +37,7 @@ func ShapeFamilies() []ShapeFamily {
 		{Name: "unroll4", K: 4, S: 9, Want: codegen.KindUnrolled},
 		{Name: "unroll8", K: 8, S: 5, Want: codegen.KindUnrolled},
 		{Name: "rowstride", K: 256, S: 5, Want: codegen.KindRowStride},
-		{Name: "offsetdispatch", K: 256, S: 999, TablesOnly: true, Want: codegen.KindOffsetDispatch},
+		{Name: "generic", K: 256, S: 999, Want: codegen.KindGeneric},
 	}
 }
 
@@ -55,29 +53,16 @@ func blockK(s, elems int64) int64 {
 }
 
 // SpecializedKernel compiles the workload's node loop exactly as the
-// hpf plan cache would: spec from the workload's bounds and table, the
-// shared transition tables from the TableSet, deterministic selection.
-// With tablesOnly the gap list is withheld, modelling the memory-frugal
-// plan that runs the 8(d) dispatch off the shared tables alone.
-func (w *Workload) SpecializedKernel(tablesOnly bool) (codegen.Kernel, error) {
-	ts, err := core.NewTableSet(w.pr.P, w.pr.K, w.pr.L, w.pr.S)
-	if err != nil {
-		return codegen.Kernel{}, err
-	}
-	sp := codegen.Spec{
+// hpf plan cache would: spec from the workload's bounds and gap table,
+// deterministic selection.
+func (w *Workload) SpecializedKernel() codegen.Kernel {
+	return codegen.Select(codegen.Spec{
 		Problem: w.pr,
 		Start:   w.start,
 		Last:    w.last,
 		Count:   w.count,
 		Gaps:    w.gaps,
-	}
-	if tablesOnly {
-		sp.Gaps = nil
-	}
-	if delta, next, ok := ts.Transitions(); ok {
-		sp.Delta, sp.Next = delta, next
-	}
-	return codegen.Select(sp), nil
+	})
 }
 
 // ShapeBenchResult is the measured matrix row of one family.
@@ -163,10 +148,7 @@ func ShapeBench(p, elems int64, reps int) ([]ShapeBenchResult, error) {
 			if err != nil {
 				return nil, fmt.Errorf("family %s: %w", fam.Name, err)
 			}
-			kn, err := w.SpecializedKernel(fam.TablesOnly)
-			if err != nil {
-				return nil, fmt.Errorf("family %s: %w", fam.Name, err)
-			}
+			kn := w.SpecializedKernel()
 			workloads[m] = w
 			kernels[m] = kn
 			if m == 0 {

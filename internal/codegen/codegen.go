@@ -16,8 +16,8 @@
 //	ShapeWalker — no tables: regenerates gaps from R and L (Section 6.2).
 //
 // All shapes return the number of elements written so callers can verify
-// coverage. The compiled kernels of kernel.go run ShapeB and ShapeD as
-// the fills of their generic and offset-dispatch kinds.
+// coverage. The compiled kernels of kernel.go run ShapeB as the fill of
+// their generic kind; ShapeD reproduces Table 2 and examples/stencil.
 package codegen
 
 import "repro/internal/core"

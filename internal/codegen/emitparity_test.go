@@ -112,7 +112,7 @@ func simulateEmitted(shape EmitShape, start, last int64, delta, next []int64, st
 func TestEmitCParityWithKernels(t *testing.T) {
 	for _, tc := range parityCases() {
 		f := newFixture(t, tc.pr, tc.u)
-		sp := kernelSpec(t, f)
+		sp := kernelSpec(f)
 		for _, shape := range []EmitShape{EmitB, EmitD} {
 			code, err := EmitCCode(shape, tc.pr, "1.0")
 			if err != nil {

@@ -21,13 +21,14 @@ func fz(v, lo, hi int64) int64 {
 // processor of the configuration, that every Figure 8 shape and every
 // valid specialized kernel writes the identical element set — with
 // core.Problem.Addresses (the enumerated lattice) as ground truth — and
-// that each kernel's Walk visits the access sequence exactly, in order.
+// that each kernel's Map and Walk visit the access sequence exactly, in
+// order, and its Sum totals exactly the oracle's elements.
 func FuzzKernelShapeAgreement(f *testing.F) {
 	f.Add(int64(4), int64(8), int64(4), int64(320), int64(9))   // paper example
 	f.Add(int64(4), int64(1), int64(0), int64(400), int64(3))   // cyclic(1)
 	f.Add(int64(4), int64(30), int64(0), int64(119), int64(3))  // block-ish
 	f.Add(int64(4), int64(16), int64(0), int64(900), int64(5))  // row stride
-	f.Add(int64(4), int64(16), int64(5), int64(900), int64(23)) // offset dispatch
+	f.Add(int64(4), int64(16), int64(5), int64(900), int64(23)) // generic
 	f.Add(int64(2), int64(3), int64(0), int64(50), int64(1))    // unit stride
 	f.Add(int64(7), int64(5), int64(11), int64(13), int64(29))  // tiny range
 
@@ -87,16 +88,13 @@ func FuzzKernelShapeAgreement(f *testing.F) {
 				check("ShapeWalker", ShapeWalker(mem, last, w, 1))
 			}
 
-			ts, err := core.NewTableSet(p, k, l, s)
-			if err != nil {
-				t.Fatalf("%+v: NewTableSet: %v", pr, err)
-			}
 			sp := Spec{
 				Problem: pr, Start: start, Last: last,
 				Count: int64(len(addrs)), Gaps: seq.Gaps,
 			}
-			if delta, next, ok := ts.Transitions(); ok {
-				sp.Delta, sp.Next = delta, next
+			var wantSum float64
+			for _, a := range addrs {
+				wantSum += float64(a)
 			}
 			for _, kn := range Candidates(sp) {
 				kn := kn
@@ -110,6 +108,24 @@ func FuzzKernelShapeAgreement(f *testing.F) {
 				if n != int64(len(addrs)) || !slices.Equal(walked, addrs) {
 					t.Fatalf("%+v u=%d %s: walk visited %v (count %d), want %v", pr, u, label, walked, n, addrs)
 				}
+
+				// With mem[a] = a, Map's arguments are the addresses it
+				// visits, and Sum is the sum of the oracle addresses.
+				for a := range mem {
+					mem[a] = float64(a)
+				}
+				var mapped []int64
+				n = kn.Map(mem, func(x float64) float64 {
+					mapped = append(mapped, int64(x))
+					return x
+				})
+				if n != int64(len(addrs)) || !slices.Equal(mapped, addrs) {
+					t.Fatalf("%+v u=%d %s: map visited %v (count %d), want %v", pr, u, label, mapped, n, addrs)
+				}
+				if got, n := kn.Sum(mem); got != wantSum || n != int64(len(addrs)) {
+					t.Fatalf("%+v u=%d %s: sum = (%v, %d), want (%v, %d)", pr, u, label, got, n, wantSum, len(addrs))
+				}
+				clear(mem)
 			}
 		}
 	})

@@ -12,9 +12,12 @@ package codegen
 //	                 length-1 tables, and block distributions whose
 //	                 traversal stays inside one block row (gap ≡ s).
 //	KindUnrolled   — small-period tables (period ≤ MaxUnrollPeriod): the
-//	                 gap sequence is folded into cumulative offsets held
-//	                 in registers and the loop is unrolled by the period,
-//	                 so one trip-count test covers a whole period.
+//	                 fill folds the gap sequence into cumulative offsets
+//	                 held in registers and unrolls the loop by the period,
+//	                 so one trip-count test covers a whole period. Map,
+//	                 sum and walk run the generic gap loop, which an
+//	                 unrolled copy did not consistently beat; the fill is
+//	                 where unrolling pays (EXPERIMENTS.md).
 //	KindRowStride  — table-free row decomposition for s ≤ k: within one
 //	                 block row the owned section elements are a constant-
 //	                 stride run (consecutive globals in a block differ by
@@ -22,23 +25,20 @@ package codegen
 //	                 (-pk) mod s per row, so the kernel needs no tables at
 //	                 all. This is the fast path for the gcd(s,pk)=1
 //	                 family, whose period-k tables defeat unrolling.
-//	KindOffsetDispatch — the Figure 8(d) NextOffset-driven shape, running
-//	                 on the processor-independent transition tables shared
-//	                 through core.TableSet. Selected only for table-only
-//	                 specs (no materialized gap list): it needs zero
-//	                 per-plan storage, but its dependent next[] load chain
-//	                 loses to the sequential gap scan whenever a gap list
-//	                 exists (the offset period never exceeds k).
 //	KindGeneric    — the Figure 8(b) control flow, the paper's baseline
 //	                 and the fallback when nothing more specific applies.
 //
-// Every kind comes in fill/map/sum op variants, the three section ops
-// the runtime (internal/hpf) executes, so it runs through one dispatch
-// instead of hand-rolling per-op copies of the ShapeB walk. The generic
-// and offset-dispatch fills are the Figure 8(b) and 8(d) loops
-// themselves (ShapeB, ShapeD). Selection happens once, at plan-compile
-// time (Select), and the chosen Kernel is stored in the cached plan;
-// steady-state traversal performs no allocation and no re-selection.
+// Every kind runs the fill/map/sum ops the runtime (internal/hpf)
+// executes through one dispatch; a kind keeps a loop of its own only
+// where that loop measurably wins, and otherwise shares the generic
+// one. The generic fill is the Figure 8(b) loop itself (ShapeB). The
+// Figure 8(d) offset-dispatch shape (ShapeD) is a Table 2 reproduction
+// only: every plan has a gap window into its table set's shared cycle
+// buffer, so running off the transition tables alone would save no
+// storage, and their dependent next[] load chain is slower than the gap
+// scan. Selection happens once, at plan-compile time (Select), and the
+// chosen Kernel is stored in the cached plan; steady-state traversal
+// performs no allocation and no re-selection.
 
 import (
 	"repro/internal/core"
@@ -50,12 +50,11 @@ type KernelKind uint8
 
 // The kernel families, from most to least specialized.
 const (
-	KindNone           KernelKind = iota // processor owns nothing
-	KindConstGap                         // table-free, constant stride
-	KindUnrolled                         // period ≤ MaxUnrollPeriod, unrolled
-	KindRowStride                        // table-free row decomposition (s ≤ k)
-	KindOffsetDispatch                   // Figure 8(d) via shared transition tables
-	KindGeneric                          // Figure 8(b) baseline
+	KindNone      KernelKind = iota // processor owns nothing
+	KindConstGap                    // table-free, constant stride
+	KindUnrolled                    // period ≤ MaxUnrollPeriod, unrolled fill
+	KindRowStride                   // table-free row decomposition (s ≤ k)
+	KindGeneric                     // Figure 8(b) baseline
 	numKernelKinds
 )
 
@@ -69,8 +68,6 @@ func (k KernelKind) String() string {
 		return "unrolled"
 	case KindRowStride:
 		return "rowstride"
-	case KindOffsetDispatch:
-		return "offsetdispatch"
 	case KindGeneric:
 		return "generic"
 	}
@@ -101,17 +98,13 @@ func init() {
 // Spec is everything the selector may consult about one per-processor
 // node-loop pattern, gathered at plan-compile time: the core problem,
 // the local start/last addresses and element count of the bounded
-// traversal, the AM gap table, and (optionally) the shared offset-
-// indexed transition tables from core.TableSet.Transitions. Delta and
-// Next may be nil; the offset-dispatch kernel is then unavailable.
+// traversal, and the AM gap table.
 type Spec struct {
 	Problem core.Problem
 	Start   int64 // local address of the first owned element, -1 if none
 	Last    int64 // local address of the last owned element
 	Count   int64 // number of owned elements in bounds
 	Gaps    []int64
-	Delta   []int64 // shared transition gaps, indexed by local offset
-	Next    []int64 // shared successor offsets, indexed by local offset
 }
 
 // Kernel is a compiled node loop: one selected kind plus exactly the
@@ -125,7 +118,7 @@ type Kernel struct {
 	count int64
 
 	gap  int64   // KindConstGap
-	gaps []int64 // KindGeneric
+	gaps []int64 // KindGeneric, KindUnrolled
 
 	prefix []int64 // KindUnrolled: cumulative offsets, prefix[0] = 0
 	cycle  int64   // KindUnrolled: local advance per full period
@@ -133,10 +126,6 @@ type Kernel struct {
 	blockK  int64 // KindRowStride: k (row length in local memory)
 	stride  int64 // KindRowStride: s
 	rowStep int64 // KindRowStride: (-pk) mod s
-
-	delta    []int64 // KindOffsetDispatch
-	next     []int64 // KindOffsetDispatch
-	startOff int64   // KindOffsetDispatch: start mod k
 }
 
 // Kind returns the selected kernel family.
@@ -162,7 +151,7 @@ func uniformGap(gaps []int64) (int64, bool) {
 
 // constGap reports the spec's single executed gap when its gap table is
 // uniform. An empty gap table is only conclusive for a single-element
-// traversal; a table-only spec (Gaps nil, Count > 1) is not uniform.
+// traversal.
 func (sp *Spec) constGap() (int64, bool) {
 	g, ok := uniformGap(sp.Gaps)
 	return g, ok && (len(sp.Gaps) > 0 || sp.Count == 1)
@@ -180,9 +169,10 @@ func (sp *Spec) unrollable() bool {
 
 func (kn *Kernel) setConstGap(gap int64) { kn.kind, kn.gap = KindConstGap, gap }
 
-// setUnrolled folds the gap sequence into cumulative offsets.
+// setUnrolled folds the gap sequence into cumulative offsets for the
+// fill and keeps the gaps for the generic loop the other ops run.
 func (kn *Kernel) setUnrolled(gaps []int64) {
-	kn.kind = KindUnrolled
+	kn.kind, kn.gaps = KindUnrolled, gaps
 	kn.prefix = make([]int64, len(gaps))
 	for i, g := range gaps {
 		kn.prefix[i] = kn.cycle
@@ -192,10 +182,6 @@ func (kn *Kernel) setUnrolled(gaps []int64) {
 
 func (kn *Kernel) setRowStride(pr core.Problem) {
 	kn.kind, kn.blockK, kn.stride, kn.rowStep = KindRowStride, pr.K, pr.S, rowStepFor(pr)
-}
-
-func (kn *Kernel) setOffsetDispatch(sp *Spec) {
-	kn.kind, kn.delta, kn.next, kn.startOff = KindOffsetDispatch, sp.Delta, sp.Next, sp.Start%sp.Problem.K
 }
 
 func (kn *Kernel) setGeneric(gaps []int64) { kn.kind, kn.gaps = KindGeneric, gaps }
@@ -233,16 +219,6 @@ func Select(sp Spec) (kn Kernel) {
 		// Dense rows: at least one element per k/s ≥ 1 local cells, so the
 		// per-row bookkeeping amortizes and no table is touched at all.
 		kn.setRowStride(sp.Problem)
-		return kn
-	}
-	if sp.Gaps == nil && sp.Delta != nil && sp.Next != nil {
-		// Table-only spec (no materialized per-processor gap list): the
-		// Figure 8(d) dispatch runs straight off the O(k) shared transition
-		// tables. When a gap list exists the sequential generic walk below
-		// wins — the dependent next[] load chain costs more per element
-		// than scanning a period ≤ k gap array — so offset dispatch is the
-		// memory-frugal pick, never the preferred one.
-		kn.setOffsetDispatch(&sp)
 		return kn
 	}
 	kn.setGeneric(sp.Gaps)
@@ -283,9 +259,6 @@ func Candidates(sp Spec) []Kernel {
 	// RowStride is correct for every stride (rows without elements fall
 	// through the inner loop); s ≤ k is only the performance heuristic.
 	add(func(kn *Kernel) { kn.setRowStride(sp.Problem) })
-	if sp.Delta != nil && sp.Next != nil {
-		add(func(kn *Kernel) { kn.setOffsetDispatch(&sp) })
-	}
 	if sp.Gaps != nil {
 		add(func(kn *Kernel) { kn.setGeneric(sp.Gaps) })
 	}
@@ -306,8 +279,6 @@ func (kn *Kernel) Fill(mem []float64, v float64) int64 {
 		return kn.fillUnrolled(mem, v)
 	case KindRowStride:
 		return kn.fillRow(mem, v)
-	case KindOffsetDispatch:
-		return ShapeD(mem, kn.start, kn.last, core.OffsetTable{Delta: kn.delta, NextOffset: kn.next, Start: kn.startOff}, v)
 	case KindGeneric:
 		return ShapeB(mem, kn.start, kn.last, kn.gaps, v)
 	}
@@ -320,13 +291,9 @@ func (kn *Kernel) Map(mem []float64, f func(float64) float64) int64 {
 	switch kn.kind {
 	case KindConstGap:
 		return kn.mapConst(mem, f)
-	case KindUnrolled:
-		return kn.mapUnrolled(mem, f)
 	case KindRowStride:
 		return kn.mapRow(mem, f)
-	case KindOffsetDispatch:
-		return kn.mapOffset(mem, f)
-	case KindGeneric:
+	case KindUnrolled, KindGeneric:
 		return kn.mapGeneric(mem, f)
 	}
 	return 0
@@ -339,13 +306,9 @@ func (kn *Kernel) Sum(mem []float64) (float64, int64) {
 	switch kn.kind {
 	case KindConstGap:
 		return kn.sumConst(mem)
-	case KindUnrolled:
-		return kn.sumUnrolled(mem)
 	case KindRowStride:
 		return kn.sumRow(mem)
-	case KindOffsetDispatch:
-		return kn.sumOffset(mem)
-	case KindGeneric:
+	case KindUnrolled, KindGeneric:
 		return kn.sumGeneric(mem)
 	}
 	return 0, 0
@@ -421,7 +384,7 @@ func (kn *Kernel) sumConst(mem []float64) (float64, int64) {
 }
 
 // ---------------------------------------------------------------------
-// KindUnrolled: the gap sequence becomes cumulative offsets; full
+// KindUnrolled fill: the gap sequence becomes cumulative offsets; full
 // periods execute with one trip-count test and constant offsets, the
 // remainder walks the prefix table once.
 
@@ -515,41 +478,6 @@ func (kn *Kernel) fillUnrolled(mem []float64, v float64) int64 {
 	return kn.count
 }
 
-func (kn *Kernel) mapUnrolled(mem []float64, f func(float64) float64) int64 {
-	base := kn.start
-	pre, cyc := kn.prefix, kn.cycle
-	period := int64(len(pre))
-	full, rem := kn.count/period, kn.count%period
-	for ; full > 0; full-- {
-		for _, off := range pre {
-			mem[base+off] = f(mem[base+off])
-		}
-		base += cyc
-	}
-	for _, off := range pre[:rem] {
-		mem[base+off] = f(mem[base+off])
-	}
-	return kn.count
-}
-
-func (kn *Kernel) sumUnrolled(mem []float64) (float64, int64) {
-	base := kn.start
-	pre, cyc := kn.prefix, kn.cycle
-	period := int64(len(pre))
-	full, rem := kn.count/period, kn.count%period
-	var total float64
-	for ; full > 0; full-- {
-		for _, off := range pre {
-			total += mem[base+off]
-		}
-		base += cyc
-	}
-	for _, off := range pre[:rem] {
-		total += mem[base+off]
-	}
-	return total, kn.count
-}
-
 // ---------------------------------------------------------------------
 // KindRowStride: iterate block rows; inside a row the owned section
 // elements are base+off, base+off+s, … — a constant-stride run — and
@@ -626,37 +554,8 @@ func (kn *Kernel) sumRow(mem []float64) (float64, int64) {
 }
 
 // ---------------------------------------------------------------------
-// KindOffsetDispatch map/sum: the Figure 8(d) flow over the shared
-// offset-indexed transition tables (fill reuses the package-level
-// ShapeD loop).
-
-func (kn *Kernel) mapOffset(mem []float64, f func(float64) float64) int64 {
-	base, i := kn.start, kn.startOff
-	var n int64
-	for base <= kn.last {
-		mem[base] = f(mem[base])
-		base += kn.delta[i]
-		i = kn.next[i]
-		n++
-	}
-	return n
-}
-
-func (kn *Kernel) sumOffset(mem []float64) (float64, int64) {
-	base, i := kn.start, kn.startOff
-	var total float64
-	var n int64
-	for base <= kn.last {
-		total += mem[base]
-		base += kn.delta[i]
-		i = kn.next[i]
-		n++
-	}
-	return total, n
-}
-
-// ---------------------------------------------------------------------
-// KindGeneric map/sum (fill reuses the package-level ShapeB loop).
+// KindGeneric map/sum, also run by KindUnrolled (the generic fill is
+// the package-level ShapeB loop).
 
 func (kn *Kernel) mapGeneric(mem []float64, f func(float64) float64) int64 {
 	length := int64(len(kn.gaps))

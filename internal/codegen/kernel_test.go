@@ -7,26 +7,15 @@ import (
 	"repro/internal/core"
 )
 
-// kernelSpec assembles the plan-compile-time Spec for a fixture,
-// including the shared transition tables when the configuration has
-// them.
-func kernelSpec(t *testing.T, f *fixture) Spec {
-	t.Helper()
-	sp := Spec{
+// kernelSpec assembles the plan-compile-time Spec for a fixture.
+func kernelSpec(f *fixture) Spec {
+	return Spec{
 		Problem: f.pr,
 		Start:   f.start,
 		Last:    f.last,
 		Count:   int64(len(f.wantAddrs)),
 		Gaps:    f.gaps,
 	}
-	ts, err := core.NewTableSet(f.pr.P, f.pr.K, f.pr.L, f.pr.S)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if delta, next, ok := ts.Transitions(); ok {
-		sp.Delta, sp.Next = delta, next
-	}
-	return sp
 }
 
 // kernelProblems extends testProblems with cases that exercise every
@@ -46,7 +35,7 @@ func kernelProblems() []struct {
 	add(4, 100, 0, 3, 1, 399)   // block-like: whole range in row 0 → const gap s
 	add(4, 16, 0, 3, 1, 9000)   // s ≤ k but pk−k ≡ 0 (mod s): uniform → const gap
 	add(4, 16, 0, 5, 1, 9000)   // s ≤ k, period 16, non-uniform → row stride
-	add(4, 16, 5, 23, 2, 9000)  // s > k, period 16 → generic (dispatch needs a table-only spec)
+	add(4, 16, 5, 23, 2, 9000)  // s > k, period 16 → generic
 	add(4, 16, 0, 24, 3, 9000)  // s > k, gcd(24,64)=8 → short cycles
 	add(3, 5, 2, 4, 1, 777)     // period ≤ 8 → unrolled
 	add(8, 8, 1, 13, 6, 100000) // unrolled, long run
@@ -65,13 +54,13 @@ func TestKernelSelection(t *testing.T) {
 		{3, 5, 2, 4, 1, 777, KindUnrolled},    // period ≤ 8
 		{4, 16, 0, 3, 1, 9000, KindConstGap},  // s ≤ k but the boundary gap is s too
 		{4, 16, 0, 5, 1, 9000, KindRowStride}, // s ≤ k, period 16, non-uniform
-		{4, 16, 5, 23, 2, 9000, KindGeneric},  // s > k with a gap list: scan beats dispatch
+		{4, 16, 5, 23, 2, 9000, KindGeneric},  // s > k, period 16: nothing more specific
 		{4, 2, 3, 8, 0, 100, KindNone},        // empty processor
 	}
 	for _, tc := range cases {
 		pr := core.Problem{P: tc.p, K: tc.k, L: tc.l, S: tc.s, M: tc.m}
 		f := newFixture(t, pr, tc.u)
-		sp := kernelSpec(t, f)
+		sp := kernelSpec(f)
 		kn := Select(sp)
 		if kn.Kind() != tc.want {
 			t.Errorf("%+v u=%d: selected %v, want %v", pr, tc.u, kn.Kind(), tc.want)
@@ -87,23 +76,12 @@ func TestKernelSelection(t *testing.T) {
 			t.Errorf("%+v: Select moved kernel_selected.%v by %d, want 1", pr, kn.Kind(), d)
 		}
 	}
-
-	// A table-only spec (no materialized gap list) is where the 8(d)
-	// dispatch kernel earns its keep: O(k) shared tables, zero per-plan
-	// storage.
-	pr := core.Problem{P: 4, K: 16, L: 5, S: 23, M: 2}
-	f := newFixture(t, pr, 9000)
-	sp := kernelSpec(t, f)
-	sp.Gaps = nil
-	if kn := Select(sp); kn.Kind() != KindOffsetDispatch {
-		t.Errorf("table-only spec selected %v, want offsetdispatch", kn.Kind())
-	}
 }
 
 func TestKernelOpsMatchGroundTruth(t *testing.T) {
 	for _, tc := range kernelProblems() {
 		f := newFixture(t, tc.pr, tc.u)
-		sp := kernelSpec(t, f)
+		sp := kernelSpec(f)
 		n := int64(len(f.wantAddrs))
 		for _, kn := range Candidates(sp) {
 			kn := kn
@@ -153,13 +131,12 @@ func TestKernelEmpty(t *testing.T) {
 
 func TestKernelKindString(t *testing.T) {
 	want := map[KernelKind]string{
-		KindNone:           "none",
-		KindConstGap:       "constgap",
-		KindUnrolled:       "unrolled",
-		KindRowStride:      "rowstride",
-		KindOffsetDispatch: "offsetdispatch",
-		KindGeneric:        "generic",
-		numKernelKinds:     "invalid",
+		KindNone:       "none",
+		KindConstGap:   "constgap",
+		KindUnrolled:   "unrolled",
+		KindRowStride:  "rowstride",
+		KindGeneric:    "generic",
+		numKernelKinds: "invalid",
 	}
 	for k, w := range want {
 		if k.String() != w {

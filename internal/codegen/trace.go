@@ -27,21 +27,6 @@ func (kn *Kernel) Walk(visit func(addr int64)) int64 {
 			base += kn.gap
 		}
 		return kn.count
-	case KindUnrolled:
-		base := kn.start
-		pre, cyc := kn.prefix, kn.cycle
-		period := int64(len(pre))
-		full, rem := kn.count/period, kn.count%period
-		for ; full > 0; full-- {
-			for _, off := range pre {
-				visit(base + off)
-			}
-			base += cyc
-		}
-		for _, off := range pre[:rem] {
-			visit(base + off)
-		}
-		return kn.count
 	case KindRowStride:
 		var n int64
 		off := kn.start % kn.blockK
@@ -64,17 +49,7 @@ func (kn *Kernel) Walk(visit func(addr int64)) int64 {
 			off = lat
 		}
 		return n
-	case KindOffsetDispatch:
-		base, i := kn.start, kn.startOff
-		var n int64
-		for base <= kn.last {
-			visit(base)
-			base += kn.delta[i]
-			i = kn.next[i]
-			n++
-		}
-		return n
-	case KindGeneric:
+	case KindUnrolled, KindGeneric:
 		length := int64(len(kn.gaps))
 		base := kn.start
 		i := int64(0)

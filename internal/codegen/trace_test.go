@@ -13,7 +13,7 @@ import (
 func TestKernelWalkMatchesAddresses(t *testing.T) {
 	for _, tc := range kernelProblems() {
 		f := newFixture(t, tc.pr, tc.u)
-		sp := kernelSpec(t, f)
+		sp := kernelSpec(f)
 		for _, kn := range Candidates(sp) {
 			kn := kn
 			var got []int64
@@ -53,7 +53,7 @@ func recorded(t *testing.T, ar *telemetry.AccessRecorder) []telemetry.AccessRec 
 func TestKernelTracedOpsMatchUntraced(t *testing.T) {
 	for _, tc := range kernelProblems() {
 		f := newFixture(t, tc.pr, tc.u)
-		sp := kernelSpec(t, f)
+		sp := kernelSpec(f)
 		n := int64(len(f.wantAddrs))
 		for _, kn := range Candidates(sp) {
 			kn := kn

@@ -98,42 +98,32 @@ func TestSectionOpsRecordAccesses(t *testing.T) {
 	}
 }
 
-// TestGatherScatterSectionRecordAccesses checks the elementwise section
-// paths trace through the layout oracle too.
-func TestGatherScatterSectionRecordAccesses(t *testing.T) {
+// TestGatherSectionRecordAccesses checks the elementwise section path
+// traces through the layout oracle too.
+func TestGatherSectionRecordAccesses(t *testing.T) {
 	layout := dist.MustNew(3, 4)
 	a := MustNewArray(layout, 60)
 	sec := section.MustNew(2, 55, 3)
 	want := sectionAccesses(layout, sec)
 
 	ar := startRecording(t, 3)
-	vals, err := a.GatherSection(sec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.ScatterSection(sec, vals); err != nil {
+	if _, err := a.GatherSection(sec); err != nil {
 		t.Fatal(err)
 	}
 	doc := ar.Doc()
 	telemetry.StopAccessRecording()
 
-	if len(doc.Steps) != 2 || doc.Steps[0].Label != "hpf.gather_section" || doc.Steps[1].Label != "hpf.scatter_section" {
+	if len(doc.Steps) != 1 || doc.Steps[0].Label != "hpf.gather_section" {
 		t.Fatalf("steps = %+v", doc.Steps)
 	}
 	for _, seq := range doc.Seqs {
 		wantAddrs := want[seq.Rank]
-		if got, want := len(seq.Accesses), 2*len(wantAddrs); got != want {
+		if got, want := len(seq.Accesses), len(wantAddrs); got != want {
 			t.Fatalf("rank %d: %d records, want %d", seq.Rank, got, want)
 		}
-		n := len(wantAddrs)
-		for j, rec := range seq.Accesses[:n] {
+		for j, rec := range seq.Accesses {
 			if rec.Addr != wantAddrs[j] || rec.Write {
 				t.Fatalf("rank %d gather[%d] = %+v", seq.Rank, j, rec)
-			}
-		}
-		for j, rec := range seq.Accesses[n:] {
-			if rec.Addr != wantAddrs[j] || !rec.Write {
-				t.Fatalf("rank %d scatter[%d] = %+v", seq.Rank, j, rec)
 			}
 		}
 	}

@@ -141,6 +141,35 @@ func (pl *Plan) covered(verb string, n int64, m int) error {
 	return fmt.Errorf("hpf: internal: %s %d of %d elements on proc %d", verb, n, pl.count, m)
 }
 
+// eachRank runs one section op: it counts it in ops, times it as the
+// host span name when a tracer is active, and calls op once per
+// processor that owns part of A(sec), processors in order, with that
+// processor's cached kernel and local memory. ar is the active access
+// recorder (nil when recording is off) and step the op's trace step,
+// labelled name:kind. op returns the number of elements the kernel
+// traversed, which must be the plan's count.
+func (a *Array) eachRank(ops *telemetry.Counter, name, verb string, sec section.Section, op func(kn *codegen.Kernel, mem []float64, ar *telemetry.AccessRecorder, rank int32, step uint32) int64) error {
+	ops.Inc()
+	if tr := telemetry.ActiveTracer(); tr != nil {
+		defer tr.EndSpan(telemetry.HostRank, name, tr.Now())
+	}
+	sp, err := a.cachedSectionPlans(sec)
+	if err != nil || sp == nil {
+		return err
+	}
+	ar, step := sp.beginStep(name)
+	for m := range sp.plans {
+		plan := &sp.plans[m]
+		if plan.start < 0 {
+			continue
+		}
+		if err := plan.covered(verb, op(&plan.kernel, a.local[m], ar, int32(m), step), m); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // FillSection performs the array assignment A(sec) = v, dispatching each
 // processor's specialized node-code kernel over its local memory. The
 // per-processor plans (kernel included) come from the section-plan
@@ -148,92 +177,42 @@ func (pl *Plan) covered(verb string, n int64, m int) error {
 // re-run no selection after the first. With an access recorder active
 // the op becomes one trace step and every store is recorded per rank.
 func (a *Array) FillSection(sec section.Section, v float64) error {
-	telFillOps.Inc()
-	if tr := telemetry.ActiveTracer(); tr != nil {
-		defer tr.EndSpan(telemetry.HostRank, "hpf.fill_section", tr.Now())
-	}
-	sp, err := a.cachedSectionPlans(sec)
-	if err != nil || sp == nil {
-		return err
-	}
-	ar, step := sp.beginStep("hpf.fill_section")
-	for m := range sp.plans {
-		plan := &sp.plans[m]
-		if plan.start < 0 {
-			continue
-		}
-		var wrote int64
+	return a.eachRank(telFillOps, "hpf.fill_section", "wrote", sec, func(kn *codegen.Kernel, mem []float64, ar *telemetry.AccessRecorder, rank int32, step uint32) int64 {
 		if ar != nil {
-			wrote = plan.kernel.FillTraced(a.local[m], v, ar, int32(m), step)
-		} else {
-			wrote = plan.kernel.Fill(a.local[m], v)
+			return kn.FillTraced(mem, v, ar, rank, step)
 		}
-		if err := plan.covered("wrote", wrote, m); err != nil {
-			return err
-		}
-	}
-	return nil
+		return kn.Fill(mem, v)
+	})
 }
 
 // MapSection applies f to every element of A(sec) in place:
 // A(sec) = f(A(sec)), through each processor's cached kernel.
 func (a *Array) MapSection(sec section.Section, f func(float64) float64) error {
-	telMapOps.Inc()
-	if tr := telemetry.ActiveTracer(); tr != nil {
-		defer tr.EndSpan(telemetry.HostRank, "hpf.map_section", tr.Now())
-	}
-	sp, err := a.cachedSectionPlans(sec)
-	if err != nil || sp == nil {
-		return err
-	}
-	ar, step := sp.beginStep("hpf.map_section")
-	for m := range sp.plans {
-		plan := &sp.plans[m]
-		if plan.start < 0 {
-			continue
-		}
-		var mapped int64
+	return a.eachRank(telMapOps, "hpf.map_section", "mapped", sec, func(kn *codegen.Kernel, mem []float64, ar *telemetry.AccessRecorder, rank int32, step uint32) int64 {
 		if ar != nil {
-			mapped = plan.kernel.MapTraced(a.local[m], f, ar, int32(m), step)
-		} else {
-			mapped = plan.kernel.Map(a.local[m], f)
+			return kn.MapTraced(mem, f, ar, rank, step)
 		}
-		if err := plan.covered("mapped", mapped, m); err != nil {
-			return err
-		}
-	}
-	return nil
+		return kn.Map(mem, f)
+	})
 }
 
 // SumSection returns the sum over A(sec), computed per processor through
 // each cached kernel and combined.
 func (a *Array) SumSection(sec section.Section) (float64, error) {
-	telSumOps.Inc()
-	if tr := telemetry.ActiveTracer(); tr != nil {
-		defer tr.EndSpan(telemetry.HostRank, "hpf.sum_section", tr.Now())
-	}
-	sp, err := a.cachedSectionPlans(sec)
-	if err != nil || sp == nil {
-		return 0, err
-	}
-	ar, step := sp.beginStep("hpf.sum_section")
 	var total float64
-	for m := range sp.plans {
-		plan := &sp.plans[m]
-		if plan.start < 0 {
-			continue
-		}
+	err := a.eachRank(telSumOps, "hpf.sum_section", "summed", sec, func(kn *codegen.Kernel, mem []float64, ar *telemetry.AccessRecorder, rank int32, step uint32) int64 {
 		var part float64
-		var saw int64
+		var n int64
 		if ar != nil {
-			part, saw = plan.kernel.SumTraced(a.local[m], ar, int32(m), step)
+			part, n = kn.SumTraced(mem, ar, rank, step)
 		} else {
-			part, saw = plan.kernel.Sum(a.local[m])
-		}
-		if err := plan.covered("summed", saw, m); err != nil {
-			return 0, err
+			part, n = kn.Sum(mem)
 		}
 		total += part
+		return n
+	})
+	if err != nil {
+		return 0, err
 	}
 	return total, nil
 }
@@ -263,32 +242,4 @@ func (a *Array) GatherSection(sec section.Section) ([]float64, error) {
 		out = append(out, a.Get(sec.Element(j)))
 	}
 	return out, nil
-}
-
-// ScatterSection writes a dense slice into A(sec) in traversal order.
-func (a *Array) ScatterSection(sec section.Section, vals []float64) error {
-	n := sec.Count()
-	if int64(len(vals)) != n {
-		return fmt.Errorf("hpf: scatter length %d != section count %d", len(vals), n)
-	}
-	if n == 0 {
-		return nil
-	}
-	asc, _ := sec.Ascending()
-	if asc.Lo < 0 || asc.Last() >= a.n {
-		return fmt.Errorf("hpf: section %v outside array [0, %d)", sec, a.n)
-	}
-	if ar := telemetry.ActiveAccessRecorder(); ar != nil {
-		step := ar.BeginStep("hpf.scatter_section")
-		for j := int64(0); j < n; j++ {
-			i := sec.Element(j)
-			a.Set(i, vals[j])
-			ar.Record(int32(a.layout.Owner(i)), a.layout.Local(i), telemetry.AccessWrite, step)
-		}
-		return nil
-	}
-	for j := int64(0); j < n; j++ {
-		a.Set(sec.Element(j), vals[j])
-	}
-	return nil
 }

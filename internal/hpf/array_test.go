@@ -148,7 +148,7 @@ func TestSumSection(t *testing.T) {
 	}
 }
 
-func TestGatherScatterSection(t *testing.T) {
+func TestGatherSection(t *testing.T) {
 	a := MustNewArray(dist.MustNew(3, 4), 60)
 	for i := int64(0); i < 60; i++ {
 		a.Set(i, float64(i))
@@ -161,21 +161,6 @@ func TestGatherScatterSection(t *testing.T) {
 	want := []float64{50, 44, 38, 32, 26, 20, 14, 8, 2}
 	if !reflect.DeepEqual(vals, want) {
 		t.Errorf("GatherSection = %v, want %v", vals, want)
-	}
-	// Scatter back doubled.
-	for i := range vals {
-		vals[i] *= 2
-	}
-	if err := a.ScatterSection(sec, vals); err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range sec.Slice() {
-		if got := a.Get(g); got != float64(g)*2 {
-			t.Errorf("after scatter Get(%d) = %v", g, got)
-		}
-	}
-	if err := a.ScatterSection(sec, vals[:3]); err == nil {
-		t.Error("length mismatch should fail")
 	}
 }
 

@@ -28,9 +28,7 @@ func kernelFamilies() []kernelFamily {
 		{"block-constgap", 4, 1024, 4096, section.MustNew(0, 4095, 3), codegen.KindConstGap, 1},
 		{"small-period-unrolled", 4, 8, 4096, section.MustNew(4, 4090, 9), codegen.KindUnrolled, 1},
 		{"dense-rowstride", 4, 16, 9000, section.MustNew(0, 8999, 5), codegen.KindRowStride, 1},
-		// Section plans always materialize their gap list, so sparse
-		// long-period sections run the sequential generic walk; the 8(d)
-		// dispatch kernel is reserved for table-only specs.
+		// Sparse long-period sections run the generic 8(b) gap walk.
 		{"sparse-generic", 4, 16, 9000, section.MustNew(5, 8999, 23), codegen.KindGeneric, 2},
 	}
 }

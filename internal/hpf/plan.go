@@ -40,14 +40,13 @@ func (pl *Plan) Kernel() *codegen.Kernel { return &pl.kernel }
 
 // BuildPlans builds every processor's plan for the non-empty ascending
 // section asc under layout. ts must be the table set of (p, k, asc.Lo,
-// asc.Stride), as plancache.Tables returns it: the basis vectors and the
-// offset-indexed transition tables are shared, and one TableSet.Spans
-// pass finds every processor's start, count and last element. The gap
+// asc.Stride), as plancache.Tables returns it: the basis vectors are
+// shared, and one TableSet.Spans pass finds every processor's start,
+// count and last element. The gap
 // tables are zero-copy windows into that pass's shared cycle buffer, so
 // only the kernel selections run per processor here.
 func BuildPlans(ts *core.TableSet, layout dist.Layout, asc section.Section) []Plan {
 	p, k := layout.P(), layout.K()
-	delta, next, _ := ts.Transitions()
 	spans := ts.Spans(asc.Last())
 	plans := make([]Plan, p)
 	for m := range spans {
@@ -69,8 +68,6 @@ func BuildPlans(ts *core.TableSet, layout dist.Layout, asc section.Section) []Pl
 				Last:    last,
 				Count:   sp.Count,
 				Gaps:    sp.Gaps,
-				Delta:   delta,
-				Next:    next,
 			}),
 		}
 	}

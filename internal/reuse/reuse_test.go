@@ -91,7 +91,7 @@ func TestDistancesFigure8Shapes(t *testing.T) {
 		{"unroll4", 4, 4, 0, 9, 2000},
 		{"unroll8", 4, 8, 1, 5, 2000},
 		{"rowstride", 4, 16, 0, 5, 2000},
-		{"offsetdispatch", 4, 16, 5, 23, 2000},
+		{"generic", 4, 16, 5, 23, 2000},
 	}
 	for _, fam := range families {
 		for m := int64(0); m < fam.p; m++ {
