@@ -78,6 +78,9 @@ func BenchmarkTable2(b *testing.B) {
 		for _, sh := range bench.Shapes() {
 			b.Run(fmt.Sprintf("k=%d/s=%d/%s", tc.K, tc.S, sh), func(b *testing.B) {
 				w, err := bench.BuildWorkload(benchProcs, tc.K, tc.S, 0, elems)
+				if err == nil && sh == bench.ShapeD {
+					err = w.BuildOffsetTables()
+				}
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -118,6 +121,9 @@ func BenchmarkAblation(b *testing.B) {
 	const elems = 10_000
 	for _, k := range []int64{32, 256} {
 		wTab, err := bench.BuildWorkload(benchProcs, k, 15, 0, elems)
+		if err == nil {
+			err = wTab.BuildOffsetTables()
+		}
 		if err != nil {
 			b.Fatal(err)
 		}

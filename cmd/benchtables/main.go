@@ -312,7 +312,7 @@ func runConfig(cfg config) error {
 }
 
 // runBenches runs the selected benchmark families. A machine failure —
-// a watchdog trip on a deadlocked benchmark machine — arrives as a
+// a deadlock detected on a benchmark machine — arrives as a
 // panic out of Machine.Run and is converted to an ordinary error here.
 func runBenches(cfg config, rep *report) (did bool, err error) {
 	defer func() {

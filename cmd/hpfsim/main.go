@@ -229,7 +229,7 @@ func preflight(cfg config, w io.Writer) {
 }
 
 // run executes the demo workload. Machine-level failures — an injected
-// crash, a tripped deadlock watchdog, an expired -deadline — arrive as
+// crash, a detected deadlock, an expired -deadline — arrive as
 // panics out of m.Run and are converted to ordinary errors here so main
 // exits non-zero with the diagnostic instead of dumping a goroutine
 // trace.

@@ -261,15 +261,17 @@ type Table2Result struct {
 }
 
 // Workload holds the prebuilt inputs for one processor's Table 2 sweep:
-// local memory sized for exactly the requested number of owned elements,
-// plus every table the Figure 8 shapes consume. Exported so the root
+// local memory sized for exactly the requested number of owned elements
+// and the gap table shapes A–C consume. ShapeD's offset tables are O(k)
+// and only the Table 2 and shapes-matrix sweeps run it, so they are
+// built by BuildOffsetTables, not by BuildWorkload. Exported so the root
 // benchmark suite can time individual shapes.
 type Workload struct {
 	mem         []float64
 	start, last int64
 	count       int64
 	gaps        []int64
-	offTab      core.OffsetTable
+	offTab      *core.OffsetTable
 	pr          core.Problem
 }
 
@@ -283,20 +285,30 @@ func BuildWorkload(p, k, s, m, elems int64) (Workload, error) {
 	if seq.Empty() {
 		return Workload{}, fmt.Errorf("bench: processor %d owns nothing for k=%d s=%d", m, k, s)
 	}
-	offTab, err := core.OffsetTables(pr)
-	if err != nil {
-		return Workload{}, err
-	}
 	last := seq.Address(elems - 1)
 	return Workload{
-		mem:    make([]float64, last+1),
-		start:  seq.StartLocal,
-		last:   last,
-		count:  elems,
-		gaps:   seq.Gaps,
-		offTab: offTab,
-		pr:     pr,
+		mem:   make([]float64, last+1),
+		start: seq.StartLocal,
+		last:  last,
+		count: elems,
+		gaps:  seq.Gaps,
+		pr:    pr,
 	}, nil
+}
+
+// BuildOffsetTables builds the Figure 8(d) offset tables ShapeD reads.
+// Sweeps that time ShapeD call it before timing starts; RunShape builds
+// them on first use otherwise. Repeated calls are no-ops.
+func (w *Workload) BuildOffsetTables() error {
+	if w.offTab != nil {
+		return nil
+	}
+	tab, err := core.OffsetTables(w.pr)
+	if err != nil {
+		return err
+	}
+	w.offTab = &tab
+	return nil
 }
 
 // RunShape executes one full sweep with the given shape and returns the
@@ -310,7 +322,10 @@ func (w *Workload) RunShape(sh Shape) (int64, error) {
 	case ShapeC:
 		return codegen.ShapeC(w.mem, w.start, w.last, w.gaps, 1.0), nil
 	case ShapeD:
-		return codegen.ShapeD(w.mem, w.start, w.last, w.offTab, 1.0), nil
+		if err := w.BuildOffsetTables(); err != nil {
+			return 0, err
+		}
+		return codegen.ShapeD(w.mem, w.start, w.last, *w.offTab, 1.0), nil
 	case ShapeWalker:
 		walker, ok, err := core.NewWalker(w.pr)
 		if err != nil || !ok {
@@ -334,6 +349,9 @@ func Table2(p, elems int64, reps int) ([]Table2Result, error) {
 		workloads := make([]Workload, p)
 		for m := int64(0); m < p; m++ {
 			w, err := BuildWorkload(p, tc.K, tc.S, m, elems)
+			if err == nil {
+				err = w.BuildOffsetTables()
+			}
 			if err != nil {
 				return nil, err
 			}

@@ -145,6 +145,9 @@ func ShapeBench(p, elems int64, reps int) ([]ShapeBenchResult, error) {
 		var kind codegen.KernelKind
 		for m := int64(0); m < p; m++ {
 			w, err := BuildWorkload(p, k, fam.S, m, elems)
+			if err == nil {
+				err = w.BuildOffsetTables()
+			}
 			if err != nil {
 				return nil, fmt.Errorf("family %s: %w", fam.Name, err)
 			}

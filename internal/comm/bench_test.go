@@ -88,11 +88,11 @@ func BenchmarkTranspose2D(b *testing.B) {
 	}
 }
 
-// BenchmarkJacobiSweep measures one sweep of perfbench's jacobi shape:
-// points 19:n-20:19 of a cyclic(16) array over 4 processors, 8,192 of
-// them, each updated from its neighbours ±19 by a Combine, a MapSection
-// and a Copy. Every pack and unpack runs with a non-unit step.
-func BenchmarkJacobiSweep(b *testing.B) {
+// jacobiSweep builds perfbench's jacobi shape: points 19:n-20:19 of a
+// cyclic(16) array over 4 processors, 8,192 of them, each updated from
+// its neighbours ±19 by a Combine, a MapSection and a Copy. Every pack
+// and unpack runs with a non-unit step. It returns one sweep.
+func jacobiSweep(tb testing.TB) func() {
 	const stride, points = 19, 8192
 	layout := dist.MustNew(4, 16)
 	m := machine.MustNew(4)
@@ -106,17 +106,39 @@ func BenchmarkJacobiSweep(b *testing.B) {
 	left := section.MustNew(0, n-1-2*stride, stride)
 	right := section.MustNew(2*stride, n-1, stride)
 	half := func(v float64) float64 { return 0.5 * v }
+	return func() {
+		if err := Combine(m, tmp, interior, x, left, x, right, Add); err != nil {
+			tb.Fatal(err)
+		}
+		if err := tmp.MapSection(interior, half); err != nil {
+			tb.Fatal(err)
+		}
+		if err := Copy(m, x, interior, tmp, interior); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkJacobiSweep measures one sweep of perfbench's jacobi shape.
+func BenchmarkJacobiSweep(b *testing.B) {
+	sweep := jacobiSweep(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := Combine(m, tmp, interior, x, left, x, right, Add); err != nil {
-			b.Fatal(err)
-		}
-		if err := tmp.MapSection(interior, half); err != nil {
-			b.Fatal(err)
-		}
-		if err := Copy(m, x, interior, tmp, interior); err != nil {
-			b.Fatal(err)
-		}
+		sweep()
+	}
+}
+
+// TestJacobiSweepAllocs guards the steady-state allocation count of one
+// jacobi sweep: plans come from the cache, payload buffers from the
+// pool, and each machine Run takes pooled coroutines.
+func TestJacobiSweepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops buffers at random")
+	}
+	sweep := jacobiSweep(t)
+	sweep() // plan and warm the caches
+	if n := testing.AllocsPerRun(50, sweep); n > 32 {
+		t.Errorf("one jacobi sweep allocates %v times, want at most 32", n)
 	}
 }

@@ -107,7 +107,6 @@ func TestExecuteWithSurvivesFaults(t *testing.T) {
 func TestExecuteDropBecomesStructuredFailure(t *testing.T) {
 	plan, dst, src, _, _ := chaosFixture(t, false)
 	m := machine.MustNew(4)
-	m.SetQuiescence(15 * time.Millisecond)
 	m.SetFaults(&machine.FaultPlan{Seed: 3, Drop: 1, CrashRank: -1})
 	start := time.Now()
 	defer func() {
@@ -196,7 +195,6 @@ func TestCombineDropBecomesStructuredFailure(t *testing.T) {
 	for name, c := range combineChaosCases() {
 		t.Run(name, func(t *testing.T) {
 			m := machine.MustNew(4)
-			m.SetQuiescence(15 * time.Millisecond)
 			m.SetFaults(&machine.FaultPlan{Seed: 3, Drop: 1, CrashRank: -1})
 			defer func() {
 				r := recover()
@@ -263,7 +261,6 @@ func TestTranspose2DSurvivesDelayDupReorder(t *testing.T) {
 func TestTranspose2DDropBecomesStructuredFailure(t *testing.T) {
 	dst, src, dstRect, srcRect := transposeFixture()
 	m := machine.MustNew(4)
-	m.SetQuiescence(15 * time.Millisecond)
 	m.SetFaults(&machine.FaultPlan{Seed: 3, Drop: 1, CrashRank: -1})
 	defer func() {
 		r := recover()

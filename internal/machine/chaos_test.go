@@ -70,7 +70,6 @@ func TestChaosCollectivesSurviveDelayReorder(t *testing.T) {
 // the configured window — the hang-to-failure conversion criterion.
 func TestChaosCollectivesDropFailsStructured(t *testing.T) {
 	m := MustNew(4)
-	m.SetQuiescence(15 * time.Millisecond)
 	m.SetFaults(&FaultPlan{Seed: 2, Drop: 0.5, CrashRank: -1})
 	start := time.Now()
 	defer func() {

@@ -10,9 +10,9 @@ import (
 )
 
 // faultRand is the per-rank decision stream. Decisions are drawn by the
-// owning goroutine only, one per Send in program order, so a given
+// owning processor only, one per Send in program order, so a given
 // (plan, SPMD body) pair reproduces the identical fault sequence on
-// every run regardless of goroutine scheduling.
+// every run regardless of how the processors interleave.
 type faultRand = rand.Rand
 
 // FaultKind names one injected fault.
@@ -51,9 +51,9 @@ func (e FaultEvent) String() string {
 //
 // Caveats: a duplicated payload is deep-copied (the pooled-buffer
 // ownership convention survives), but the duplicate stays in the
-// mailbox if the program never matches it, and a delayed message may
-// land after the Run that sent it returns — chaos plans should use
-// fresh machines per experiment.
+// mailbox if the program never matches it, and a delayed message still
+// in flight when the Run that sent it returns is delivered during the
+// next Run — chaos plans should use fresh machines per experiment.
 type FaultPlan struct {
 	Seed    int64
 	Drop    float64       // P(message dropped)
@@ -217,7 +217,7 @@ func (m *Machine) FaultSummary() string {
 
 // faultStep counts one machine operation (send, receive or barrier) on
 // this processor and crashes it if the plan says so. Returns the op
-// number for fault decisions. Called by the owning goroutine only.
+// number for fault decisions. Called by the owning processor only.
 func (p *Proc) faultStep() int64 {
 	fp := p.m.faults
 	if fp == nil {
@@ -257,25 +257,18 @@ func (p *Proc) injectSendFault(fp *FaultPlan, op int64, msg Message) bool {
 		// sender may already be refilling it.
 		dup := msg
 		dup.Data = append([]float64(nil), msg.Data...)
-		p.deliver(msg.To, msg, false)
-		p.deliver(msg.To, dup, false)
+		p.m.deliver(msg, false)
+		p.m.deliver(dup, false)
 		return true
 	case u < fp.Drop+fp.Dup+fp.Delay:
 		p.m.recordFault(FaultEvent{Rank: p.rank, Op: op, Kind: FaultDelay, To: msg.To, Tag: msg.Tag})
 		telFaultsDelayed.Inc()
-		m := p.m
-		m.inflight.Add(1)
-		go func() {
-			time.Sleep(fp.delayBy())
-			m.progress.Add(1)
-			p.deliver(msg.To, msg, false)
-			m.inflight.Add(-1)
-		}()
+		p.m.delayDelivery(msg, fp.delayBy())
 		return true
 	case u < fp.Drop+fp.Dup+fp.Delay+fp.Reorder:
 		p.m.recordFault(FaultEvent{Rank: p.rank, Op: op, Kind: FaultReorder, To: msg.To, Tag: msg.Tag})
 		telFaultsReordered.Inc()
-		p.deliver(msg.To, msg, true)
+		p.m.deliver(msg, true)
 		return true
 	}
 	return false

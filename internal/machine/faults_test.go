@@ -90,7 +90,6 @@ func TestFaultPlanDeterministic(t *testing.T) {
 // failure naming each rank's wait site and count the drops.
 func TestDroppedSendBecomesStructuredFailure(t *testing.T) {
 	m := MustNew(2)
-	m.SetQuiescence(15 * time.Millisecond)
 	m.SetFaults(&FaultPlan{Seed: 1, Drop: 1, CrashRank: -1})
 	defer func() {
 		r := recover()
@@ -206,7 +205,6 @@ func TestDuplicateAndReorderDelivery(t *testing.T) {
 // watchdog from calling that a deadlock.
 func TestDelayedMessageDoesNotTripWatchdog(t *testing.T) {
 	m := MustNew(2)
-	m.SetQuiescence(10 * time.Millisecond)
 	m.SetFaults(&FaultPlan{Seed: 1, Delay: 1, DelayBy: 60 * time.Millisecond, CrashRank: -1})
 	m.Run(func(p *Proc) {
 		if p.Rank() == 0 {

@@ -1,24 +1,27 @@
 // Package machine simulates a distributed-memory multiprocessor: the
 // substrate the paper's runtime routines execute on. The original
 // evaluation ran on a 32-node Intel iPSC/860 hypercube; here each
-// processor is a goroutine with a private mailbox, and message passing,
-// barriers and collectives are built on channels and condition variables
-// (see DESIGN.md, Substitutions).
+// processor is a coroutine with a private mailbox, and Run resumes the
+// processors one at a time on the calling goroutine (see DESIGN.md,
+// Substitutions). A processor runs until it returns or blocks in Recv
+// or Barrier, which yield back to Run's scheduler (sched.go).
 //
-// The programming model is SPMD: Machine.Run launches the same body on
-// every processor and waits for all of them to finish. Within the body,
-// a *Proc provides its rank and the communication primitives.
+// The programming model is SPMD: Machine.Run runs the same body on
+// every processor and returns when all of them have finished. Within
+// the body, a *Proc provides its rank and the communication primitives.
+// A body may block only in those primitives: waiting on a channel,
+// lock or WaitGroup that another processor of the same Run releases
+// would stall the one thread every processor shares.
 //
 // The machine also carries a robustness layer (see README, Robustness):
-// a deadlock watchdog with per-rank wait-site diagnostics (watchdog.go),
-// a machine-wide receive deadline, and deterministic seeded fault
+// exact deadlock detection with per-rank wait-site diagnostics, a
+// machine-wide receive deadline, and deterministic seeded fault
 // injection (faults.go).
 package machine
 
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/telemetry"
@@ -43,31 +46,28 @@ type Message struct {
 
 // Machine is a simulated multiprocessor with a fixed processor count.
 type Machine struct {
-	nprocs  int
-	procs   []*Proc
-	barrier *barrier
+	nprocs int
+	procs  []*Proc
 
-	// parked counts processors blocked in Recv/Barrier waits and
-	// active counts processors whose body is still running. When every
-	// live (active) processor is parked no message can ever be delivered,
-	// so the run is deadlocked; Run's watchdog then aborts it with a
-	// diagnostic panic instead of hanging forever. progress increments on
-	// every send and wakeup so the watchdog can distinguish a true
-	// deadlock from a waiter that is runnable but not yet scheduled.
-	// inflight counts fault-delayed messages that have been decided but
-	// not yet delivered; the watchdog never trips while one is pending.
-	parked   atomic.Int64
-	active   atomic.Int64
-	progress atomic.Int64
-	inflight atomic.Int64
+	// arrived counts processors waiting at the current barrier. Like the
+	// mailboxes it is touched only by the processor Run is resuming.
+	arrived int
+
+	// Fault-delayed messages: Send counts one out (inflight), a timer
+	// goroutine appends it to landed when its delay is up and signals
+	// wake, and the scheduler delivers it (drainDelayed). Run never
+	// reports a deadlock while one is in flight.
+	inflight int
+	delayMu  sync.Mutex
+	landed   []Message
+	wake     chan struct{}
 
 	// runMu serializes Run calls: concurrent runs would share the
 	// processors' mailboxes and read each other's messages.
 	runMu sync.Mutex
 
-	// Robustness knobs; set before Run (not concurrently with one).
-	quiescence time.Duration // watchdog confirmation window
-	deadline   time.Duration // machine-wide Recv deadline (0 = none)
+	// Machine-wide Recv deadline (0 = none); set before Run.
+	deadline time.Duration
 
 	faults   *FaultPlan
 	faultMu  sync.Mutex
@@ -79,12 +79,10 @@ func New(p int) (*Machine, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("machine: processor count %d < 1", p)
 	}
-	m := &Machine{nprocs: p, quiescence: defaultQuiescence}
-	m.barrier = newBarrier(p, &m.parked, &m.progress)
+	m := &Machine{nprocs: p, wake: make(chan struct{}, 1)}
 	m.procs = make([]*Proc, p)
 	for i := range m.procs {
 		m.procs[i] = &Proc{rank: i, m: m}
-		m.procs[i].cond = sync.NewCond(&m.procs[i].mu)
 	}
 	return m, nil
 }
@@ -119,18 +117,22 @@ func (m *Machine) WithDeadline(d time.Duration) *Machine {
 // decision sequence on every run.
 func (m *Machine) SetFaults(plan *FaultPlan) { m.faults = plan }
 
-// Run executes body on every processor concurrently (SPMD) and blocks
-// until all instances return. It may be called repeatedly; mailboxes
+// Run executes body on every processor (SPMD) and returns when all
+// instances have returned. It may be called repeatedly; mailboxes
 // persist across runs, so a protocol may span multiple Run calls.
+//
+// The processors run as coroutines on the calling goroutine, resumed in
+// rank order whenever their wait can complete; a fault-free run of a
+// deterministic body therefore interleaves identically every time.
 //
 // Concurrent Run calls on one machine execute one at a time: Run holds
 // a per-machine lock for its whole duration and releases it on every
 // return, including a re-raised panic. A body must not call Run on its
 // own machine.
 //
-// A panic in any body is re-raised on the caller after all other bodies
-// finish or deadlock-free exit cannot be guaranteed; bodies should not
-// panic as part of normal operation.
+// A panic in any body poisons every other processor, so each one fails
+// at its next wait, and is re-raised on the caller once all bodies have
+// finished; bodies should not panic as part of normal operation.
 func (m *Machine) Run(body func(p *Proc)) {
 	m.runMu.Lock()
 	defer m.runMu.Unlock()
@@ -143,53 +145,47 @@ func (m *Machine) Run(body func(p *Proc)) {
 			p.frand = m.faults.rankRand(p.rank)
 		}
 	}
-	var wg sync.WaitGroup
-	panics := make([]any, m.nprocs)
-	m.active.Store(int64(m.nprocs))
-	for i := 0; i < m.nprocs; i++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			defer m.active.Add(-1)
-			defer func() {
-				if r := recover(); r != nil {
-					panics[rank] = r
-					// Unblock any peers waiting on this processor.
-					m.barrier.poison()
-					for _, p := range m.procs {
-						p.poison()
-					}
-				}
-			}()
-			body(m.procs[rank])
-		}(i)
-	}
-	done := make(chan struct{})
-	go m.watchdog(done)
-	wg.Wait()
-	close(done)
-	// Restore the machine for subsequent runs before re-raising anything.
-	m.barrier.reset()
 	for _, p := range m.procs {
-		p.unpoison()
+		p.co = getCoro(p, body)
+		p.ready, p.exited = true, false
 	}
+	defer m.release()
+	m.schedule()
 	// Report an original panic in preference to the poisonError cascades it
 	// induced in blocked peers.
 	var firstRank = -1
 	var firstVal any
-	for rank, r := range panics {
+	for _, p := range m.procs {
+		r := p.panicVal
 		if r == nil {
 			continue
 		}
 		if _, induced := r.(poisonError); !induced {
-			panic(fmt.Sprintf("machine: processor %d panicked: %v", rank, r))
+			panic(fmt.Sprintf("machine: processor %d panicked: %v", p.rank, r))
 		}
 		if firstRank < 0 {
-			firstRank, firstVal = rank, r
+			firstRank, firstVal = p.rank, r
 		}
 	}
 	if firstRank >= 0 {
 		panic(fmt.Sprintf("machine: processor %d panicked: %v", firstRank, firstVal))
+	}
+}
+
+// release restores the machine for subsequent runs and hands the run's
+// coroutines back to the pool. It runs on every return from Run; a
+// coroutine whose body never finished (the caller is unwinding from a
+// runtime.Goexit in some body) is stopped instead of pooled.
+func (m *Machine) release() {
+	m.arrived = 0
+	for _, p := range m.procs {
+		if p.exited {
+			putCoro(p.co)
+		} else {
+			p.co.stop()
+		}
+		p.co, p.panicVal = nil, nil
+		p.ready, p.poisoned, p.poisonMsg, p.waitKind = false, false, "", waitNone
 	}
 }
 
@@ -200,33 +196,39 @@ type poisonError string
 func (e poisonError) Error() string { return string(e) }
 
 // Proc is one simulated processor: a rank plus communication state.
+// Everything but the stats counters is touched only by the goroutine
+// running Run and the coroutines it resumes, one at a time.
 type Proc struct {
 	rank int
 	m    *Machine
 
-	mu        sync.Mutex
-	cond      *sync.Cond
 	mailbox   []Message
 	poisoned  bool
 	poisonMsg string
 
-	// Wait-site diagnostics for the watchdog, guarded by mu: which
-	// blocking call this processor is parked in, and since when.
+	// Scheduling state for the current Run: the coroutine running this
+	// processor's body, whether it can make progress if resumed, whether
+	// its body has returned, and what it panicked with.
+	co       *coro
+	ready    bool
+	exited   bool
+	panicVal any
+
+	// The wait site this processor is parked in, and since when: what
+	// wakes it, and what the deadlock report names.
 	waitKind  waitKind
 	waitFrom  int
 	waitTag   string
 	waitSince time.Time
 
-	// Fault-injection state, touched only by this processor's goroutine
-	// (reset by Run): the machine-op counter crash steps index into, and
-	// the rank's private decision stream.
+	// Fault-injection state (reset by Run): the machine-op counter crash
+	// steps index into, and the rank's private decision stream.
 	ops   int64
 	frand *faultRand
 
 	// seqs assigns per-(destination, tag) FIFO sequence numbers to sent
-	// messages. Touched only by this processor's goroutine; persists
-	// across Run calls (like mailboxes) so numbers stay unique for the
-	// machine's lifetime.
+	// messages. Persists across Run calls (like mailboxes) so numbers
+	// stay unique for the machine's lifetime.
 	seqs map[seqKey]int64
 
 	stats statCounters
@@ -240,8 +242,8 @@ const (
 	waitBarrier
 )
 
-// waitSiteLocked formats the processor's current wait site. p.mu held.
-func (p *Proc) waitSiteLocked() string {
+// waitSite formats the processor's current wait site.
+func (p *Proc) waitSite() string {
 	switch p.waitKind {
 	case waitRecv:
 		return fmt.Sprintf("Recv(from=%d, tag=%q)", p.waitFrom, p.waitTag)
@@ -270,7 +272,6 @@ func (p *Proc) Send(to int, tag string, data []float64) {
 	telMessagesSent.Inc()
 	telValuesSent.Add(int64(len(data)))
 	telSendBytes.Observe(int64(len(data)) * 8)
-	p.m.progress.Add(1)
 	msg := Message{From: p.rank, To: to, Tag: tag, Seq: p.nextSeq(to, tag), Data: data}
 	tr := telemetry.ActiveTracer()
 	var t0 int64
@@ -278,7 +279,7 @@ func (p *Proc) Send(to int, tag string, data []float64) {
 		t0 = tr.Now()
 	}
 	if fp := p.m.faults; fp == nil || !p.injectSendFault(fp, op, msg) {
-		p.deliver(to, msg, false)
+		p.m.deliver(msg, false)
 	}
 	if tr != nil {
 		// Recorded after delivery so the event spans the actual mailbox
@@ -299,8 +300,7 @@ type seqKey struct {
 }
 
 // nextSeq returns the next sequence number for messages to rank `to`
-// with the given tag (first message is 1). Touched only by this
-// processor's goroutine, like the fault-injection state.
+// with the given tag (first message is 1).
 func (p *Proc) nextSeq(to int, tag string) int64 {
 	if p.seqs == nil {
 		p.seqs = make(map[seqKey]int64)
@@ -310,11 +310,11 @@ func (p *Proc) nextSeq(to int, tag string) int64 {
 	return p.seqs[k]
 }
 
-// deliver appends msg to rank to's mailbox (or prepends it when front is
-// set, the reorder fault) and wakes the receiver.
-func (p *Proc) deliver(to int, msg Message, front bool) {
-	dst := p.m.procs[to]
-	dst.mu.Lock()
+// deliver appends msg to its receiver's mailbox (or prepends it when
+// front is set, the reorder fault) and marks the receiver ready if it
+// is parked waiting for exactly this source and tag.
+func (m *Machine) deliver(msg Message, front bool) {
+	dst := m.procs[msg.To]
 	if front && len(dst.mailbox) > 0 {
 		dst.mailbox = append(dst.mailbox, Message{})
 		copy(dst.mailbox[1:], dst.mailbox)
@@ -322,8 +322,9 @@ func (p *Proc) deliver(to int, msg Message, front bool) {
 	} else {
 		dst.mailbox = append(dst.mailbox, msg)
 	}
-	dst.mu.Unlock()
-	dst.cond.Broadcast()
+	if dst.waitKind == waitRecv && dst.waitFrom == msg.From && dst.waitTag == msg.Tag {
+		dst.ready = true
+	}
 }
 
 // Recv blocks until a message with the given source and tag arrives and
@@ -334,17 +335,6 @@ func (p *Proc) deliver(to int, msg Message, front bool) {
 func (p *Proc) Recv(from int, tag string) Message {
 	start := time.Now()
 	p.faultStep()
-	d := p.m.deadline
-	if d > 0 {
-		// The timer broadcast wakes this processor so the expiry check
-		// below runs even if no message ever arrives.
-		timer := time.AfterFunc(d, p.cond.Broadcast)
-		defer timer.Stop()
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.waitKind, p.waitFrom, p.waitTag, p.waitSince = waitRecv, from, tag, start
-	defer func() { p.waitKind = waitNone }()
 	for {
 		for i, msg := range p.mailbox {
 			if msg.From == from && msg.Tag == tag {
@@ -355,6 +345,7 @@ func (p *Proc) Recv(from int, tag string) Message {
 				// until some later send overwrites it.
 				p.mailbox[last] = Message{}
 				p.mailbox = p.mailbox[:last]
+				p.waitKind = waitNone
 				p.recorded(msg, start)
 				return msg
 			}
@@ -362,15 +353,13 @@ func (p *Proc) Recv(from int, tag string) Message {
 		if p.poisoned {
 			panic(poisonError(p.poisonMsg))
 		}
-		if d > 0 && time.Since(start) >= d {
+		if d := p.m.deadline; d > 0 && time.Since(start) >= d {
 			telRecvTimeouts.Inc()
 			panic(fmt.Sprintf("machine: Recv(from=%d, tag=%q) exceeded machine deadline %v",
 				from, tag, d))
 		}
-		p.m.parked.Add(1)
-		p.cond.Wait()
-		p.m.parked.Add(-1)
-		p.m.progress.Add(1)
+		p.waitKind, p.waitFrom, p.waitTag, p.waitSince = waitRecv, from, tag, start
+		p.park()
 	}
 }
 
@@ -398,15 +387,27 @@ func (p *Proc) recorded(msg Message, start time.Time) {
 func (p *Proc) Barrier() {
 	start := time.Now()
 	p.faultStep()
-	p.mu.Lock()
-	p.waitKind, p.waitSince = waitBarrier, start
-	p.mu.Unlock()
-	defer func() {
-		p.mu.Lock()
-		p.waitKind = waitNone
-		p.mu.Unlock()
-	}()
-	p.m.barrier.await()
+	if p.poisoned {
+		panic(poisonError(p.poisonMsg))
+	}
+	m := p.m
+	if m.arrived++; m.arrived == m.nprocs {
+		// The last arrival releases everyone parked here.
+		m.arrived = 0
+		for _, q := range m.procs {
+			if q.waitKind == waitBarrier {
+				q.waitKind, q.ready = waitNone, true
+			}
+		}
+	} else {
+		p.waitKind, p.waitSince = waitBarrier, start
+		for p.waitKind == waitBarrier {
+			if p.poisoned {
+				panic(poisonError(p.poisonMsg))
+			}
+			p.park()
+		}
+	}
 	wait := time.Since(start).Nanoseconds()
 	telBarrierNs.Observe(wait)
 	if tr := telemetry.ActiveTracer(); tr != nil {
@@ -415,82 +416,4 @@ func (p *Proc) Barrier() {
 			Peer: -1, Start: tr.Now() - wait, Dur: wait,
 		})
 	}
-}
-
-func (p *Proc) poison() {
-	p.poisonWith("machine: peer processor panicked while this one was receiving")
-}
-
-func (p *Proc) poisonWith(msg string) {
-	p.mu.Lock()
-	if !p.poisoned { // first poison wins: keep the root-cause message
-		p.poisoned = true
-		p.poisonMsg = msg
-	}
-	p.mu.Unlock()
-	p.cond.Broadcast()
-}
-
-func (p *Proc) unpoison() {
-	p.mu.Lock()
-	p.poisoned = false
-	p.waitKind = waitNone
-	p.mu.Unlock()
-}
-
-// barrier is a reusable counting barrier.
-type barrier struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	n        int
-	arrived  int
-	epoch    int
-	poisoned bool
-	parked   *atomic.Int64 // the machine's parked counter
-	progress *atomic.Int64 // the machine's progress counter
-}
-
-func newBarrier(n int, parked, progress *atomic.Int64) *barrier {
-	b := &barrier{n: n, parked: parked, progress: progress}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *barrier) await() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.poisoned {
-		panic(poisonError("machine: peer processor panicked at barrier"))
-	}
-	epoch := b.epoch
-	b.arrived++
-	if b.arrived == b.n {
-		b.arrived = 0
-		b.epoch++
-		b.cond.Broadcast()
-		return
-	}
-	for b.epoch == epoch && !b.poisoned {
-		b.parked.Add(1)
-		b.cond.Wait()
-		b.parked.Add(-1)
-		b.progress.Add(1)
-	}
-	if b.poisoned {
-		panic(poisonError("machine: peer processor panicked at barrier"))
-	}
-}
-
-func (b *barrier) poison() {
-	b.mu.Lock()
-	b.poisoned = true
-	b.mu.Unlock()
-	b.cond.Broadcast()
-}
-
-func (b *barrier) reset() {
-	b.mu.Lock()
-	b.poisoned = false
-	b.arrived = 0
-	b.mu.Unlock()
 }

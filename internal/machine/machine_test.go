@@ -396,7 +396,6 @@ func TestPoisonWakesAllWaitSites(t *testing.T) {
 // error names every parked rank with its wait site.
 func TestWatchdogNamesEveryParkedRank(t *testing.T) {
 	m := MustNew(3)
-	m.SetQuiescence(15 * time.Millisecond)
 	start := time.Now()
 	defer func() {
 		r := recover()
@@ -435,7 +434,6 @@ func TestWatchdogNamesEveryParkedRank(t *testing.T) {
 // "all live ranks parked" as deadlock even though one rank exited.
 func TestWatchdogCatchesExitedPeerDeadlock(t *testing.T) {
 	m := MustNew(2)
-	m.SetQuiescence(15 * time.Millisecond)
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -479,7 +477,6 @@ func TestRecvTimeoutDelivers(t *testing.T) {
 // that would hang into a structured panic naming the wait site.
 func TestMachineDeadlineConvertsHangToFailure(t *testing.T) {
 	m := MustNew(2)
-	m.SetQuiescence(10 * time.Second) // keep the watchdog out of this test
 	m.WithDeadline(25 * time.Millisecond)
 	before := telRecvTimeouts.Value()
 	defer func() {

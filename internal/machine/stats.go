@@ -18,8 +18,8 @@ type Stats struct {
 	ValuesReceived   int64
 }
 
-// statCounters is embedded per processor; updated with atomics so Send
-// never contends on more than the destination mailbox lock.
+// statCounters is embedded per processor; updated with atomics so Stats
+// may be read while a Run is in progress.
 type statCounters struct {
 	messagesSent atomic.Int64
 	valuesSent   atomic.Int64
@@ -40,8 +40,9 @@ var (
 	telBarrierNs    = telemetry.Default().Histogram("machine.barrier_wait_ns")
 )
 
-// Robustness-layer telemetry: injected faults by kind, watchdog trips,
-// and receives that gave up at a deadline (see README, Robustness).
+// Robustness-layer telemetry: injected faults by kind, detected
+// deadlocks (machine.watchdog.trips), and receives that gave up at a
+// deadline (see README, Robustness).
 var (
 	telFaultsDropped    = telemetry.Default().Counter("machine.faults.dropped")
 	telFaultsDuplicated = telemetry.Default().Counter("machine.faults.duplicated")
