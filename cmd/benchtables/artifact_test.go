@@ -93,20 +93,49 @@ func positive(t *testing.T, what string, v any) {
 	}
 }
 
+// spread fails unless iqr is a [first quartile, third quartile] pair of
+// positive numbers around the median.
+func spread(t *testing.T, what string, median, iqr any) {
+	t.Helper()
+	q, _ := iqr.([]any)
+	m, _ := median.(float64)
+	if len(q) != 2 {
+		t.Errorf("%s = %v, want [q1, q3]", what, iqr)
+		return
+	}
+	positive(t, what+"[0]", q[0])
+	q1, _ := q[0].(float64)
+	q3, _ := q[1].(float64)
+	if q1 > m || m > q3 {
+		t.Errorf("%s = %v does not bracket the median %v", what, iqr, median)
+	}
+}
+
 // TestShapesArtifactMatchesFreshRun checks BENCH_shapes.json against a
-// p = 8, 500-element shapes matrix.
+// p = 8, 500-element shapes matrix. Every timing is a median with its
+// quartiles, and the committed one is taken over at least 9 reps.
 func TestShapesArtifactMatchesFreshRun(t *testing.T) {
 	fresh := freshReport(t, config{Shapes: true, Procs: 8, Reps: 2, Elems: 500})
 	committed := readDoc(t, "../../BENCH_shapes.json")
 	got, want := compareArtifact(t, fresh, committed, "shapes")
+	if reps, _ := committed["config"].(jsonDoc)["reps"].(float64); reps < 9 {
+		t.Errorf("committed artifact took %v reps, want at least 9", reps)
+	}
 	for fam, row := range got {
 		if row["kernel"] != want[fam]["kernel"] {
 			t.Errorf("%s: fresh run compiled %v, committed artifact %v", fam, row["kernel"], want[fam]["kernel"])
 		}
 		for name, doc := range map[string]jsonDoc{"fresh": row, "committed": want[fam]} {
-			positive(t, fam+" "+name+" specialized_ns", doc["specialized_ns"])
+			what := fam + " " + name
+			positive(t, what+" specialized_ns", doc["specialized_ns"])
+			spread(t, what+" specialized_iqr_ns", doc["specialized_ns"], doc["specialized_iqr_ns"])
 			shapes, _ := doc["shape_ns"].(jsonDoc)
-			positive(t, fam+" "+name+" shape_ns[8(b) test]", shapes["8(b) test"])
+			iqrs, _ := doc["shape_iqr_ns"].(jsonDoc)
+			sameKeys(t, what+" shape_iqr_ns", iqrs, shapes)
+			for sh, median := range shapes {
+				positive(t, what+" shape_ns["+sh+"]", median)
+				spread(t, what+" shape_iqr_ns["+sh+"]", median, iqrs[sh])
+			}
 		}
 	}
 }

@@ -40,7 +40,7 @@ func main() {
 		locality  = flag.Bool("locality", false, "run the locality matrix (block vs cyclic(k) reuse-distance profiles)")
 		all       = flag.Bool("all", false, "regenerate every table and figure")
 		procs     = flag.Int64("p", 32, "processor count (the paper uses 32)")
-		reps      = flag.Int("reps", 5, "measurement repetitions (min of maxima kept)")
+		reps      = flag.Int("reps", 5, "measurement repetitions (min of maxima kept; the shapes matrix reports their median and quartiles)")
 		elems     = flag.Int64("elems", 10000, "assignments per processor for Table 2")
 		jsonPath  = flag.String("json", "", "write machine-readable results to this file")
 		trace     = flag.String("trace", "", "write a Chrome trace_event JSON of the run to this file")
@@ -120,15 +120,24 @@ type reportTable2Row struct {
 	ShapeNs map[string]int64 `json:"shape_ns"`
 }
 
+// reportShapeRow's timings are medians over the reps; each *_iqr_ns
+// holds the matching [first quartile, third quartile].
 type reportShapeRow struct {
-	Family          string           `json:"family"`
-	K               int64            `json:"k"`
-	S               int64            `json:"s"`
-	Elems           int64            `json:"elems"`
-	Kernel          string           `json:"kernel"` // selected specialized kernel kind
-	ShapeNs         map[string]int64 `json:"shape_ns"`
-	SpecializedNs   int64            `json:"specialized_ns"`
-	SpeedupVsShapeB float64          `json:"speedup_vs_shape_b"`
+	Family           string              `json:"family"`
+	K                int64               `json:"k"`
+	S                int64               `json:"s"`
+	Elems            int64               `json:"elems"`
+	Kernel           string              `json:"kernel"` // selected specialized kernel kind
+	ShapeNs          map[string]int64    `json:"shape_ns"`
+	ShapeIQRNs       map[string][2]int64 `json:"shape_iqr_ns"`
+	SpecializedNs    int64               `json:"specialized_ns"`
+	SpecializedIQRNs [2]int64            `json:"specialized_iqr_ns"`
+	SpeedupVsShapeB  float64             `json:"speedup_vs_shape_b"`
+}
+
+// iqrNs returns a spread's quartiles in nanoseconds.
+func iqrNs(sp bench.Spread) [2]int64 {
+	return [2]int64{sp.Q1.Nanoseconds(), sp.Q3.Nanoseconds()}
 }
 
 type reportLocalityProfile struct {
@@ -368,13 +377,16 @@ func runBenches(cfg config, rep *report) (did bool, err error) {
 		for _, r := range results {
 			row := reportShapeRow{
 				Family: r.Family, K: r.K, S: r.S, Elems: r.Elems,
-				Kernel:          r.Kernel.String(),
-				ShapeNs:         make(map[string]int64),
-				SpecializedNs:   r.Specialized.Nanoseconds(),
-				SpeedupVsShapeB: r.Speedup(),
+				Kernel:           r.Kernel.String(),
+				ShapeNs:          make(map[string]int64),
+				ShapeIQRNs:       make(map[string][2]int64),
+				SpecializedNs:    r.Specialized.Median.Nanoseconds(),
+				SpecializedIQRNs: iqrNs(r.Specialized),
+				SpeedupVsShapeB:  r.Speedup(),
 			}
 			for sh, d := range r.Generic {
-				row.ShapeNs[string(sh)] = d.Nanoseconds()
+				row.ShapeNs[string(sh)] = d.Median.Nanoseconds()
+				row.ShapeIQRNs[string(sh)] = iqrNs(d)
 			}
 			rep.Shapes = append(rep.Shapes, row)
 		}

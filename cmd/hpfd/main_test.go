@@ -10,6 +10,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/telemetry"
+	"repro/internal/traceanalysis"
 )
 
 // startServer runs runConfig on a free port in the background and
@@ -241,12 +244,30 @@ func TestJSONLogsAndTraceIdentity(t *testing.T) {
 	if !strings.Contains(string(trace), `"hpfd.request"`) || !strings.Contains(string(trace), traceID) {
 		t.Error("/trace export lacks the request span or its trace ID")
 	}
+	// The live export is what hpfprof -serve reads: the cold request
+	// shows up with its admission and build phases.
+	doc, err := telemetry.ReadTraceV1(bytes.NewReader(trace))
+	if err != nil {
+		t.Fatalf("/trace is not trace/v1: %v", err)
+	}
+	a, err := traceanalysis.AnalyzeServe(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Requests == 0 || a.Builds == 0 {
+		t.Errorf("request attribution counts %d requests, %d builds; want both > 0", a.Requests, a.Builds)
+	}
+	for _, ph := range []string{"request", "admission", "build"} {
+		if a.Phase(ph).Count == 0 {
+			t.Errorf("request attribution has no %q samples", ph)
+		}
+	}
 
 	if err := shutdown(); err != nil {
 		t.Fatalf("graceful shutdown: %v", err)
 	}
 
-	msgs := map[string]bool{}
+	msgs, traced := map[string]bool{}, false
 	for i, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
 		var rec map[string]any
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
@@ -259,7 +280,14 @@ func TestJSONLogsAndTraceIdentity(t *testing.T) {
 			if rec["trace"] != traceID {
 				t.Errorf("access log trace = %v, want %s", rec["trace"], traceID)
 			}
+			if rec["status"] != float64(http.StatusOK) || rec["request_id"] != traceID {
+				t.Errorf("access log status = %v, request_id = %v; want 200 and the trace ID", rec["status"], rec["request_id"])
+			}
+			traced = true
 		}
+	}
+	if !traced {
+		t.Errorf("no plan access-log line joined the fixed trace:\n%s", logs.String())
 	}
 	for _, want := range []string{"listening", "request", "draining", "drained"} {
 		if !msgs[want] {

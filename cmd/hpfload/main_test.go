@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -63,6 +64,30 @@ func TestLoadAgainstColdServer(t *testing.T) {
 	}
 	if rep.ThrottledRate != 0 || rep.RetryAfter != nil {
 		t.Errorf("unthrottled run reported rate %f, retry-after %+v", rep.ThrottledRate, rep.RetryAfter)
+	}
+
+	// -json encodes this report; its consumers read these names.
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Schema string `json:"schema"`
+		OK     int64  `json:"ok"`
+		Failed int64  `json:"failed"`
+		P50Ns  int64  `json:"p50_ns"`
+		P99Ns  int64  `json:"p99_ns"`
+		Server struct {
+			Scraped  bool  `json:"scraped"`
+			Compiles int64 `json:"compiles"`
+		} `json:"server"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Schema != ReportSchema || doc.OK != 200 || doc.Failed != 0 || doc.P50Ns != rep.P50Ns ||
+		doc.P99Ns != rep.P99Ns || !doc.Server.Scraped || doc.Server.Compiles != rep.Server.Compiles {
+		t.Errorf("-json document %s does not carry the report's fields", data)
 	}
 }
 

@@ -9,6 +9,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -65,29 +66,43 @@ func (w *Workload) SpecializedKernel() codegen.Kernel {
 	})
 }
 
+// Spread is one timing's median and quartiles over the measured reps,
+// each by the nearest rank.
+type Spread struct{ Q1, Median, Q3 time.Duration }
+
+// spreadOf sorts ds in place and reads its quartiles; ds is non-empty.
+func spreadOf(ds []time.Duration) Spread {
+	slices.Sort(ds)
+	at := func(q float64) time.Duration { return ds[int(q*float64(len(ds)-1)+0.5)] }
+	return Spread{at(0.25), at(0.5), at(0.75)}
+}
+
 // ShapeBenchResult is the measured matrix row of one family.
 type ShapeBenchResult struct {
 	Family      string
 	K, S        int64
 	Elems       int64
-	Kernel      codegen.KernelKind      // what the selector picked
-	Generic     map[Shape]time.Duration // shapes A–D + walker
-	Specialized time.Duration
+	Kernel      codegen.KernelKind // what the selector picked
+	Generic     map[Shape]Spread   // shapes A–D + walker
+	Specialized Spread
 }
 
-// Speedup returns the specialized kernel's speedup over the generic
-// ShapeB baseline (the shape the runtime used before specialization).
+// Speedup returns the specialized kernel's median speedup over the
+// generic ShapeB baseline (the shape the runtime used before
+// specialization).
 func (r ShapeBenchResult) Speedup() float64 {
-	if r.Specialized <= 0 {
+	if r.Specialized.Median <= 0 {
 		return 0
 	}
-	return float64(r.Generic[ShapeB]) / float64(r.Specialized)
+	return float64(r.Generic[ShapeB].Median) / float64(r.Specialized.Median)
 }
 
 // timeSweeps measures one full-sweep operation across all workloads:
-// max over processors of the per-sweep time, minimized over reps, with
-// the sweep batched so each timing window is long enough to trust.
-func timeSweeps(workloads []Workload, reps int, op func(w *Workload) (int64, error)) (time.Duration, error) {
+// max over processors of the per-sweep time, once per rep, with the
+// sweep batched so each timing window is long enough to trust. It
+// returns the spread of those reps: kernels about 10 % apart need the
+// quartiles to tell, which a minimum hides.
+func timeSweeps(workloads []Workload, reps int, op func(w *Workload) (int64, error)) (Spread, error) {
 	const window = 50 * time.Microsecond
 	batch := 1
 	for {
@@ -96,10 +111,10 @@ func timeSweeps(workloads []Workload, reps int, op func(w *Workload) (int64, err
 		for b := 0; b < batch; b++ {
 			n, err := op(w)
 			if err != nil {
-				return 0, err
+				return Spread{}, err
 			}
 			if n != w.count {
-				return 0, fmt.Errorf("bench: sweep wrote %d of %d elements", n, w.count)
+				return Spread{}, fmt.Errorf("bench: sweep wrote %d of %d elements", n, w.count)
 			}
 		}
 		if el := time.Since(t0); el >= window || batch >= 1<<20 {
@@ -107,33 +122,30 @@ func timeSweeps(workloads []Workload, reps int, op func(w *Workload) (int64, err
 		}
 		batch *= 2
 	}
-	best := time.Duration(1<<63 - 1)
-	for r := 0; r < reps; r++ {
-		var worst time.Duration
+	worst := make([]time.Duration, reps)
+	for r := range worst {
 		for m := range workloads {
 			w := &workloads[m]
 			t0 := time.Now()
 			for b := 0; b < batch; b++ {
 				if _, err := op(w); err != nil {
-					return 0, err
+					return Spread{}, err
 				}
 			}
-			el := time.Since(t0) / time.Duration(batch)
-			if el > worst {
-				worst = el
-			}
-		}
-		if worst < best {
-			best = worst
+			worst[r] = max(worst[r], time.Since(t0)/time.Duration(batch))
 		}
 	}
-	return best, nil
+	return spreadOf(worst), nil
 }
 
 // ShapeBench measures the full matrix: for each family, every generic
 // Figure 8 shape and the specialized kernel, each sweeping elems
-// assignments per processor (max over processors, min over reps).
+// assignments per processor (max over processors; median and quartiles
+// over reps).
 func ShapeBench(p, elems int64, reps int) ([]ShapeBenchResult, error) {
+	if reps < 1 {
+		return nil, fmt.Errorf("bench: shapes matrix needs reps ≥ 1, got %d", reps)
+	}
 	var results []ShapeBenchResult
 	for _, fam := range ShapeFamilies() {
 		k := fam.K
@@ -167,7 +179,7 @@ func ShapeBench(p, elems int64, reps int) ([]ShapeBenchResult, error) {
 		res := ShapeBenchResult{
 			Family: fam.Name, K: k, S: fam.S, Elems: elems,
 			Kernel:  kind,
-			Generic: make(map[Shape]time.Duration),
+			Generic: make(map[Shape]Spread),
 		}
 		for _, sh := range Shapes() {
 			sh := sh
@@ -196,7 +208,7 @@ func ShapeBench(p, elems int64, reps int) ([]ShapeBenchResult, error) {
 // acceptance criterion reads (specialized vs generic ShapeB).
 func FormatShapeBench(results []ShapeBenchResult) string {
 	var b strings.Builder
-	b.WriteString("Shapes matrix: generic Figure 8 shapes vs specialized kernels (microseconds per sweep)\n")
+	b.WriteString("Shapes matrix: generic Figure 8 shapes vs specialized kernels (median microseconds per sweep)\n")
 	b.WriteString(fmt.Sprintf("%-16s%8s%6s%16s", "family", "k", "s", "kernel"))
 	for _, sh := range Shapes() {
 		b.WriteString(fmt.Sprintf("%12s", sh))
@@ -205,9 +217,9 @@ func FormatShapeBench(results []ShapeBenchResult) string {
 	for _, r := range results {
 		b.WriteString(fmt.Sprintf("%-16s%8d%6d%16s", r.Family, r.K, r.S, r.Kernel))
 		for _, sh := range Shapes() {
-			b.WriteString(fmt.Sprintf("%12.1f", us(r.Generic[sh])))
+			b.WriteString(fmt.Sprintf("%12.1f", us(r.Generic[sh].Median)))
 		}
-		b.WriteString(fmt.Sprintf("%12.1f%9.2fx\n", us(r.Specialized), r.Speedup()))
+		b.WriteString(fmt.Sprintf("%12.1f%9.2fx\n", us(r.Specialized.Median), r.Speedup()))
 	}
 	return b.String()
 }

@@ -17,7 +17,10 @@
 //
 // All shapes return the number of elements written so callers can verify
 // coverage. The compiled kernels of kernel.go run ShapeB as the fill of
-// their generic kind; ShapeD reproduces Table 2 and examples/stencil.
+// their generic kind, and walk the same 8(b) gap cycle for map, sum and
+// Walk through one inlined address iterator (cycleAddrs), beside one
+// each for the constant-gap and row-stride kinds; ShapeD reproduces
+// Table 2 and examples/stencil.
 package codegen
 
 import "repro/internal/core"

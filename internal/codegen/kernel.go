@@ -15,7 +15,7 @@ package codegen
 //	                 fill folds the gap sequence into cumulative offsets
 //	                 held in registers and unrolls the loop by the period,
 //	                 so one trip-count test covers a whole period. Map,
-//	                 sum and walk run the generic gap loop, which an
+//	                 sum and walk run the generic gap cycle, which an
 //	                 unrolled copy did not consistently beat; the fill is
 //	                 where unrolling pays (EXPERIMENTS.md).
 //	KindRowStride  — table-free row decomposition for s ≤ k: within one
@@ -29,9 +29,11 @@ package codegen
 //	                 and the fallback when nothing more specific applies.
 //
 // Every kind runs the fill/map/sum ops the runtime (internal/hpf)
-// executes through one dispatch; a kind keeps a loop of its own only
-// where that loop measurably wins, and otherwise shares the generic
-// one. The generic fill is the Figure 8(b) loop itself (ShapeB). The
+// executes through one dispatch. Each traversal shape is written once,
+// as an address iterator (constAddrs, rowAddrs, cycleAddrs) that the
+// compiler inlines into Map, Sum and Walk; only the fills keep loops of
+// their own, where a specialized store loop measurably wins. The
+// generic fill is the Figure 8(b) loop itself (ShapeB). The
 // Figure 8(d) offset-dispatch shape (ShapeD) is a Table 2 reproduction
 // only: every plan has a gap window into its table set's shared cycle
 // buffer, so running off the transition tables alone would save no
@@ -117,15 +119,16 @@ type Kernel struct {
 	last  int64
 	count int64
 
-	gap  int64   // KindConstGap
+	gap  int64   // KindConstGap; KindRowStride: s, the gap inside a row
 	gaps []int64 // KindGeneric, KindUnrolled
 
 	prefix []int64 // KindUnrolled: cumulative offsets, prefix[0] = 0
 	cycle  int64   // KindUnrolled: local advance per full period
 
 	blockK  int64 // KindRowStride: k (row length in local memory)
-	stride  int64 // KindRowStride: s
 	rowStep int64 // KindRowStride: (-pk) mod s
+	rowEnd  int64 // KindRowStride: end (exclusive) of start's row
+	lat     int64 // KindRowStride: start's row offset mod s
 }
 
 // Kind returns the selected kernel family.
@@ -180,8 +183,12 @@ func (kn *Kernel) setUnrolled(gaps []int64) {
 	}
 }
 
+// setRowStride also derives the first row's end and offset, so that the
+// row iterator starts from fields alone and stays small enough to inline.
 func (kn *Kernel) setRowStride(pr core.Problem) {
-	kn.kind, kn.blockK, kn.stride, kn.rowStep = KindRowStride, pr.K, pr.S, rowStepFor(pr)
+	kn.kind, kn.blockK, kn.gap, kn.rowStep = KindRowStride, pr.K, pr.S, rowStepFor(pr)
+	off := kn.start % pr.K
+	kn.rowEnd, kn.lat = kn.start-off+pr.K, off%pr.S
 }
 
 func (kn *Kernel) setGeneric(gaps []int64) { kn.kind, kn.gaps = KindGeneric, gaps }
@@ -288,35 +295,112 @@ func (kn *Kernel) Fill(mem []float64, v float64) int64 {
 // Map applies f in place at every traversed address, in access order.
 func (kn *Kernel) Map(mem []float64, f func(float64) float64) int64 {
 	telInvoked[kn.kind].Inc()
+	var n int64
 	switch kn.kind {
 	case KindConstGap:
-		return kn.mapConst(mem, f)
+		for a := range kn.constAddrs {
+			mem[a] = f(mem[a])
+		}
+		n = kn.count
 	case KindRowStride:
-		return kn.mapRow(mem, f)
+		for a := range kn.rowAddrs {
+			mem[a] = f(mem[a])
+			n++
+		}
 	case KindUnrolled, KindGeneric:
-		return kn.mapGeneric(mem, f)
+		for a := range kn.cycleAddrs {
+			mem[a] = f(mem[a])
+			n++
+		}
 	}
-	return 0
+	return n
 }
 
 // Sum accumulates the traversed elements in access order and returns
 // the total along with the element count.
 func (kn *Kernel) Sum(mem []float64) (float64, int64) {
 	telInvoked[kn.kind].Inc()
+	var total float64
+	var n int64
 	switch kn.kind {
 	case KindConstGap:
-		return kn.sumConst(mem)
+		for a := range kn.constAddrs {
+			total += mem[a]
+		}
+		n = kn.count
 	case KindRowStride:
-		return kn.sumRow(mem)
+		for a := range kn.rowAddrs {
+			total += mem[a]
+			n++
+		}
 	case KindUnrolled, KindGeneric:
-		return kn.sumGeneric(mem)
+		for a := range kn.cycleAddrs {
+			total += mem[a]
+			n++
+		}
 	}
-	return 0, 0
+	return total, n
 }
 
 // ---------------------------------------------------------------------
-// KindConstGap: count-driven constant-stride loops. The unit-gap fill
-// runs over a subslice so the compiler drops the per-store bounds check.
+// Address iterators: one per traversal shape, each small enough that
+// the compiler inlines it, and the loop body ranged over it, into Map,
+// Sum and Walk — so the ops pay no closure call per element and
+// allocate nothing. Each yields the kernel's local addresses in access
+// order.
+
+// constAddrs yields count addresses gap apart from start. It is count-
+// driven because a single-element table may carry a zero gap.
+func (kn *Kernel) constAddrs(yield func(int64) bool) {
+	a, gap := kn.start, kn.gap
+	for r := kn.count; r > 0; r-- {
+		if !yield(a) {
+			return
+		}
+		a += gap
+	}
+}
+
+// rowAddrs walks block rows: inside a row the owned section elements
+// are a constant-stride run gap = s apart, and the first touched offset
+// of the next row is the previous one advanced by rowStep, mod s. No
+// tables. When s > k a row may hold no element; the row-advance loop
+// steps over it.
+func (kn *Kernel) rowAddrs(yield func(int64) bool) {
+	a, last, s, end, lat := kn.start, kn.last, kn.gap, kn.rowEnd, kn.lat
+	for a <= last {
+		if !yield(a) {
+			return
+		}
+		for a += s; a >= end; end += kn.blockK {
+			if lat += kn.rowStep; lat >= s {
+				lat -= s
+			}
+			a = end + lat
+		}
+	}
+}
+
+// cycleAddrs is the Figure 8(b) gap cycle: advance by the next table
+// gap, resetting the index with a test instead of a mod.
+func (kn *Kernel) cycleAddrs(yield func(int64) bool) {
+	a, last, gaps, i := kn.start, kn.last, kn.gaps, 0
+	for a <= last {
+		if !yield(a) {
+			return
+		}
+		a += gaps[i]
+		if i++; i == len(gaps) {
+			i = 0
+		}
+	}
+}
+
+// ---------------------------------------------------------------------
+// Fills keep loops of their own, which beat a store per iterator step.
+// The constant-gap fill runs over a subslice for unit gaps, so the
+// compiler drops the per-store bounds check, and four stores per trip
+// otherwise.
 
 func (kn *Kernel) fillConst(mem []float64, v float64) int64 {
 	if kn.gap == 1 {
@@ -358,32 +442,6 @@ func fillStrided(mem []float64, start, last, stride int64, v float64) int64 {
 	return n
 }
 
-func (kn *Kernel) mapConst(mem []float64, f func(float64) float64) int64 {
-	base := kn.start
-	for r := kn.count; r > 0; r-- {
-		mem[base] = f(mem[base])
-		base += kn.gap
-	}
-	return kn.count
-}
-
-func (kn *Kernel) sumConst(mem []float64) (float64, int64) {
-	var total float64
-	if kn.gap == 1 {
-		for _, x := range mem[kn.start : kn.start+kn.count] {
-			total += x
-		}
-		return total, kn.count
-	}
-	base := kn.start
-	for r := kn.count; r > 0; r-- {
-		total += mem[base]
-		base += kn.gap
-	}
-	return total, kn.count
-}
-
-// ---------------------------------------------------------------------
 // KindUnrolled fill: the gap sequence becomes cumulative offsets; full
 // periods execute with one trip-count test and constant offsets, the
 // remainder walks the prefix table once.
@@ -478,116 +536,21 @@ func (kn *Kernel) fillUnrolled(mem []float64, v float64) int64 {
 	return kn.count
 }
 
-// ---------------------------------------------------------------------
-// KindRowStride: iterate block rows; inside a row the owned section
-// elements are base+off, base+off+s, … — a constant-stride run — and
-// the first touched offset advances by rowStep per row. No tables.
-
+// fillRow fills rowAddrs' rows, each with fillStrided.
 func (kn *Kernel) fillRow(mem []float64, v float64) int64 {
 	var n int64
-	off := kn.start % kn.blockK
-	rowBase := kn.start - off
-	lat := off % kn.stride
-	for rowBase <= kn.last {
+	a, lat := kn.start, kn.lat
+	for rowBase := kn.rowEnd - kn.blockK; rowBase <= kn.last; rowBase += kn.blockK {
 		end := rowBase + kn.blockK - 1
 		if end > kn.last {
 			end = kn.last
 		}
-		n += fillStrided(mem, rowBase+off, end, kn.stride, v)
-		rowBase += kn.blockK
+		n += fillStrided(mem, a, end, kn.gap, v)
 		lat += kn.rowStep
-		if lat >= kn.stride {
-			lat -= kn.stride
+		if lat >= kn.gap {
+			lat -= kn.gap
 		}
-		off = lat
+		a = rowBase + kn.blockK + lat
 	}
 	return n
-}
-
-func (kn *Kernel) mapRow(mem []float64, f func(float64) float64) int64 {
-	var n int64
-	off := kn.start % kn.blockK
-	rowBase := kn.start - off
-	lat := off % kn.stride
-	for rowBase <= kn.last {
-		end := rowBase + kn.blockK - 1
-		if end > kn.last {
-			end = kn.last
-		}
-		for a := rowBase + off; a <= end; a += kn.stride {
-			mem[a] = f(mem[a])
-			n++
-		}
-		rowBase += kn.blockK
-		lat += kn.rowStep
-		if lat >= kn.stride {
-			lat -= kn.stride
-		}
-		off = lat
-	}
-	return n
-}
-
-func (kn *Kernel) sumRow(mem []float64) (float64, int64) {
-	var total float64
-	var n int64
-	off := kn.start % kn.blockK
-	rowBase := kn.start - off
-	lat := off % kn.stride
-	for rowBase <= kn.last {
-		end := rowBase + kn.blockK - 1
-		if end > kn.last {
-			end = kn.last
-		}
-		for a := rowBase + off; a <= end; a += kn.stride {
-			total += mem[a]
-			n++
-		}
-		rowBase += kn.blockK
-		lat += kn.rowStep
-		if lat >= kn.stride {
-			lat -= kn.stride
-		}
-		off = lat
-	}
-	return total, n
-}
-
-// ---------------------------------------------------------------------
-// KindGeneric map/sum, also run by KindUnrolled (the generic fill is
-// the package-level ShapeB loop).
-
-func (kn *Kernel) mapGeneric(mem []float64, f func(float64) float64) int64 {
-	length := int64(len(kn.gaps))
-	base := kn.start
-	i := int64(0)
-	var n int64
-	for base <= kn.last {
-		mem[base] = f(mem[base])
-		base += kn.gaps[i]
-		i++
-		if i == length {
-			i = 0
-		}
-		n++
-	}
-	return n
-}
-
-func (kn *Kernel) sumGeneric(mem []float64) (float64, int64) {
-	length := int64(len(kn.gaps))
-	base := kn.start
-	i := int64(0)
-	var total float64
-	var n int64
-	for base <= kn.last {
-		total += mem[base]
-		base += kn.gaps[i]
-		i++
-		if i == length {
-			i = 0
-		}
-		n++
-	}
-	return total, n
 }

@@ -2,6 +2,10 @@ package codegen
 
 import (
 	"math"
+	"os/exec"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -141,6 +145,34 @@ func TestKernelKindString(t *testing.T) {
 	for k, w := range want {
 		if k.String() != w {
 			t.Errorf("KernelKind(%d).String() = %q, want %q", k, k.String(), w)
+		}
+	}
+}
+
+// TestAddressIteratorsInline pins what keeps Map, Sum and Walk as fast
+// as hand-written loops: the compiler inlines each address iterator,
+// and the loop body with it, at all three call sites. An iterator that
+// outgrows the inlining budget still allocates nothing (its body
+// closure stays on the stack), so only the compiler's own report shows
+// the per-element call it would cost.
+func TestAddressIteratorsInline(t *testing.T) {
+	gotool := filepath.Join(runtime.GOROOT(), "bin", "go")
+	out, err := exec.Command(gotool, "build", "-gcflags=-m", ".").CombinedOutput()
+	if err != nil {
+		t.Skipf("cannot run %s build -gcflags=-m: %v\n%s", gotool, err, out)
+	}
+	report := string(out)
+	for _, it := range []string{"constAddrs", "rowAddrs", "cycleAddrs"} {
+		call := "inlining call to (*Kernel)." + it + "\n"
+		if n := strings.Count(report, call); n != 3 {
+			t.Errorf("%s is inlined at %d call sites, want 3 (Map, Sum, Walk)", it, n)
+		}
+	}
+	for _, op := range []string{"Map", "Sum", "Walk"} {
+		for _, r := range []string{"-range1", "-range2", "-range3"} {
+			if call := "inlining call to (*Kernel)." + op + r + "\n"; !strings.Contains(report, call) {
+				t.Errorf("the loop body %s%s is not inlined", op, r)
+			}
 		}
 	}
 }

@@ -6,10 +6,11 @@ package codegen
 // the same work as its untraced twin while streaming (addr, rw, step)
 // records into the active telemetry.AccessRecorder. The traced variants
 // are dispatched by internal/hpf only when a recorder is installed, so
-// the untraced hot paths carry no recording branch; the traced paths
-// favour a single shared walker over 15 duplicated loops and accept the
-// closure-call overhead — recording is an observability mode, not a
-// production path.
+// the untraced hot paths carry no recording branch. Walk ranges over the
+// same address iterators as Map and Sum, so its order is theirs by
+// construction; the traced ops run on Walk and accept its closure call
+// per element — recording is an observability mode, not a production
+// path.
 
 import "repro/internal/telemetry"
 
@@ -19,53 +20,25 @@ import "repro/internal/telemetry"
 // reuse-distance profiler and the differential tests; it performs no
 // memory operation itself.
 func (kn *Kernel) Walk(visit func(addr int64)) int64 {
+	var n int64
 	switch kn.kind {
 	case KindConstGap:
-		base := kn.start
-		for r := kn.count; r > 0; r-- {
-			visit(base)
-			base += kn.gap
+		for a := range kn.constAddrs {
+			visit(a)
 		}
-		return kn.count
+		n = kn.count
 	case KindRowStride:
-		var n int64
-		off := kn.start % kn.blockK
-		rowBase := kn.start - off
-		lat := off % kn.stride
-		for rowBase <= kn.last {
-			end := rowBase + kn.blockK - 1
-			if end > kn.last {
-				end = kn.last
-			}
-			for a := rowBase + off; a <= end; a += kn.stride {
-				visit(a)
-				n++
-			}
-			rowBase += kn.blockK
-			lat += kn.rowStep
-			if lat >= kn.stride {
-				lat -= kn.stride
-			}
-			off = lat
-		}
-		return n
-	case KindUnrolled, KindGeneric:
-		length := int64(len(kn.gaps))
-		base := kn.start
-		i := int64(0)
-		var n int64
-		for base <= kn.last {
-			visit(base)
-			base += kn.gaps[i]
-			i++
-			if i == length {
-				i = 0
-			}
+		for a := range kn.rowAddrs {
+			visit(a)
 			n++
 		}
-		return n
+	case KindUnrolled, KindGeneric:
+		for a := range kn.cycleAddrs {
+			visit(a)
+			n++
+		}
 	}
-	return 0
+	return n
 }
 
 // FillTraced is Fill with every store recorded as a write access.

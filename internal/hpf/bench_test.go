@@ -66,3 +66,36 @@ func BenchmarkFillRect(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSectionOps measures each warm section op on every kernel
+// family, so a change to one kind's traversal shows up under its name.
+func BenchmarkSectionOps(b *testing.B) {
+	for _, tc := range kernelFamilies() {
+		a := MustNewArray(dist.MustNew(tc.p, tc.k), tc.n)
+		sec := tc.sec
+		if err := a.FillSection(sec, 1); err != nil {
+			b.Fatalf("%s: warm-up: %v", tc.name, err)
+		}
+		b.Run(tc.name+"/fill", func(b *testing.B) {
+			for b.Loop() {
+				if err := a.FillSection(sec, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(tc.name+"/map", func(b *testing.B) {
+			for b.Loop() {
+				if err := a.MapSection(sec, mapAdd1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(tc.name+"/sum", func(b *testing.B) {
+			for b.Loop() {
+				if _, err := a.SumSection(sec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
