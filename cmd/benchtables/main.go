@@ -202,9 +202,13 @@ func run(table, figure int, all bool, procs int64, reps int, elems int64) error 
 }
 
 func runConfig(cfg config) error {
-	// Flag failure modes surface before any benchmark runs: an
-	// unwritable -json/-trace path exits non-zero immediately, not after
-	// minutes of measurement.
+	// Flag failure modes surface before any benchmark runs: -reps below
+	// 1 (whose min over no reps would print the time.Duration maximum)
+	// or an unwritable -json/-trace path exits non-zero immediately, not
+	// after minutes of measurement.
+	if cfg.Reps < 1 {
+		return fmt.Errorf("-reps %d: need at least 1 repetition", cfg.Reps)
+	}
 	var jsonFile, traceFile *os.File
 	cleanup := func() {
 		if jsonFile != nil {

@@ -116,6 +116,21 @@ func TestRunLocalityWithJSON(t *testing.T) {
 	}
 }
 
+// TestRepsBelowOneFails: -reps below 1 is a flag error for every table;
+// a min over no reps would print the time.Duration maximum in every
+// Table 1 and Table 2 cell.
+func TestRepsBelowOneFails(t *testing.T) {
+	for _, table := range []int{1, 2} {
+		err := run(table, 0, false, 4, 0, 100)
+		if err == nil {
+			t.Fatalf("table %d: -reps 0 should fail", table)
+		}
+		if !strings.Contains(err.Error(), "-reps") {
+			t.Errorf("error %q should name the -reps flag", err)
+		}
+	}
+}
+
 func TestUnwritableJSONPath(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "no", "such", "dir", "bench.json")
 	err := runConfig(config{Cache: true, Procs: 2, Reps: 1, Elems: 100,

@@ -10,8 +10,7 @@
 //	hpfsim -metrics               # dump the telemetry registry (telemetry/v1 JSON)
 //	hpfsim -http localhost:8080 -linger 30s   # serve /metrics, /trace, /healthz
 //	hpfsim -pprof localhost:6060  # serve net/http/pprof during the run
-//	hpfsim -faults seed=3,delay=0.2:200us,reorder=0.2   # seeded chaos run
-//	hpfsim -deadline 2s           # blocked receives fail instead of hanging
+//	hpfsim -faults seed=3,delay=0.2,reorder=0.2   # seeded chaos run
 //
 // Before the machine starts, the demo workload is rendered as a
 // mini-HPF script and run through the hpflint analysis passes; findings
@@ -50,14 +49,13 @@ func main() {
 		httpAddr = flag.String("http", "", "serve /metrics (Prometheus), /trace (trace/v1) and /healthz on this address (e.g. localhost:8080)")
 		linger   = flag.Duration("linger", 0, "keep the -http server (and the trace) alive this long after the run, for scraping")
 		pprof    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-		faults   = flag.String("faults", "", "inject seeded message faults: seed=<n>,drop=<p>,dup=<p>,reorder=<p>,delay=<p>[:<dur>],crash=<rank>@<step>")
-		deadline = flag.Duration("deadline", 0, "per-receive deadline: a Recv blocked longer than this fails the run instead of hanging")
+		faults   = flag.String("faults", "", "inject seeded message faults: seed=<n>,drop=<p>,dup=<p>,reorder=<p>,delay=<p>,crash=<rank>@<step>")
 	)
 	flag.Parse()
 	cfg := config{P: *p, K: *k, K2: *k2, N: *n,
 		TracePath: *trace, Metrics: *metrics, PprofAddr: *pprof,
 		HTTPAddr: *httpAddr, Linger: *linger,
-		FaultSpec: *faults, Deadline: *deadline}
+		FaultSpec: *faults}
 	if err := runConfig(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "hpfsim:", err)
 		os.Exit(1)
@@ -72,7 +70,6 @@ type config struct {
 	HTTPAddr    string
 	Linger      time.Duration
 	FaultSpec   string
-	Deadline    time.Duration
 
 	// afterRun, when set, is called with the -http server's bound
 	// address after the workload finishes but before the linger sleep
@@ -229,7 +226,7 @@ func preflight(cfg config, w io.Writer) {
 }
 
 // run executes the demo workload. Machine-level failures — an injected
-// crash, a detected deadlock, an expired -deadline — arrive as
+// crash or a detected deadlock — arrive as
 // panics out of m.Run and are converted to ordinary errors here so main
 // exits non-zero with the diagnostic instead of dumping a goroutine
 // trace.
@@ -249,9 +246,6 @@ func run(cfg config, faults *machine.FaultPlan) (err error) {
 		return err
 	}
 	m := machine.MustNew(int(p))
-	if cfg.Deadline > 0 {
-		m.WithDeadline(cfg.Deadline)
-	}
 	if faults != nil {
 		m.SetFaults(faults)
 		fmt.Printf("faults: armed %s\n", cfg.FaultSpec)

@@ -175,14 +175,14 @@ func TestRunInvalid(t *testing.T) {
 // but must not change any result the demo verifies.
 func TestFaultedRunCompletes(t *testing.T) {
 	cfg := config{P: 4, K: 8, K2: 5, N: 320,
-		FaultSpec: "seed=3,delay=0.2:200us,reorder=0.2"}
+		FaultSpec: "seed=3,delay=0.2,reorder=0.2"}
 	if err := runConfig(cfg); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestDroppedRunFailsStructured: drop=1 wedges the section copy; the
-// watchdog must convert the hang into a non-nil error naming the
+// machine must convert the hang into a non-nil error naming the
 // deadlock, so main exits non-zero instead of hanging.
 func TestDroppedRunFailsStructured(t *testing.T) {
 	cfg := config{P: 4, K: 8, K2: 5, N: 320, FaultSpec: "seed=1,drop=1"}
@@ -196,7 +196,7 @@ func TestDroppedRunFailsStructured(t *testing.T) {
 }
 
 func TestInvalidFaultSpec(t *testing.T) {
-	for _, spec := range []string{"drop=2", "bogus", "crash=1@-5"} {
+	for _, spec := range []string{"drop=2", "bogus", "crash=1@-5", "delay=0.1:2ms"} {
 		err := runConfig(config{P: 4, K: 8, K2: 5, N: 320, FaultSpec: spec})
 		if err == nil {
 			t.Errorf("spec %q should be rejected", spec)

@@ -15,9 +15,9 @@ import (
 // applied inside the machine's Send/Recv, so the pack/exchange/unpack
 // protocol is exercised unmodified. Delay, duplication and reorder must
 // not corrupt a transfer (each (sender, tag) pair carries at most one
-// message per Execute); dropped messages must surface as a structured
-// watchdog failure, never a hang. CI runs these with -race and a hard
-// timeout (chaos-smoke job).
+// message per Execute); dropped messages must surface as the machine's
+// structured deadlock failure, never a hang. CI runs these with -race
+// and a hard timeout (chaos-smoke job).
 
 // chaosFixture builds differently-distributed src/dst arrays and the
 // plan for dst(0:2(cnt-1):2) = src(4:n-1:9) from cyclic(8) to cyclic(5)
@@ -64,8 +64,7 @@ func TestExecuteSurvivesDelayDupReorder(t *testing.T) {
 				plan, dst, src, dstSec, srcSec := chaosFixture(t, whole)
 				m := machine.MustNew(int(max(plan.NSrc, plan.NDst)))
 				m.SetFaults(&machine.FaultPlan{
-					Seed: seed, Delay: 0.25, DelayBy: 300 * time.Microsecond,
-					Dup: 0.25, Reorder: 0.25, CrashRank: -1,
+					Seed: seed, Delay: 0.25, Dup: 0.25, Reorder: 0.25, CrashRank: -1,
 				})
 				if err := plan.Execute(m, dst, src); err != nil {
 					t.Fatal(err)
@@ -87,8 +86,7 @@ func TestExecuteWithSurvivesFaults(t *testing.T) {
 	}
 	m := machine.MustNew(4)
 	m.SetFaults(&machine.FaultPlan{
-		Seed: 23, Delay: 0.3, DelayBy: 300 * time.Microsecond, Reorder: 0.3,
-		CrashRank: -1,
+		Seed: 23, Delay: 0.3, Reorder: 0.3, CrashRank: -1,
 	})
 	if err := plan.ExecuteWith(m, dst, src, Add); err != nil {
 		t.Fatal(err)
@@ -102,8 +100,8 @@ func TestExecuteWithSurvivesFaults(t *testing.T) {
 }
 
 // TestExecuteDropBecomesStructuredFailure: losing plan messages parks
-// the unpack side forever; the watchdog must abort with a diagnostic
-// naming the comm tag instead of hanging the test suite.
+// the unpack side forever; the machine must abort with a deadlock
+// diagnostic naming the comm tag instead of hanging the test suite.
 func TestExecuteDropBecomesStructuredFailure(t *testing.T) {
 	plan, dst, src, _, _ := chaosFixture(t, false)
 	m := machine.MustNew(4)
@@ -112,7 +110,7 @@ func TestExecuteDropBecomesStructuredFailure(t *testing.T) {
 	defer func() {
 		r := recover()
 		if r == nil {
-			t.Fatal("expected watchdog abort when every message is dropped")
+			t.Fatal("expected deadlock abort when every message is dropped")
 		}
 		msg := r.(string)
 		if !strings.Contains(msg, "deadlock") || !strings.Contains(msg, "comm.copy") {
@@ -168,8 +166,7 @@ func TestCombineSurvivesDelayReorder(t *testing.T) {
 				want := c.reference()
 				m := machine.MustNew(4)
 				m.SetFaults(&machine.FaultPlan{
-					Seed: seed, Delay: 0.25, DelayBy: 300 * time.Microsecond,
-					Dup: 0.25, Reorder: 0.25, CrashRank: -1,
+					Seed: seed, Delay: 0.25, Dup: 0.25, Reorder: 0.25, CrashRank: -1,
 				})
 				if err := c.run(m); err != nil {
 					t.Fatal(err)
@@ -189,8 +186,8 @@ func TestCombineSurvivesDelayReorder(t *testing.T) {
 }
 
 // TestCombineDropBecomesStructuredFailure: with every operand message
-// lost, the watchdog must abort the step with a diagnostic naming a comm
-// tag.
+// lost, the machine must abort the step with a deadlock diagnostic
+// naming a comm tag.
 func TestCombineDropBecomesStructuredFailure(t *testing.T) {
 	for name, c := range combineChaosCases() {
 		t.Run(name, func(t *testing.T) {
@@ -199,7 +196,7 @@ func TestCombineDropBecomesStructuredFailure(t *testing.T) {
 			defer func() {
 				r := recover()
 				if r == nil {
-					t.Fatal("expected watchdog abort when every message is dropped")
+					t.Fatal("expected deadlock abort when every message is dropped")
 				}
 				msg := r.(string)
 				if !strings.Contains(msg, "deadlock") ||
@@ -235,8 +232,7 @@ func TestTranspose2DSurvivesDelayDupReorder(t *testing.T) {
 		dst, src, dstRect, srcRect := transposeFixture()
 		m := machine.MustNew(4)
 		m.SetFaults(&machine.FaultPlan{
-			Seed: seed, Delay: 0.25, DelayBy: 300 * time.Microsecond,
-			Dup: 0.25, Reorder: 0.25, CrashRank: -1,
+			Seed: seed, Delay: 0.25, Dup: 0.25, Reorder: 0.25, CrashRank: -1,
 		})
 		if err := Transpose2D(m, dst, dstRect, src, srcRect); err != nil {
 			t.Fatal(err)
@@ -256,7 +252,7 @@ func TestTranspose2DSurvivesDelayDupReorder(t *testing.T) {
 }
 
 // TestTranspose2DDropBecomesStructuredFailure: a 2-D statement runs on
-// the 1-D executor, so a lost message surfaces as the same watchdog
+// the 1-D executor, so a lost message surfaces as the same deadlock
 // diagnostic naming the comm tag.
 func TestTranspose2DDropBecomesStructuredFailure(t *testing.T) {
 	dst, src, dstRect, srcRect := transposeFixture()
@@ -265,7 +261,7 @@ func TestTranspose2DDropBecomesStructuredFailure(t *testing.T) {
 	defer func() {
 		r := recover()
 		if r == nil {
-			t.Fatal("expected watchdog abort when every message is dropped")
+			t.Fatal("expected deadlock abort when every message is dropped")
 		}
 		msg := r.(string)
 		if !strings.Contains(msg, "deadlock") || !strings.Contains(msg, "comm.copy") {

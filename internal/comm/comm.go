@@ -406,9 +406,10 @@ func (o *operand) labels() (tag, step string) {
 // values addressed to it, operand by operand, storing or folding them
 // into its local dst memory. A pair with count 0 sends no message and
 // its receiver does not wait for one: both sides read the count from
-// the same planExec. Every rank reads all its operand values before it
-// writes its own memory, and no rank writes another rank's memory, so
-// dst may alias any operand.
+// the same planExec. A rank-local pair sends no message either. Every
+// rank reads all its operand values before it writes its own memory,
+// and no rank writes another rank's memory, so dst may alias any
+// operand.
 func execute(m *machine.Machine, dst localMem, ops []operand) error {
 	nprocs := int64(m.NProcs())
 	for i := range ops {
@@ -441,8 +442,11 @@ func execute(m *machine.Machine, dst localMem, ops []operand) error {
 		me := int64(proc.Rank())
 		// Pack and send. Buffers come from the machine's pool; ownership
 		// transfers with the message and the receiver recycles them after
-		// unpacking. The processor-local pair also goes through the
-		// mailbox, keeping the unpack path uniform.
+		// unpacking. The rank-local (me → me) pair skips the mailbox: its
+		// buffer is held here, one per operand (an execute has at most
+		// two), until the unpack phase. It is still packed in this phase,
+		// before any write, which keeps dst safe to alias an operand.
+		var held [2][]float64
 		for i := range ops {
 			o := &ops[i]
 			if me >= o.e.nsrc {
@@ -460,7 +464,11 @@ func execute(m *machine.Machine, dst localMem, ops []operand) error {
 				} else {
 					buf = o.e.packInto(buf, mem, me, r)
 				}
-				proc.Send(int(r), o.tag, buf)
+				if r == me {
+					held[i] = buf
+				} else {
+					proc.Send(int(r), o.tag, buf)
+				}
 			}
 		}
 		// Receive and unpack.
@@ -475,22 +483,25 @@ func execute(m *machine.Machine, dst localMem, ops []operand) error {
 				if want == 0 {
 					continue
 				}
-				msg := proc.Recv(int(q), o.tag)
-				if len(msg.Data) != want {
+				data := held[i]
+				if q != me {
+					data = proc.Recv(int(q), o.tag).Data
+				}
+				if len(data) != want {
 					panic(fmt.Sprintf("comm: received %d of %d values from proc %d",
-						len(msg.Data), want, q))
+						len(data), want, q))
 				}
 				switch {
 				case ar != nil:
-					o.e.unpackTraced(mem, msg.Data, q, me, o.op, ar, o.step)
+					o.e.unpackTraced(mem, data, q, me, o.op, ar, o.step)
 				case o.op == nil:
-					o.e.unpackFrom(mem, msg.Data, q, me)
+					o.e.unpackFrom(mem, data, q, me)
 				case o.add:
-					o.e.addFrom(mem, msg.Data, q, me)
+					o.e.addFrom(mem, data, q, me)
 				default:
-					o.e.combineFrom(mem, msg.Data, q, me, o.op)
+					o.e.combineFrom(mem, data, q, me, o.op)
 				}
-				machine.PutBuf(msg.Data)
+				machine.PutBuf(data)
 			}
 		}
 		if tr != nil {

@@ -332,13 +332,16 @@ stats
 		t.Fatal(err)
 	}
 	out := in.Output()
-	// Fill is communication free; the copy moves 64 values; the counter
-	// resets after each report.
+	// Fill is communication free; the copy sends one message per
+	// non-empty off-diagonal (source, destination) pair, 12, carrying
+	// the 48 of its 64 values that change rank (16 stay on their
+	// processor and move no message); the counter resets after each
+	// report.
 	if !strings.Contains(out, "comm: 0 messages, 0 values\n") {
 		t.Errorf("fill should be comm-free:\n%s", out)
 	}
-	if !strings.Contains(out, "64 values") {
-		t.Errorf("copy volume missing:\n%s", out)
+	if !strings.Contains(out, "comm: 12 messages, 48 values\n") {
+		t.Errorf("copy traffic missing:\n%s", out)
 	}
 	if strings.Count(out, "comm: 0 messages, 0 values\n") != 2 {
 		t.Errorf("stats should reset counters:\n%s", out)

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // faultRand is the per-rank decision stream. Decisions are drawn by the
@@ -21,7 +20,7 @@ type FaultKind string
 const (
 	FaultDrop    FaultKind = "drop"    // message silently lost in transit
 	FaultDup     FaultKind = "dup"     // message delivered twice
-	FaultDelay   FaultKind = "delay"   // delivery deferred by DelayBy
+	FaultDelay   FaultKind = "delay"   // delivery deferred until no rank can run
 	FaultReorder FaultKind = "reorder" // message jumps the mailbox queue
 	FaultCrash   FaultKind = "crash"   // rank panics at a machine op
 )
@@ -49,26 +48,24 @@ func (e FaultEvent) String() string {
 // per-Send and must sum to at most 1; at most one fault is injected
 // per message.
 //
-// Caveats: a duplicated payload is deep-copied (the pooled-buffer
-// ownership convention survives), but the duplicate stays in the
-// mailbox if the program never matches it, and a delayed message still
-// in flight when the Run that sent it returns is delivered during the
-// next Run — chaos plans should use fresh machines per experiment.
+// A delayed message is held by the machine and delivered, oldest first,
+// whenever no processor can run; any still held when Run returns is
+// delivered then, so a delay reorders messages but never loses one.
+//
+// Caveat: a duplicated payload is deep-copied (the pooled-buffer
+// ownership convention survives), but the duplicate, like a delayed
+// message, stays in the mailbox if the program never matches it —
+// chaos plans should use fresh machines per experiment.
 type FaultPlan struct {
 	Seed    int64
-	Drop    float64       // P(message dropped)
-	Dup     float64       // P(message delivered twice)
-	Delay   float64       // P(delivery deferred by DelayBy)
-	Reorder float64       // P(message prepended to the mailbox)
-	DelayBy time.Duration // how long a delayed message waits (default 1ms)
+	Drop    float64 // P(message dropped)
+	Dup     float64 // P(message delivered twice)
+	Delay   float64 // P(delivery deferred until no rank can run)
+	Reorder float64 // P(message prepended to the mailbox)
 
 	CrashRank int   // rank to crash, -1 (or out of range) = never
 	CrashStep int64 // crash at that rank's CrashStep-th machine op
 }
-
-// maxDelay bounds DelayBy so a typo'd spec cannot stall runs (and CI)
-// for minutes per delayed message.
-const maxDelay = 10 * time.Second
 
 // Validate reports whether the plan's parameters are usable.
 func (fp *FaultPlan) Validate() error {
@@ -85,21 +82,10 @@ func (fp *FaultPlan) Validate() error {
 	if sum := fp.Drop + fp.Dup + fp.Delay + fp.Reorder; !(sum <= 1) {
 		return fmt.Errorf("machine: fault plan: probabilities sum to %v > 1", sum)
 	}
-	if fp.DelayBy < 0 || fp.DelayBy > maxDelay {
-		return fmt.Errorf("machine: fault plan: delay %v outside [0, %v]", fp.DelayBy, maxDelay)
-	}
 	if fp.CrashStep < 0 {
 		return fmt.Errorf("machine: fault plan: crash step %d < 0", fp.CrashStep)
 	}
 	return nil
-}
-
-// delayBy returns the effective delay duration.
-func (fp *FaultPlan) delayBy() time.Duration {
-	if fp.DelayBy <= 0 {
-		return time.Millisecond
-	}
-	return fp.DelayBy
 }
 
 // rankRand derives rank's private decision stream from the plan seed
@@ -114,14 +100,14 @@ func (fp *FaultPlan) rankRand(rank int) *faultRand {
 
 // ParseFaultSpec parses the CLI fault grammar: a comma-separated list of
 //
-//	seed=<int>            decision-stream seed (default 1)
-//	drop=<prob>           drop probability
-//	dup=<prob>            duplication probability
-//	reorder=<prob>        reorder probability
-//	delay=<prob>[:<dur>]  delay probability and duration (default 1ms)
-//	crash=<rank>@<step>   crash rank at its <step>-th machine op
+//	seed=<int>           decision-stream seed (default 1)
+//	drop=<prob>          drop probability
+//	dup=<prob>           duplication probability
+//	reorder=<prob>       reorder probability
+//	delay=<prob>         delay probability
+//	crash=<rank>@<step>  crash rank at its <step>-th machine op
 //
-// Example: "seed=42,drop=0.01,delay=0.05:2ms,crash=3@100".
+// Example: "seed=42,drop=0.01,delay=0.05,crash=3@100".
 func ParseFaultSpec(spec string) (*FaultPlan, error) {
 	fp := &FaultPlan{Seed: 1, CrashRank: -1}
 	for _, field := range strings.Split(spec, ",") {
@@ -144,10 +130,7 @@ func ParseFaultSpec(spec string) (*FaultPlan, error) {
 		case "reorder":
 			fp.Reorder, err = strconv.ParseFloat(val, 64)
 		case "delay":
-			prob, dur, hasDur := strings.Cut(val, ":")
-			if fp.Delay, err = strconv.ParseFloat(prob, 64); err == nil && hasDur {
-				fp.DelayBy, err = time.ParseDuration(dur)
-			}
+			fp.Delay, err = strconv.ParseFloat(val, 64)
 		case "crash":
 			rank, step, hasStep := strings.Cut(val, "@")
 			var r int64
@@ -263,7 +246,7 @@ func (p *Proc) injectSendFault(fp *FaultPlan, op int64, msg Message) bool {
 	case u < fp.Drop+fp.Dup+fp.Delay:
 		p.m.recordFault(FaultEvent{Rank: p.rank, Op: op, Kind: FaultDelay, To: msg.To, Tag: msg.Tag})
 		telFaultsDelayed.Inc()
-		p.m.delayDelivery(msg, fp.delayBy())
+		p.m.delayed = append(p.m.delayed, msg)
 		return true
 	case u < fp.Drop+fp.Dup+fp.Delay+fp.Reorder:
 		p.m.recordFault(FaultEvent{Rank: p.rank, Op: op, Kind: FaultReorder, To: msg.To, Tag: msg.Tag})

@@ -5,17 +5,16 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestParseFaultSpec(t *testing.T) {
-	fp, err := ParseFaultSpec("seed=42,drop=0.01,dup=0.02,delay=0.05:2ms,reorder=0.1,crash=3@100")
+	fp, err := ParseFaultSpec("seed=42,drop=0.01,dup=0.02,delay=0.05,reorder=0.1,crash=3@100")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := &FaultPlan{
 		Seed: 42, Drop: 0.01, Dup: 0.02, Delay: 0.05, Reorder: 0.1,
-		DelayBy: 2 * time.Millisecond, CrashRank: 3, CrashStep: 100,
+		CrashRank: 3, CrashStep: 100,
 	}
 	if !reflect.DeepEqual(fp, want) {
 		t.Errorf("parsed %+v, want %+v", fp, want)
@@ -28,9 +27,8 @@ func TestParseFaultSpec(t *testing.T) {
 		"drop=2",           // probability out of range
 		"drop=0.6,dup=0.6", // probabilities sum > 1
 		"drop=NaN",         // NaN fails every comparison
-		"delay=NaN:1ms",    // NaN probability with a valid duration
-		"delay=0.1:zzz",    // malformed duration
-		"delay=0.1:30s",    // delay beyond the cap
+		"delay=NaN",        // NaN delay probability
+		"delay=0.1:2ms",    // a delay is not a duration
 		"crash=x",          // malformed rank
 		"crash=1@-2",       // negative step
 		"jitter=0.1",       // unknown key
@@ -58,8 +56,7 @@ func chaosBody(rounds int) func(p *Proc) {
 // same seeded plan over the same SPMD body injects the identical event
 // sequence on every run, on fresh machines and on reused ones.
 func TestFaultPlanDeterministic(t *testing.T) {
-	plan := &FaultPlan{Seed: 7, Drop: 0.1, Dup: 0.2, Delay: 0.1, Reorder: 0.2,
-		DelayBy: 100 * time.Microsecond, CrashRank: -1}
+	plan := &FaultPlan{Seed: 7, Drop: 0.1, Dup: 0.2, Delay: 0.1, Reorder: 0.2, CrashRank: -1}
 	runOnce := func() []FaultEvent {
 		m := MustNew(4)
 		m.SetFaults(plan)
@@ -86,7 +83,7 @@ func TestFaultPlanDeterministic(t *testing.T) {
 }
 
 // TestDroppedSendBecomesStructuredFailure: with every message dropped,
-// the receive side deadlocks; the watchdog must convert the hang into a
+// the receive side deadlocks; the scheduler must convert the hang into a
 // failure naming each rank's wait site and count the drops.
 func TestDroppedSendBecomesStructuredFailure(t *testing.T) {
 	m := MustNew(2)
@@ -200,12 +197,12 @@ func TestDuplicateAndReorderDelivery(t *testing.T) {
 	}
 }
 
-// TestDelayedMessageDoesNotTripWatchdog: while a delayed message is in
-// flight every rank may be parked; the inflight counter must keep the
-// watchdog from calling that a deadlock.
+// TestDelayedMessageDoesNotTripWatchdog: while a delayed message is
+// held every rank may be parked; the scheduler must deliver it instead
+// of calling that a deadlock.
 func TestDelayedMessageDoesNotTripWatchdog(t *testing.T) {
 	m := MustNew(2)
-	m.SetFaults(&FaultPlan{Seed: 1, Delay: 1, DelayBy: 60 * time.Millisecond, CrashRank: -1})
+	m.SetFaults(&FaultPlan{Seed: 1, Delay: 1, CrashRank: -1})
 	m.Run(func(p *Proc) {
 		if p.Rank() == 0 {
 			p.Send(1, "slow", []float64{9})

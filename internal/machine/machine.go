@@ -14,9 +14,8 @@
 // would stall the one thread every processor shares.
 //
 // The machine also carries a robustness layer (see README, Robustness):
-// exact deadlock detection with per-rank wait-site diagnostics, a
-// machine-wide receive deadline, and deterministic seeded fault
-// injection (faults.go).
+// exact deadlock detection with per-rank wait-site diagnostics and
+// deterministic seeded fault injection (faults.go).
 package machine
 
 import (
@@ -53,21 +52,14 @@ type Machine struct {
 	// mailboxes it is touched only by the processor Run is resuming.
 	arrived int
 
-	// Fault-delayed messages: Send counts one out (inflight), a timer
-	// goroutine appends it to landed when its delay is up and signals
-	// wake, and the scheduler delivers it (drainDelayed). Run never
-	// reports a deadlock while one is in flight.
-	inflight int
-	delayMu  sync.Mutex
-	landed   []Message
-	wake     chan struct{}
+	// delayed holds fault-delayed messages, oldest first. The scheduler
+	// delivers the oldest when no processor can run (idle), and Run
+	// delivers any still held before it returns (release).
+	delayed []Message
 
 	// runMu serializes Run calls: concurrent runs would share the
 	// processors' mailboxes and read each other's messages.
 	runMu sync.Mutex
-
-	// Machine-wide Recv deadline (0 = none); set before Run.
-	deadline time.Duration
 
 	faults   *FaultPlan
 	faultMu  sync.Mutex
@@ -79,7 +71,7 @@ func New(p int) (*Machine, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("machine: processor count %d < 1", p)
 	}
-	m := &Machine{nprocs: p, wake: make(chan struct{}, 1)}
+	m := &Machine{nprocs: p}
 	m.procs = make([]*Proc, p)
 	for i := range m.procs {
 		m.procs[i] = &Proc{rank: i, m: m}
@@ -98,18 +90,6 @@ func MustNew(p int) *Machine {
 
 // NProcs returns the processor count.
 func (m *Machine) NProcs() int { return m.nprocs }
-
-// WithDeadline sets a machine-wide deadline applied to every blocking
-// Recv (0 disables): a receive that waits longer panics with a
-// diagnostic naming the wait site, which Run converts into a structured
-// failure instead of a hang. Returns m for chaining.
-func (m *Machine) WithDeadline(d time.Duration) *Machine {
-	if d < 0 {
-		d = 0
-	}
-	m.deadline = d
-	return m
-}
 
 // SetFaults arms plan for subsequent Run calls (nil disarms). The plan's
 // per-rank random streams and the fault-event log reset at the start of
@@ -173,11 +153,18 @@ func (m *Machine) Run(body func(p *Proc)) {
 }
 
 // release restores the machine for subsequent runs and hands the run's
-// coroutines back to the pool. It runs on every return from Run; a
+// coroutines back to the pool. It runs on every return from Run. It
+// delivers every fault-delayed message still held, so a delay is never
+// a drop: what the body did not receive waits in the mailbox. A
 // coroutine whose body never finished (the caller is unwinding from a
 // runtime.Goexit in some body) is stopped instead of pooled.
 func (m *Machine) release() {
 	m.arrived = 0
+	for _, msg := range m.delayed {
+		m.deliver(msg, false)
+	}
+	clear(m.delayed)
+	m.delayed = m.delayed[:0]
 	for _, p := range m.procs {
 		if p.exited {
 			putCoro(p.co)
@@ -214,12 +201,11 @@ type Proc struct {
 	exited   bool
 	panicVal any
 
-	// The wait site this processor is parked in, and since when: what
-	// wakes it, and what the deadlock report names.
-	waitKind  waitKind
-	waitFrom  int
-	waitTag   string
-	waitSince time.Time
+	// The wait site this processor is parked in: what wakes it, and
+	// what the deadlock report names.
+	waitKind waitKind
+	waitFrom int
+	waitTag  string
 
 	// Fault-injection state (reset by Run): the machine-op counter crash
 	// steps index into, and the rank's private decision stream.
@@ -329,12 +315,11 @@ func (m *Machine) deliver(msg Message, front bool) {
 
 // Recv blocks until a message with the given source and tag arrives and
 // returns it. Messages from the same sender with the same tag are
-// delivered in send order. If the machine has a deadline (WithDeadline),
-// waiting past it panics with a diagnostic naming this wait site; Run
-// converts the panic into a structured failure.
+// delivered in send order. The clock is read only if the processor
+// parks; a message already in the mailbox records a zero wait.
 func (p *Proc) Recv(from int, tag string) Message {
-	start := time.Now()
 	p.faultStep()
+	var start time.Time
 	for {
 		for i, msg := range p.mailbox {
 			if msg.From == from && msg.Tag == tag {
@@ -353,12 +338,10 @@ func (p *Proc) Recv(from int, tag string) Message {
 		if p.poisoned {
 			panic(poisonError(p.poisonMsg))
 		}
-		if d := p.m.deadline; d > 0 && time.Since(start) >= d {
-			telRecvTimeouts.Inc()
-			panic(fmt.Sprintf("machine: Recv(from=%d, tag=%q) exceeded machine deadline %v",
-				from, tag, d))
+		if start.IsZero() {
+			start = time.Now()
 		}
-		p.waitKind, p.waitFrom, p.waitTag, p.waitSince = waitRecv, from, tag, start
+		p.waitKind, p.waitFrom, p.waitTag = waitRecv, from, tag
 		p.park()
 	}
 }
@@ -366,9 +349,9 @@ func (p *Proc) Recv(from int, tag string) Message {
 // recorded accounts one delivered message on the receive side: the
 // per-processor counters, the process-wide telemetry, and — when a
 // tracer is active — a recv event whose duration is the time this
-// processor spent blocked since entering Recv.
+// processor spent parked since start (zero when it never parked).
 func (p *Proc) recorded(msg Message, start time.Time) {
-	wait := time.Since(start).Nanoseconds()
+	wait := sinceParked(start)
 	p.stats.messagesRecv.Add(1)
 	p.stats.valuesRecv.Add(int64(len(msg.Data)))
 	telMessagesRecv.Inc()
@@ -383,14 +366,25 @@ func (p *Proc) recorded(msg Message, start time.Time) {
 	}
 }
 
-// Barrier blocks until every processor has reached it.
+// sinceParked returns the nanoseconds since start, or 0 when start is
+// unset because the waiting processor never parked.
+func sinceParked(start time.Time) int64 {
+	if start.IsZero() {
+		return 0
+	}
+	return time.Since(start).Nanoseconds()
+}
+
+// Barrier blocks until every processor has reached it. Like Recv it
+// reads the clock only if it parks: the last arrival records a zero
+// wait.
 func (p *Proc) Barrier() {
-	start := time.Now()
 	p.faultStep()
 	if p.poisoned {
 		panic(poisonError(p.poisonMsg))
 	}
 	m := p.m
+	var start time.Time
 	if m.arrived++; m.arrived == m.nprocs {
 		// The last arrival releases everyone parked here.
 		m.arrived = 0
@@ -400,7 +394,8 @@ func (p *Proc) Barrier() {
 			}
 		}
 	} else {
-		p.waitKind, p.waitSince = waitBarrier, start
+		start = time.Now()
+		p.waitKind = waitBarrier
 		for p.waitKind == waitBarrier {
 			if p.poisoned {
 				panic(poisonError(p.poisonMsg))
@@ -408,7 +403,7 @@ func (p *Proc) Barrier() {
 			p.park()
 		}
 	}
-	wait := time.Since(start).Nanoseconds()
+	wait := sinceParked(start)
 	telBarrierNs.Observe(wait)
 	if tr := telemetry.ActiveTracer(); tr != nil {
 		tr.Record(telemetry.Event{

@@ -311,7 +311,7 @@ func TestDeadlockDetected(t *testing.T) {
 }
 
 func TestNoFalseDeadlockUnderChatter(t *testing.T) {
-	// A long-running ping-pong must not trip the watchdog.
+	// A long-running ping-pong must not trip the deadlock detector.
 	m := MustNew(2)
 	m.Run(func(p *Proc) {
 		other := 1 - p.Rank()
@@ -392,8 +392,8 @@ func TestPoisonWakesAllWaitSites(t *testing.T) {
 }
 
 // TestWatchdogNamesEveryParkedRank asserts the acceptance criterion: a
-// deliberately omitted Send aborts within the configured window and the
-// error names every parked rank with its wait site.
+// deliberately omitted Send aborts at once and the error names every
+// parked rank with its wait site.
 func TestWatchdogNamesEveryParkedRank(t *testing.T) {
 	m := MustNew(3)
 	start := time.Now()
@@ -403,7 +403,7 @@ func TestWatchdogNamesEveryParkedRank(t *testing.T) {
 			t.Fatal("expected deadlock panic")
 		}
 		if elapsed := time.Since(start); elapsed > 5*time.Second {
-			t.Errorf("watchdog took %v, far beyond the configured window", elapsed)
+			t.Errorf("deadlock detection took %v; it should be immediate", elapsed)
 		}
 		msg := r.(string)
 		for _, want := range []string{
@@ -430,7 +430,7 @@ func TestWatchdogNamesEveryParkedRank(t *testing.T) {
 }
 
 // TestWatchdogCatchesExitedPeerDeadlock: a rank that returns without
-// sending leaves its peer parked forever; the watchdog must treat
+// sending leaves its peer parked forever; the scheduler must treat
 // "all live ranks parked" as deadlock even though one rank exited.
 func TestWatchdogCatchesExitedPeerDeadlock(t *testing.T) {
 	m := MustNew(2)
@@ -448,58 +448,5 @@ func TestWatchdogCatchesExitedPeerDeadlock(t *testing.T) {
 			p.Recv(1, "gone")
 		}
 		// Rank 1 exits immediately without sending.
-	})
-}
-
-// TestRecvTimeoutDelivers: under a machine deadline, a message that
-// arrives after the receiver parks but before the deadline is delivered
-// and counts no timeout.
-func TestRecvTimeoutDelivers(t *testing.T) {
-	m := MustNew(2)
-	m.WithDeadline(5 * time.Second)
-	before := telRecvTimeouts.Value()
-	m.Run(func(p *Proc) {
-		if p.Rank() == 0 {
-			if msg := p.Recv(1, "late"); msg.Data[0] != 7 {
-				t.Errorf("Recv = %+v; want the late message", msg)
-			}
-		} else {
-			time.Sleep(5 * time.Millisecond)
-			p.Send(0, "late", []float64{7})
-		}
-	})
-	if got := telRecvTimeouts.Value() - before; got != 0 {
-		t.Errorf("machine.recv_timeouts rose by %d on a delivered receive", got)
-	}
-}
-
-// TestMachineDeadlineConvertsHangToFailure: WithDeadline turns a Recv
-// that would hang into a structured panic naming the wait site.
-func TestMachineDeadlineConvertsHangToFailure(t *testing.T) {
-	m := MustNew(2)
-	m.WithDeadline(25 * time.Millisecond)
-	before := telRecvTimeouts.Value()
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected deadline panic")
-		}
-		if got := telRecvTimeouts.Value() - before; got != 1 {
-			t.Errorf("machine.recv_timeouts rose by %d, want 1", got)
-		}
-		msg := r.(string)
-		if !strings.Contains(msg, `Recv(from=1, tag="never")`) || !strings.Contains(msg, "deadline") {
-			t.Errorf("panic %q should name the wait site and the deadline", msg)
-		}
-		if !strings.Contains(msg, "processor 0") {
-			t.Errorf("panic %q should name the timed-out rank", msg)
-		}
-	}()
-	m.Run(func(p *Proc) {
-		if p.Rank() == 0 {
-			p.Recv(1, "never")
-		} else {
-			p.Barrier() // parked peer must be woken by the poison cascade
-		}
 	})
 }

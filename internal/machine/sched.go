@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"iter"
 	"strings"
-	"time"
 )
 
 // coro is a pooled coroutine that runs one processor's body per Run.
@@ -71,8 +70,8 @@ func putCoro(c *coro) {
 }
 
 // park yields this processor back to the scheduler until something
-// marks it ready: a matching message, the barrier's release, a poison
-// or an expired deadline. The caller re-checks its wait condition.
+// marks it ready: a matching message, the barrier's release or a
+// poison. The caller re-checks its wait condition.
 func (p *Proc) park() {
 	p.ready = false
 	if !p.co.yield(struct{}{}) {
@@ -83,14 +82,10 @@ func (p *Proc) park() {
 // schedule resumes ready processors in rank order until every body has
 // returned. A processor is ready when it has not started yet, its wait
 // can complete, or it has been poisoned; resuming one always gets it
-// past its wait, so when none is ready nothing can change without
-// outside help: a fault-delayed message landing or a Recv deadline
-// passing. With neither pending the run is deadlocked, exactly.
+// past its wait, so when none is ready only a held fault-delayed
+// message can change anything (idle).
 func (m *Machine) schedule() {
 	for live := m.nprocs; live > 0; {
-		if m.inflight > 0 {
-			m.drainDelayed()
-		}
 		ran := false
 		for _, p := range m.procs {
 			if !p.ready {
@@ -114,76 +109,20 @@ func (m *Machine) schedule() {
 }
 
 // idle runs when every live processor is parked and none can proceed.
-// It delivers fault-delayed messages that have landed, waits for one
-// still in flight or for the earliest Recv deadline (which takes
-// precedence over a deadlock report), and otherwise reports the
-// deadlock by poisoning every processor with a per-rank wait-site dump.
+// A fault delay is a scheduling decision: idle delivers the oldest held
+// message, which may make its receiver ready. With none held nothing
+// can ever wake a processor, so the run is deadlocked, exactly: idle
+// poisons every processor with a per-rank wait-site dump.
 func (m *Machine) idle() {
-	if m.drainDelayed() {
-		return
-	}
-	var due time.Time
-	if d := m.deadline; d > 0 {
-		for _, p := range m.procs {
-			if p.waitKind == waitRecv && (due.IsZero() || p.waitSince.Before(due)) {
-				due = p.waitSince
-			}
-		}
-		if !due.IsZero() {
-			due = due.Add(d)
-		}
-	}
-	if due.IsZero() && m.inflight == 0 {
-		telWatchdogTrips.Inc()
-		m.poisonAll(m.deadlockReport())
-		return
-	}
-	var timeout <-chan time.Time
-	if !due.IsZero() {
-		t := time.NewTimer(time.Until(due))
-		defer t.Stop()
-		timeout = t.C
-	}
-	select {
-	case <-m.wake:
-	case <-timeout:
-		now := time.Now()
-		for _, p := range m.procs {
-			if p.waitKind == waitRecv && now.Sub(p.waitSince) >= m.deadline {
-				p.ready = true
-			}
-		}
-	}
-}
-
-// delayDelivery sends msg after d, counting it in flight until the
-// scheduler delivers it.
-func (m *Machine) delayDelivery(msg Message, d time.Duration) {
-	m.inflight++
-	time.AfterFunc(d, func() {
-		m.delayMu.Lock()
-		m.landed = append(m.landed, msg)
-		m.delayMu.Unlock()
-		select {
-		case m.wake <- struct{}{}:
-		default:
-		}
-	})
-}
-
-// drainDelayed delivers the fault-delayed messages that have landed and
-// reports whether there were any. A message still in flight when its
-// Run returns is delivered during the next one.
-func (m *Machine) drainDelayed() bool {
-	m.delayMu.Lock()
-	landed := m.landed
-	m.landed = nil
-	m.delayMu.Unlock()
-	for _, msg := range landed {
+	if len(m.delayed) > 0 {
+		msg := m.delayed[0]
+		m.delayed[0] = Message{}
+		m.delayed = m.delayed[1:]
 		m.deliver(msg, false)
+		return
 	}
-	m.inflight -= len(landed)
-	return len(landed) > 0
+	telWatchdogTrips.Inc()
+	m.poisonAll(m.deadlockReport())
 }
 
 // poisonAll makes every unfinished processor fail at its current or next
@@ -198,19 +137,17 @@ func (m *Machine) poisonAll(msg string) {
 }
 
 // deadlockReport formats the deadlock diagnostic: one line per parked
-// processor naming its wait site and how long it has been there.
-// Processors whose body already returned are listed as exited.
+// processor naming its wait site. Processors whose body already
+// returned are listed as exited.
 func (m *Machine) deadlockReport() string {
 	var b strings.Builder
 	b.WriteString("machine: deadlock: every live processor is parked and no message is in flight")
-	now := time.Now()
 	for _, p := range m.procs {
 		if p.waitKind == waitNone {
 			fmt.Fprintf(&b, "\n  rank %d not parked (exited)", p.rank)
 			continue
 		}
-		fmt.Fprintf(&b, "\n  rank %d parked in %s for %v",
-			p.rank, p.waitSite(), now.Sub(p.waitSince).Round(time.Microsecond))
+		fmt.Fprintf(&b, "\n  rank %d parked in %s", p.rank, p.waitSite())
 	}
 	return b.String()
 }

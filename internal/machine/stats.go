@@ -40,9 +40,8 @@ var (
 	telBarrierNs    = telemetry.Default().Histogram("machine.barrier_wait_ns")
 )
 
-// Robustness-layer telemetry: injected faults by kind, detected
-// deadlocks (machine.watchdog.trips), and receives that gave up at a
-// deadline (see README, Robustness).
+// Robustness-layer telemetry: injected faults by kind and detected
+// deadlocks (machine.watchdog.trips; see README, Robustness).
 var (
 	telFaultsDropped    = telemetry.Default().Counter("machine.faults.dropped")
 	telFaultsDuplicated = telemetry.Default().Counter("machine.faults.duplicated")
@@ -50,7 +49,6 @@ var (
 	telFaultsReordered  = telemetry.Default().Counter("machine.faults.reordered")
 	telFaultsCrashes    = telemetry.Default().Counter("machine.faults.crashes")
 	telWatchdogTrips    = telemetry.Default().Counter("machine.watchdog.trips")
-	telRecvTimeouts     = telemetry.Default().Counter("machine.recv_timeouts")
 )
 
 // Stats returns a snapshot of processor rank's traffic counters.
