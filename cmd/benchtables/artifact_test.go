@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 // The committed BENCH_shapes.json and BENCH_locality.json are written by
@@ -85,6 +87,31 @@ func compareArtifact(t *testing.T, fresh, committed jsonDoc, list string) (got, 
 	return got, want
 }
 
+// registered fails unless every counter, gauge and histogram the
+// committed artifact's telemetry block names is registered in this
+// process, which has just run the same matrix: a name no code defines
+// any more is stale telemetry.
+func registered(t *testing.T, committed jsonDoc) {
+	t.Helper()
+	block, ok := committed["telemetry"].(jsonDoc)
+	if !ok {
+		t.Fatal("committed artifact has no telemetry block")
+	}
+	snap := telemetry.Default().Snapshot()
+	for kind, live := range map[string][]string{
+		"counters":   slices.Collect(maps.Keys(snap.Counters)),
+		"gauges":     slices.Collect(maps.Keys(snap.Gauges)),
+		"histograms": slices.Collect(maps.Keys(snap.Histograms)),
+	} {
+		names, _ := block[kind].(jsonDoc)
+		for name := range names {
+			if !slices.Contains(live, name) {
+				t.Errorf("committed telemetry %s names %s, which nothing registers", kind, name)
+			}
+		}
+	}
+}
+
 // positive fails unless v is a JSON number above zero.
 func positive(t *testing.T, what string, v any) {
 	t.Helper()
@@ -118,6 +145,7 @@ func TestShapesArtifactMatchesFreshRun(t *testing.T) {
 	fresh := freshReport(t, config{Shapes: true, Procs: 8, Reps: 2, Elems: 500})
 	committed := readDoc(t, "../../BENCH_shapes.json")
 	got, want := compareArtifact(t, fresh, committed, "shapes")
+	registered(t, committed)
 	if reps, _ := committed["config"].(jsonDoc)["reps"].(float64); reps < 9 {
 		t.Errorf("committed artifact took %v reps, want at least 9", reps)
 	}
@@ -146,6 +174,7 @@ func TestLocalityArtifactMatchesFreshRun(t *testing.T) {
 	fresh := freshReport(t, config{Locality: true, Procs: 8, Reps: 1, Elems: 512})
 	committed := readDoc(t, "../../BENCH_locality.json")
 	got, want := compareArtifact(t, fresh, committed, "locality")
+	registered(t, committed)
 	for fam, row := range got {
 		for _, layout := range []string{"cyclic", "block"} {
 			what := fam + " " + layout

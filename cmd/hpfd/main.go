@@ -12,7 +12,6 @@
 //	hpfd -drain 30s                   # graceful-shutdown budget on SIGINT/SIGTERM
 //	hpfd -pprof localhost:6060        # serve net/http/pprof alongside
 //	hpfd -log-format json             # structured JSON logs (access log + lifecycle)
-//	hpfd -slo-target 50ms             # publish hpfd.slo.* burn-rate gauges
 //	hpfd -trace-events 0              # disable the request-span ring tracer
 //
 // Every request gets a W3C trace identity: an inbound traceparent is
@@ -58,7 +57,6 @@ func main() {
 		drain       = flag.Duration("drain", 10*time.Second, "graceful-shutdown budget: in-flight requests get this long to finish")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		logFormat   = flag.String("log-format", "text", "log output format: json or text")
-		sloTarget   = flag.Duration("slo-target", 0, "request latency budget; > 0 publishes hpfd.slo.* burn-rate gauges")
 		traceEvents = flag.Int("trace-events", 1<<14, "request-span ring-tracer capacity in events; 0 disables tracing")
 
 		readHeaderTimeout = flag.Duration("read-header-timeout", 5*time.Second, "http.Server ReadHeaderTimeout (slowloris protection)")
@@ -77,7 +75,6 @@ func main() {
 		Drain:             *drain,
 		PprofAddr:         *pprofAddr,
 		LogFormat:         *logFormat,
-		SLOTarget:         *sloTarget,
 		TraceEvents:       *traceEvents,
 		TraceDisabled:     *traceEvents <= 0,
 		ReadHeaderTimeout: *readHeaderTimeout,
@@ -101,7 +98,6 @@ type config struct {
 	Drain       time.Duration
 	PprofAddr   string
 	LogFormat   string
-	SLOTarget   time.Duration
 	// TraceEvents is the request-span ring capacity; 0 takes the default
 	// (16384). TraceDisabled turns the tracer off entirely (the CLI maps
 	// -trace-events 0 here, so a zero-valued test config still traces).
@@ -208,7 +204,6 @@ func runConfig(cfg config) error {
 		MaxBatch:      cfg.MaxBatch,
 		MetricsName:   "hpfd.plans",
 		Logger:        logger,
-		SLOTarget:     cfg.SLOTarget,
 	})
 	if err != nil {
 		return err
@@ -229,7 +224,6 @@ func runConfig(cfg config) error {
 		slog.String("addr", ln.Addr().String()),
 		slog.String("log_format", cfg.LogFormat),
 		slog.Int("trace_events", traceEvents),
-		slog.Duration("slo_target", cfg.SLOTarget),
 	)
 	if cfg.TenantQPS > 0 {
 		logger.Info("quota",

@@ -35,6 +35,9 @@ func FuzzPlanHandler(f *testing.F) {
 		// Numbers beyond int64.
 		{`{"p":4,"k":8,"u":99,"s":9223372036854775808}`, "p=4&k=8&u=99&s=9223372036854775808"},
 		{`{"p":4,"k":8,"u":1e30,"s":3}`, "p=4&k=8&u=-9223372036854775809&s=3"},
+		// Data after the JSON value.
+		{`{"p":4,"k":8,"l":4,"u":319,"s":9} trailing`, "p=4&k=8&l=4&u=319&s=9"},
+		{`{"p":4,"k":8,"l":4,"u":319,"s":9}{"p":1}`, "p=4&k=8&l=4&u=319&s=9"},
 	} {
 		f.Add(seed.body, seed.query)
 	}
@@ -67,7 +70,8 @@ func checkPlanResponse(t *testing.T, h http.Handler, r *http.Request) {
 	} else {
 		body, _ := io.ReadAll(r.Body)
 		r.Body = io.NopCloser(bytes.NewReader(body))
-		parseErr = json.NewDecoder(io.LimitReader(bytes.NewReader(body), maxBodyBytes)).Decode(&key)
+		// One JSON value, nothing but whitespace after it.
+		parseErr = json.Unmarshal(body[:min(len(body), maxBodyBytes)], &key)
 	}
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, r)

@@ -10,8 +10,9 @@ import (
 )
 
 // Request-scoped observability: the middleware that gives every request
-// a trace identity, a root span, an access-log line, and RED/SLO
-// accounting.
+// a trace identity, a root span and an access-log line. Request counts
+// and latencies are the Server's own hpfd.* metrics; the access log
+// (tenant, status and dur_ns per request) is the per-tenant record.
 //
 // Identity rules follow W3C trace-context: an inbound traceparent
 // header is adopted (same trace ID, inbound span as remote parent) so
@@ -39,8 +40,28 @@ func setOutcome(ctx context.Context, outcome string) {
 	}
 }
 
+// routeLabel maps a request path onto the bounded route vocabulary of
+// the access log.
+func routeLabel(path string) string {
+	switch path {
+	case "/v1/plan":
+		return "plan"
+	case "/v1/plan/batch":
+		return "batch"
+	case "/metrics":
+		return "metrics"
+	case "/healthz":
+		return "healthz"
+	case "/trace":
+		return "trace"
+	case "/":
+		return "index"
+	}
+	return "other"
+}
+
 // statusWriter captures the status code and body size the handler
-// produced, for the access log and RED metrics.
+// produced, for the access log.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
@@ -88,23 +109,16 @@ func (s *Server) observe(next http.Handler) http.Handler {
 		next.ServeHTTP(sw, r.WithContext(ctx))
 
 		span.End()
-		dur := time.Since(t0)
-		route := routeLabel(r.URL.Path)
-		tenant := r.Header.Get("X-Tenant")
-		s.red.record(route, tenant, sw.status, dur)
-		if s.slo != nil {
-			s.slo.record(dur)
-		}
 		if s.logger != nil {
 			o, _ := ctx.Value(obsKey{}).(*reqObs)
 			s.logger.LogAttrs(ctx, slog.LevelInfo, "request",
-				slog.String("route", route),
+				slog.String("route", routeLabel(r.URL.Path)),
 				slog.String("method", r.Method),
 				slog.String("path", r.URL.Path),
-				slog.String("tenant", tenant),
+				slog.String("tenant", r.Header.Get("X-Tenant")),
 				slog.Int("status", sw.status),
 				slog.Int64("bytes", sw.bytes),
-				slog.Int64("dur_ns", dur.Nanoseconds()),
+				slog.Int64("dur_ns", time.Since(t0).Nanoseconds()),
 				slog.String("cache", o.outcome),
 				slog.String("trace", sc.TraceID()),
 				slog.String("span", sc.SpanID()),

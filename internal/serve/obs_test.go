@@ -3,9 +3,11 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"log/slog"
 	"net/http"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -171,6 +173,35 @@ func TestTraceparentEcho(t *testing.T) {
 	}
 }
 
+// TestRequestSpanRecordedBeforeReply: a client holding the whole
+// reply finds the request's hpfd.request span already recorded, also
+// for a plan far larger than net/http's write buffers. perfbench's
+// traced plan runs stop the tracer once the last reply arrives and
+// fail on a request without its span. A reply that can complete before
+// the handler returns, as a body written under an explicit
+// Content-Length does, loses spans here.
+func TestRequestSpanRecordedBeforeReply(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	body, _ := json.Marshal(PlanRequest{P: 64, K: 4096, L: 3, U: 1<<22 - 1, S: 7})
+	for i := 0; i < 300; i++ {
+		tr := telemetry.StartTracing(0, 1<<10)
+		resp, err := http.Post(ts.URL+"/v1/plan", "application/json", bytes.NewReader(body))
+		if err != nil {
+			telemetry.StopTracing()
+			t.Fatal(err)
+		}
+		n, _ := io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		telemetry.StopTracing()
+		if resp.StatusCode != http.StatusOK || n < 64<<10 {
+			t.Fatalf("status %d with %d bytes, want 200 with a plan over 64 KB", resp.StatusCode, n)
+		}
+		if !slices.ContainsFunc(tr.Events(), func(e telemetry.Event) bool { return e.Name == "hpfd.request" }) {
+			t.Fatalf("request %d: reply complete before its hpfd.request span was recorded", i)
+		}
+	}
+}
+
 // TestAccessLogJSON: with a JSON slog logger configured, every request
 // produces exactly one access-log line whose fields carry the route,
 // status, cache outcome and trace identity.
@@ -231,104 +262,105 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 	return s.w.Write(p)
 }
 
-// TestREDMetrics: per-route status-class counters and per-tenant rows
-// advance with each response.
-func TestREDMetrics(t *testing.T) {
+// TestRequestAccounting: every HTTP response to a plan route adds one
+// to hpfd.requests and exactly one hpfd.responses_* outcome, so the
+// outcome deltas sum to the request delta. A batch answered 200 counts
+// once as ok, however many of its keys failed.
+func TestRequestAccounting(t *testing.T) {
 	reg := telemetry.Default()
-	ok2xx := reg.Counter("hpfd.route.plan.2xx").Value()
-	bad4xx := reg.Counter("hpfd.route.plan.4xx").Value()
+	names := []string{"ok", "304", "429_quota", "429_overload", "bad_request", "error"}
+	before := map[string]int64{}
+	for _, n := range names {
+		before[n] = reg.Counter("hpfd.responses_" + n).Value()
+	}
+	requests0 := reg.Counter("hpfd.requests").Value()
+	observed0 := reg.Histogram("hpfd.request_ns").Count()
 
-	_, ts := newTestServer(t, Config{})
-	resp := postPlan(t, ts.URL, PlanRequest{P: 4, K: 8, L: 4, U: 319, S: 9, N: 320},
-		http.Header{"X-Tenant": []string{"red-metrics-tenant"}})
-	resp.Body.Close()
-	resp = postPlan(t, ts.URL, PlanRequest{P: 0, K: 8, L: 4, U: 319, S: 9}, nil) // invalid key
-	resp.Body.Close()
-
-	if got := reg.Counter("hpfd.route.plan.2xx").Value() - ok2xx; got != 1 {
-		t.Errorf("plan 2xx delta = %d, want 1", got)
-	}
-	if got := reg.Counter("hpfd.route.plan.4xx").Value() - bad4xx; got != 1 {
-		t.Errorf("plan 4xx delta = %d, want 1", got)
-	}
-	if got := reg.Counter("hpfd.tenant.red-metrics-tenant.requests").Value(); got != 1 {
-		t.Errorf("tenant requests = %d, want 1", got)
-	}
-	if got := reg.Histogram("hpfd.route.plan.ns").Count(); got < 2 {
-		t.Errorf("plan duration histogram count = %d, want >= 2", got)
-	}
-}
-
-func TestSanitizeTenant(t *testing.T) {
-	for in, want := range map[string]string{
-		"":                       "default",
-		"acme":                   "acme",
-		"a.b/c d":                "a_b_c_d",
-		"UPPER-low_9":            "UPPER-low_9",
-		strings.Repeat("x", 100): strings.Repeat("x", 64),
-	} {
-		if got := sanitizeTenant(in); got != want {
-			t.Errorf("sanitizeTenant(%q) = %q, want %q", in, got, want)
+	// One compile slot, held by slow's build until release closes.
+	slow := PlanRequest{P: 4, K: 8, L: 0, U: 999, S: 3, N: 1000}
+	entered, release := make(chan struct{}), make(chan struct{})
+	_, ts := newTestServer(t, Config{MaxInflight: 1, compileHook: func(k PlanRequest) {
+		if k == slow {
+			close(entered)
+			<-release
 		}
+	}})
+	status := func(resp *http.Response) int {
+		resp.Body.Close()
+		return resp.StatusCode
 	}
-}
-
-// TestSLOTracker drives the burn-rate ring with an injected clock.
-func TestSLOTracker(t *testing.T) {
-	now := time.Unix(1_000_000, 0)
-	tr := newSLOTracker(10*time.Millisecond, func() time.Time { return now })
-	for i := 0; i < 3; i++ {
-		tr.record(5 * time.Millisecond)
-	}
-	tr.record(20 * time.Millisecond)
-	if got := tr.burnBP(60); got != 2500 {
-		t.Errorf("burnBP(60) = %d, want 2500 (1 of 4 over budget)", got)
-	}
-	// Another second of all-over-budget requests shifts the 1m window.
-	now = now.Add(time.Second)
-	tr.record(time.Second)
-	if got := tr.burnBP(60); got != 4000 {
-		t.Errorf("burnBP(60) = %d, want 4000 (2 of 5)", got)
-	}
-	// Far in the future every bucket is stale.
-	now = now.Add(10 * time.Minute)
-	if got := tr.burnBP(300); got != 0 {
-		t.Errorf("burnBP(300) after idle = %d, want 0", got)
-	}
-	// A window larger than the ring clamps rather than double-counting.
-	if got := tr.burnBP(10 * sloWindowSeconds); got != 0 {
-		t.Errorf("oversized window burn = %d, want 0", got)
-	}
-}
-
-// TestSLOGauges: a server with an SLO target publishes the target and
-// burn gauges, and an over-budget request registers in them.
-func TestSLOGauges(t *testing.T) {
-	_, ts := newTestServer(t, Config{SLOTarget: time.Nanosecond})
-	resp := postPlan(t, ts.URL, PlanRequest{P: 4, K: 8, L: 4, U: 319, S: 9, N: 320}, nil)
-	resp.Body.Close()
-
-	snap := telemetry.Default().Snapshot()
-	if got := snap.Gauges["hpfd.slo.target_ns"]; got != 1 {
-		t.Errorf("slo.target_ns = %d, want 1", got)
-	}
-	if got := snap.Gauges["hpfd.slo.burn_bp_1m"]; got != 10000 {
-		t.Errorf("slo.burn_bp_1m = %d, want 10000 (every request over a 1ns budget)", got)
-	}
-	if got := snap.Gauges["hpfd.slo.burn_bp_5m"]; got != 10000 {
-		t.Errorf("slo.burn_bp_5m = %d, want 10000", got)
-	}
-}
-
-// TestSLOGaugesReleased: Close unregisters the burn gauges so the next
-// server (a restart, another test) can register its own.
-func TestSLOGaugesReleased(t *testing.T) {
-	for i := 0; i < 2; i++ {
-		srv, err := New(Config{SLOTarget: time.Millisecond})
+	built := make(chan int, 1)
+	go func() {
+		body, _ := json.Marshal(slow)
+		resp, err := http.Post(ts.URL+"/v1/plan", "application/json", bytes.NewReader(body))
 		if err != nil {
-			t.Fatalf("round %d: %v", i, err)
+			t.Error(err)
+			built <- 0
+			return
 		}
-		srv.Close()
+		built <- status(resp)
+	}()
+	<-entered
+	if got := status(postPlan(t, ts.URL, PlanRequest{P: 4, K: 8, L: 0, U: 999, S: 5}, nil)); got != http.StatusTooManyRequests {
+		t.Errorf("overload: status %d, want 429", got)
+	}
+	close(release)
+	if got := <-built; got != http.StatusOK {
+		t.Errorf("built: status %d, want 200", got)
+	}
+	hit := postPlan(t, ts.URL, slow, nil)
+	etag := hit.Header.Get("ETag")
+	if got := status(hit); got != http.StatusOK {
+		t.Errorf("hit: status %d, want 200", got)
+	}
+	if got := status(postPlan(t, ts.URL, slow, http.Header{"If-None-Match": {etag}})); got != http.StatusNotModified {
+		t.Errorf("conditional: status %d, want 304", got)
+	}
+	del, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/plan", nil)
+	resp, err := http.DefaultClient.Do(del)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := status(resp); got != http.StatusMethodNotAllowed {
+		t.Errorf("DELETE: status %d, want 405", got)
+	}
+	body, _ := json.Marshal(batchRequest{Requests: []PlanRequest{slow, {P: 0, K: 8, U: 99, S: 3}}})
+	resp, err = http.Post(ts.URL+"/v1/plan/batch", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := status(resp); got != http.StatusOK {
+		t.Errorf("batch: status %d, want 200", got)
+	}
+
+	// A tenant allowed one request: its bad key spends the token, the
+	// next request is refused by quota.
+	qsrv, qts := newTestServer(t, Config{TenantRate: 1, TenantBurst: 1})
+	clock := time.Unix(1000, 0)
+	qsrv.quotas.now = func() time.Time { return clock }
+	tenant := http.Header{"X-Tenant": {"accounting"}}
+	if got := status(postPlan(t, qts.URL, PlanRequest{P: 0, K: 8, U: 99, S: 3}, tenant)); got != http.StatusBadRequest {
+		t.Errorf("bad key: status %d, want 400", got)
+	}
+	if got := status(postPlan(t, qts.URL, slow, tenant)); got != http.StatusTooManyRequests {
+		t.Errorf("quota: status %d, want 429", got)
+	}
+
+	want := map[string]int64{"ok": 3, "304": 1, "429_quota": 1, "429_overload": 1, "bad_request": 2, "error": 0}
+	var sum int64
+	for _, n := range names {
+		d := reg.Counter("hpfd.responses_"+n).Value() - before[n]
+		sum += d
+		if d != want[n] {
+			t.Errorf("hpfd.responses_%s delta = %d, want %d", n, d, want[n])
+		}
+	}
+	requests := reg.Counter("hpfd.requests").Value() - requests0
+	if requests != 8 || sum != requests {
+		t.Errorf("hpfd.requests delta = %d and responses sum to %d, want 8 and 8", requests, sum)
+	}
+	if got := reg.Histogram("hpfd.request_ns").Count() - observed0; got != requests {
+		t.Errorf("hpfd.request_ns observed %d requests, want %d", got, requests)
 	}
 }
 

@@ -11,7 +11,9 @@
 // token-bucket quotas keyed by the X-Tenant header, bounded in-flight
 // compiles with 429 + Retry-After on overload, /metrics—/healthz—/trace
 // from the shared telemetry handler, and hpfd.* counters and histograms
-// for everything the service does.
+// that count each request once: hpfd.requests, one hpfd.responses_*
+// outcome per HTTP response, hpfd.request_ns and hpfd.compile_ns.
+// Per-tenant detail lives in the access log, not in metric names.
 package serve
 
 import (
@@ -52,17 +54,11 @@ type Config struct {
 	// Logger, when non-nil, receives a structured access-log record per
 	// request plus service lifecycle events. nil disables access logging.
 	Logger *slog.Logger
-	// SLOTarget, when positive, publishes SLO burn-rate gauges
-	// (hpfd.slo.*): the fraction of requests slower than this budget
-	// over 1- and 5-minute sliding windows. Close unregisters them.
-	SLOTarget time.Duration
 
 	// compileHook, when set, runs inside every plan compilation (after
 	// admission, before the actual build) — the test seam that makes
 	// compiles observably slow for shutdown-drain and herd tests.
 	compileHook func(PlanRequest)
-	// sloNow, when set, replaces the SLO tracker's clock in tests.
-	sloNow func() time.Time
 }
 
 func (c Config) withDefaults() Config {
@@ -91,8 +87,6 @@ type Server struct {
 	sem    chan struct{}
 	mux    *http.ServeMux
 	logger *slog.Logger
-	red    *redSet
-	slo    *sloTracker
 
 	requests    *telemetry.Counter
 	ok          *telemetry.Counter
@@ -140,14 +134,6 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	s.logger = cfg.Logger
-	s.red = newRedSet()
-	if cfg.SLOTarget > 0 {
-		s.slo = newSLOTracker(cfg.SLOTarget, cfg.sloNow)
-		if err := s.slo.register(); err != nil {
-			s.Close()
-			return nil, err
-		}
-	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/plan", s.handlePlan)
 	s.mux.HandleFunc("/v1/plan/batch", s.handleBatch)
@@ -168,7 +154,7 @@ func New(cfg Config) (*Server, error) {
 
 // Handler returns the service's HTTP surface, wrapped in the
 // request-scoped observability middleware (trace identity, root span,
-// access log, RED/SLO accounting).
+// access log).
 func (s *Server) Handler() http.Handler { return s.observe(s.mux) }
 
 // Stats snapshots the compiled-plan cache counters (Misses = plans
@@ -184,11 +170,6 @@ func (s *Server) Close() {
 	if s.cfg.MetricsName != "" {
 		for _, suffix := range []string{"hits", "misses", "evictions", "entries", "coalesced"} {
 			reg.UnregisterGaugeFunc("plancache." + s.cfg.MetricsName + "." + suffix)
-		}
-	}
-	if s.slo != nil {
-		for _, name := range sloGaugeNames {
-			reg.UnregisterGaugeFunc(name)
 		}
 	}
 }
@@ -277,8 +258,8 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	case http.MethodPost:
-		if err := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes)).Decode(&req); err != nil {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("invalid JSON body: %w", err))
+		if err := decodeBody(r, &req); err != nil {
+			s.writeError(w, http.StatusBadRequest, err)
 			return
 		}
 	default:
@@ -342,8 +323,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var breq batchRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes)).Decode(&breq); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("invalid JSON body: %w", err))
+	if err := decodeBody(r, &breq); err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	if len(breq.Requests) == 0 {
@@ -355,17 +336,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("batch of %d keys exceeds the limit %d", len(breq.Requests), s.cfg.MaxBatch))
 		return
 	}
+	// Per-key failures stay in the batch body; the metrics count the
+	// one HTTP response.
 	resp := batchResponse{Schema: BatchSchema, Results: make([]batchResult, len(breq.Requests))}
 	for i, req := range breq.Requests {
 		cp, _, err := s.plan(r.Context(), req)
 		if err != nil {
 			resp.Results[i].Error = err.Error()
-			var bad *badRequestError
-			if errors.As(err, &bad) {
-				s.badRequest.Inc()
-			} else {
-				s.failures.Inc()
-			}
 			continue
 		}
 		resp.Results[i].ETag = cp.etag
@@ -375,6 +352,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.Encode(resp)
+}
+
+// decodeBody decodes a POST body that must hold exactly one JSON value:
+// anything but whitespace after it is refused.
+func decodeBody(r *http.Request, v any) error {
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+	if err == nil {
+		err = json.Unmarshal(body, v)
+	}
+	if err != nil {
+		return fmt.Errorf("invalid JSON body: %w", err)
+	}
+	return nil
 }
 
 // admitTenant applies the per-tenant token bucket; on refusal it writes

@@ -188,14 +188,34 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("%s: error %q reports a wrapped extent", name, doc["error"])
 		}
 	}
-	// Malformed JSON and a bad GET query are refused too.
-	resp, err := http.Post(ts.URL+"/v1/plan", "application/json", strings.NewReader("{"))
+	// Malformed JSON and a valid body followed by anything but
+	// whitespace are refused with an error document.
+	const key = `{"p":4,"k":8,"l":4,"u":319,"s":9}`
+	for _, c := range []struct{ path, body string }{
+		{"/v1/plan", "{"},
+		{"/v1/plan", key + " trailing"},
+		{"/v1/plan", key + `{"p":1}`},
+		{"/v1/plan/batch", `{"requests":[` + key + `]} x`},
+	} {
+		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc map[string]string
+		json.NewDecoder(resp.Body).Decode(&doc)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || doc["error"] == "" {
+			t.Errorf("POST %s %q: status = %d, error %q; want 400 with an error", c.path, c.body, resp.StatusCode, doc["error"])
+		}
+	}
+	// Whitespace after the value is fine.
+	resp, err := http.Post(ts.URL+"/v1/plan", "application/json", strings.NewReader(key+" \n\t"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed JSON: status = %d, want 400", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("trailing whitespace: status = %d, want 200", resp.StatusCode)
 	}
 	resp, err = http.Get(ts.URL + "/v1/plan?p=4&k=8&u=99")
 	if err != nil {
