@@ -4,6 +4,7 @@
 //	benchtables -table 1              # Table 1 (lattice vs sorting)
 //	benchtables -figure 7             # Figure 7 series (Table 1's s = 7 column)
 //	benchtables -table 2              # Table 2 (node code shapes)
+//	benchtables -table 1 -table 2     # both tables in one run
 //	benchtables -cache                # plan-cache cold vs warm families
 //	benchtables -shapes               # generic Figure 8 shapes vs specialized kernels
 //	benchtables -locality             # block vs cyclic(k) reuse-distance profiles
@@ -11,8 +12,9 @@
 //	benchtables -all -json out.json   # also write machine-readable results
 //	benchtables -all -http :8080      # live /metrics, /trace, /healthz during the runs
 //
-// Times are wall-clock microseconds on the current host; compare shapes
-// and ratios with the paper, not absolute values (see EXPERIMENTS.md).
+// Times are wall-clock microseconds on the current host, medians over
+// -reps with their quartiles; compare shapes and ratios with the paper,
+// not absolute values (see EXPERIMENTS.md).
 // The -json schema is documented in README.md.
 package main
 
@@ -25,6 +27,8 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
+	"slices"
+	"strconv"
 
 	"repro/internal/bench"
 	"repro/internal/reuse"
@@ -32,30 +36,26 @@ import (
 )
 
 func main() {
-	var (
-		table     = flag.Int("table", 0, "regenerate Table 1 or 2")
-		figure    = flag.Int("figure", 0, "regenerate Figure 7")
-		cache     = flag.Bool("cache", false, "run the plan-cache cold/warm families")
-		shapes    = flag.Bool("shapes", false, "run the shapes matrix (generic Figure 8 shapes vs specialized kernels)")
-		locality  = flag.Bool("locality", false, "run the locality matrix (block vs cyclic(k) reuse-distance profiles)")
-		all       = flag.Bool("all", false, "regenerate every table and figure")
-		procs     = flag.Int64("p", 32, "processor count (the paper uses 32)")
-		reps      = flag.Int("reps", 5, "measurement repetitions (min of maxima kept; the shapes matrix reports their median and quartiles)")
-		elems     = flag.Int64("elems", 10000, "assignments per processor for Table 2")
-		jsonPath  = flag.String("json", "", "write machine-readable results to this file")
-		trace     = flag.String("trace", "", "write a Chrome trace_event JSON of the run to this file")
-		metrics   = flag.Bool("metrics", false, "dump the telemetry registry as telemetry/v1 JSON after the run")
-		httpAddr  = flag.String("http", "", "serve /metrics (Prometheus), /trace (trace/v1) and /healthz on this address during the runs")
-		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	)
+	var cfg config
+	flag.Func("table", "regenerate Table 1 or 2 (repeatable)", func(v string) error {
+		n, err := strconv.Atoi(v)
+		cfg.Table = append(cfg.Table, n)
+		return err
+	})
+	flag.IntVar(&cfg.Figure, "figure", 0, "regenerate Figure 7")
+	flag.BoolVar(&cfg.Cache, "cache", false, "run the plan-cache cold/warm families")
+	flag.BoolVar(&cfg.Shapes, "shapes", false, "run the shapes matrix (generic Figure 8 shapes vs specialized kernels)")
+	flag.BoolVar(&cfg.Locality, "locality", false, "run the locality matrix (block vs cyclic(k) reuse-distance profiles)")
+	flag.BoolVar(&cfg.All, "all", false, "regenerate every table and figure")
+	flag.Int64Var(&cfg.Procs, "p", 32, "processor count (the paper uses 32)")
+	flag.IntVar(&cfg.Reps, "reps", 5, "measurement repetitions (each timing reports the median and quartiles of its per-rep maxima over processors)")
+	flag.Int64Var(&cfg.Elems, "elems", 10000, "assignments per processor for Table 2 and the shapes and locality matrices")
+	flag.StringVar(&cfg.JSONPath, "json", "", "write machine-readable results to this file")
+	flag.StringVar(&cfg.TracePath, "trace", "", "write a Chrome trace_event JSON of the run to this file")
+	flag.BoolVar(&cfg.Metrics, "metrics", false, "dump the telemetry registry as telemetry/v1 JSON after the run")
+	flag.StringVar(&cfg.HTTPAddr, "http", "", "serve /metrics (Prometheus), /trace (trace/v1) and /healthz on this address during the runs")
+	flag.StringVar(&cfg.PprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	flag.Parse()
-	cfg := config{
-		Table: *table, Figure: *figure, Cache: *cache, Shapes: *shapes,
-		Locality: *locality, All: *all,
-		Procs: *procs, Reps: *reps, Elems: *elems, JSONPath: *jsonPath,
-		TracePath: *trace, Metrics: *metrics, PprofAddr: *pprofAddr,
-		HTTPAddr: *httpAddr,
-	}
 	if err := runConfig(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "benchtables:", err)
 		os.Exit(1)
@@ -63,18 +63,19 @@ func main() {
 }
 
 type config struct {
-	Table, Figure int
-	Cache, All    bool
-	Shapes        bool
-	Locality      bool
-	Procs         int64
-	Reps          int
-	Elems         int64
-	JSONPath      string
-	TracePath     string
-	Metrics       bool
-	PprofAddr     string
-	HTTPAddr      string
+	Table      []int
+	Figure     int
+	Cache, All bool
+	Shapes     bool
+	Locality   bool
+	Procs      int64
+	Reps       int
+	Elems      int64
+	JSONPath   string
+	TracePath  string
+	Metrics    bool
+	PprofAddr  string
+	HTTPAddr   string
 }
 
 // report is the -json output document. Schema: see README.md
@@ -103,10 +104,14 @@ type reportConfig struct {
 	Elems int64 `json:"elems"`
 }
 
+// Every timing below is a median over the reps; each *_iqr_ns holds the
+// matching [first quartile, third quartile].
 type reportCell struct {
-	Stride    string `json:"stride"`
-	LatticeNs int64  `json:"lattice_ns"`
-	SortingNs int64  `json:"sorting_ns"`
+	Stride       string   `json:"stride"`
+	LatticeNs    int64    `json:"lattice_ns"`
+	LatticeIQRNs [2]int64 `json:"lattice_iqr_ns"`
+	SortingNs    int64    `json:"sorting_ns"`
+	SortingIQRNs [2]int64 `json:"sorting_iqr_ns"`
 }
 
 type reportRow struct {
@@ -115,13 +120,12 @@ type reportRow struct {
 }
 
 type reportTable2Row struct {
-	K       int64            `json:"k"`
-	S       int64            `json:"s"`
-	ShapeNs map[string]int64 `json:"shape_ns"`
+	K          int64               `json:"k"`
+	S          int64               `json:"s"`
+	ShapeNs    map[string]int64    `json:"shape_ns"`
+	ShapeIQRNs map[string][2]int64 `json:"shape_iqr_ns"`
 }
 
-// reportShapeRow's timings are medians over the reps; each *_iqr_ns
-// holds the matching [first quartile, third quartile].
 type reportShapeRow struct {
 	Family           string              `json:"family"`
 	K                int64               `json:"k"`
@@ -138,6 +142,16 @@ type reportShapeRow struct {
 // iqrNs returns a spread's quartiles in nanoseconds.
 func iqrNs(sp bench.Spread) [2]int64 {
 	return [2]int64{sp.Q1.Nanoseconds(), sp.Q3.Nanoseconds()}
+}
+
+// shapeNs returns per-shape medians and quartiles in nanoseconds.
+func shapeNs(times map[bench.Shape]bench.Spread) (map[string]int64, map[string][2]int64) {
+	medians, iqrs := make(map[string]int64), make(map[string][2]int64)
+	for sh, sp := range times {
+		medians[string(sh)] = sp.Median.Nanoseconds()
+		iqrs[string(sh)] = iqrNs(sp)
+	}
+	return medians, iqrs
 }
 
 type reportLocalityProfile struct {
@@ -167,13 +181,15 @@ func toLocalityProfile(p bench.LocalityProfile) reportLocalityProfile {
 }
 
 type reportCacheRow struct {
-	Name                string  `json:"name"`
-	UncachedNsPerOp     float64 `json:"uncached_ns_per_op"`
-	CachedNsPerOp       float64 `json:"cached_ns_per_op"`
-	UncachedAllocsPerOp float64 `json:"uncached_allocs_per_op"`
-	CachedAllocsPerOp   float64 `json:"cached_allocs_per_op"`
-	HitRate             float64 `json:"hit_rate"`
-	SteadyMisses        int64   `json:"steady_misses"`
+	Name                string   `json:"name"`
+	UncachedNsPerOp     int64    `json:"uncached_ns_per_op"`
+	UncachedIQRNs       [2]int64 `json:"uncached_iqr_ns"`
+	CachedNsPerOp       int64    `json:"cached_ns_per_op"`
+	CachedIQRNs         [2]int64 `json:"cached_iqr_ns"`
+	UncachedAllocsPerOp float64  `json:"uncached_allocs_per_op"`
+	CachedAllocsPerOp   float64  `json:"cached_allocs_per_op"`
+	HitRate             float64  `json:"hit_rate"`
+	SteadyMisses        int64    `json:"steady_misses"`
 }
 
 func toReportRows(rows []bench.Row) []reportRow {
@@ -183,8 +199,8 @@ func toReportRows(rows []bench.Row) []reportRow {
 		for _, c := range r.Cells {
 			rr.Cells = append(rr.Cells, reportCell{
 				Stride:    c.Stride,
-				LatticeNs: c.Lattice.Nanoseconds(),
-				SortingNs: c.Sorting.Nanoseconds(),
+				LatticeNs: c.Lattice.Median.Nanoseconds(), LatticeIQRNs: iqrNs(c.Lattice),
+				SortingNs: c.Sorting.Median.Nanoseconds(), SortingIQRNs: iqrNs(c.Sorting),
 			})
 		}
 		out = append(out, rr)
@@ -192,22 +208,24 @@ func toReportRows(rows []bench.Row) []reportRow {
 	return out
 }
 
-// run keeps the original positional signature used by the tests; it
-// never writes JSON.
-func run(table, figure int, all bool, procs int64, reps int, elems int64) error {
-	return runConfig(config{
-		Table: table, Figure: figure, All: all,
-		Procs: procs, Reps: reps, Elems: elems,
-	})
-}
-
 func runConfig(cfg config) error {
-	// Flag failure modes surface before any benchmark runs: -reps below
-	// 1 (whose min over no reps would print the time.Duration maximum)
-	// or an unwritable -json/-trace path exits non-zero immediately, not
-	// after minutes of measurement.
-	if cfg.Reps < 1 {
+	// Flag failure modes surface before any benchmark runs: an empty
+	// selection, a bad -reps, -p, -elems, -table or -figure value, or an
+	// unwritable -json/-trace path exits non-zero immediately, not after
+	// minutes of measurement.
+	switch {
+	case !cfg.All && len(cfg.Table) == 0 && cfg.Figure == 0 && !cfg.Cache && !cfg.Shapes && !cfg.Locality:
+		return errors.New("nothing selected: use -table 1, -table 2, -figure 7, -cache, -shapes, -locality or -all")
+	case slices.ContainsFunc(cfg.Table, func(t int) bool { return t != 1 && t != 2 }):
+		return fmt.Errorf("-table %v: only Tables 1 and 2 are timed", cfg.Table)
+	case cfg.Reps < 1:
 		return fmt.Errorf("-reps %d: need at least 1 repetition", cfg.Reps)
+	case cfg.Procs < 1:
+		return fmt.Errorf("-p %d: need at least 1 processor", cfg.Procs)
+	case cfg.Elems < 1:
+		return fmt.Errorf("-elems %d: need at least 1 assignment per processor", cfg.Elems)
+	case cfg.Figure != 0 && cfg.Figure != 7:
+		return fmt.Errorf("-figure %d: only Figure 7 is timed", cfg.Figure)
 	}
 	var jsonFile, traceFile *os.File
 	cleanup := func() {
@@ -271,16 +289,12 @@ func runConfig(cfg config) error {
 		Schema: "benchtables/v1",
 		Config: reportConfig{Procs: cfg.Procs, Reps: cfg.Reps, Elems: cfg.Elems},
 	}
-	did, err := runBenches(cfg, &rep)
-	if err != nil || !did {
+	if err := runBenches(cfg, &rep); err != nil {
 		if traceFile != nil {
 			telemetry.StopTracing()
 		}
 		cleanup()
-		if err != nil {
-			return err
-		}
-		return fmt.Errorf("nothing selected: use -table 1, -table 2, -figure 7, -cache, -shapes, -locality or -all")
+		return err
 	}
 	if traceFile != nil {
 		if t := telemetry.StopTracing(); t != nil {
@@ -324,21 +338,22 @@ func runConfig(cfg config) error {
 	return nil
 }
 
-// runBenches runs the selected benchmark families. A machine failure —
-// a deadlock detected on a benchmark machine — arrives as a
-// panic out of Machine.Run and is converted to an ordinary error here.
-func runBenches(cfg config, rep *report) (did bool, err error) {
+// runBenches runs the selected benchmark families, printing each
+// section followed by a blank line. A machine failure — a deadlock
+// detected on a benchmark machine — arrives as a panic out of
+// Machine.Run and is converted to an ordinary error here.
+func runBenches(cfg config, rep *report) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			did, err = false, fmt.Errorf("machine failure: %v", r)
+			err = fmt.Errorf("machine failure: %v", r)
 		}
 	}()
-	wantTable1, wantFigure7 := cfg.All || cfg.Table == 1, cfg.All || cfg.Figure == 7
+	wantTable1, wantFigure7 := cfg.All || slices.Contains(cfg.Table, 1), cfg.All || cfg.Figure == 7
 	if wantTable1 || wantFigure7 {
 		// Figure 7 is Table 1's s = 7 column: measure the table once.
 		rows, err := bench.Table1(cfg.Procs, cfg.Reps)
 		if err != nil {
-			return did, err
+			return err
 		}
 		if wantTable1 {
 			fmt.Print(bench.FormatTable1(rows))
@@ -351,47 +366,36 @@ func runBenches(cfg config, rep *report) (did bool, err error) {
 			fmt.Println()
 			rep.Figure7 = toReportRows(fig)
 		}
-		did = true
 	}
-	if cfg.All || cfg.Table == 2 {
+	if cfg.All || slices.Contains(cfg.Table, 2) {
 		results, err := bench.Table2(cfg.Procs, cfg.Elems, cfg.Reps)
 		if err != nil {
-			return did, err
+			return err
 		}
 		fmt.Print(bench.FormatTable2(results))
-		did = true
+		fmt.Println()
 		for _, r := range results {
-			row := reportTable2Row{K: r.Case.K, S: r.Case.S, ShapeNs: make(map[string]int64)}
-			for sh, d := range r.Times {
-				row.ShapeNs[string(sh)] = d.Nanoseconds()
-			}
+			row := reportTable2Row{K: r.Case.K, S: r.Case.S}
+			row.ShapeNs, row.ShapeIQRNs = shapeNs(r.Times)
 			rep.Table2 = append(rep.Table2, row)
 		}
 	}
 	if cfg.All || cfg.Shapes {
 		results, err := bench.ShapeBench(cfg.Procs, cfg.Elems, cfg.Reps)
 		if err != nil {
-			return did, err
-		}
-		if did {
-			fmt.Println()
+			return err
 		}
 		fmt.Print(bench.FormatShapeBench(results))
-		did = true
+		fmt.Println()
 		for _, r := range results {
 			row := reportShapeRow{
 				Family: r.Family, K: r.K, S: r.S, Elems: r.Elems,
 				Kernel:           r.Kernel.String(),
-				ShapeNs:          make(map[string]int64),
-				ShapeIQRNs:       make(map[string][2]int64),
 				SpecializedNs:    r.Specialized.Median.Nanoseconds(),
 				SpecializedIQRNs: iqrNs(r.Specialized),
 				SpeedupVsShapeB:  r.Speedup(),
 			}
-			for sh, d := range r.Generic {
-				row.ShapeNs[string(sh)] = d.Median.Nanoseconds()
-				row.ShapeIQRNs[string(sh)] = iqrNs(d)
-			}
+			row.ShapeNs, row.ShapeIQRNs = shapeNs(r.Generic)
 			rep.Shapes = append(rep.Shapes, row)
 		}
 	}
@@ -400,13 +404,10 @@ func runBenches(cfg config, rep *report) (did bool, err error) {
 		// layout's reuse structure.
 		results, err := bench.LocalityBench(cfg.Procs, cfg.Elems, 2, nil)
 		if err != nil {
-			return did, err
-		}
-		if did {
-			fmt.Println()
+			return err
 		}
 		fmt.Print(bench.FormatLocality(results))
-		did = true
+		fmt.Println()
 		for _, r := range results {
 			rep.Locality = append(rep.Locality, reportLocalityRow{
 				Family: r.Family, S: r.S, Elems: r.Elems, Sweeps: r.Sweeps,
@@ -416,22 +417,19 @@ func runBenches(cfg config, rep *report) (did bool, err error) {
 		}
 	}
 	if cfg.All || cfg.Cache {
-		// Iterations scale with reps; 20 per rep keeps a single run fast
-		// while averaging out scheduler noise.
-		results, err := bench.CacheBenchmarks(cfg.Procs, 20*cfg.Reps)
+		results, err := bench.CacheBenchmarks(cfg.Procs, cfg.Reps)
 		if err != nil {
-			return did, err
-		}
-		if did {
-			fmt.Println()
+			return err
 		}
 		fmt.Print(bench.FormatCacheBench(results))
-		did = true
+		fmt.Println()
 		for _, r := range results {
 			rep.Cache = append(rep.Cache, reportCacheRow{
 				Name:                r.Name,
-				UncachedNsPerOp:     r.UncachedNsPerOp,
-				CachedNsPerOp:       r.CachedNsPerOp,
+				UncachedNsPerOp:     r.Uncached.Median.Nanoseconds(),
+				UncachedIQRNs:       iqrNs(r.Uncached),
+				CachedNsPerOp:       r.Cached.Median.Nanoseconds(),
+				CachedIQRNs:         iqrNs(r.Cached),
 				UncachedAllocsPerOp: r.UncachedAllocsPerOp,
 				CachedAllocsPerOp:   r.CachedAllocsPerOp,
 				HitRate:             r.HitRate,
@@ -439,5 +437,5 @@ func runBenches(cfg config, rep *report) (did bool, err error) {
 			})
 		}
 	}
-	return did, nil
+	return nil
 }

@@ -8,6 +8,15 @@ import (
 	"testing"
 )
 
+// run selects at most one table or figure and never writes JSON.
+func run(table, figure int, all bool, procs int64, reps int, elems int64) error {
+	cfg := config{Figure: figure, All: all, Procs: procs, Reps: reps, Elems: elems}
+	if table != 0 {
+		cfg.Table = []int{table}
+	}
+	return runConfig(cfg)
+}
+
 // The run paths are exercised with tiny workloads; absolute timings are
 // irrelevant here, only that every table renders without error.
 func TestRunTable1(t *testing.T) {
@@ -116,17 +125,30 @@ func TestRunLocalityWithJSON(t *testing.T) {
 	}
 }
 
-// TestRepsBelowOneFails: -reps below 1 is a flag error for every table;
-// a min over no reps would print the time.Duration maximum in every
-// Table 1 and Table 2 cell.
-func TestRepsBelowOneFails(t *testing.T) {
-	for _, table := range []int{1, 2} {
-		err := run(table, 0, false, 4, 0, 100)
-		if err == nil {
-			t.Fatalf("table %d: -reps 0 should fail", table)
-		}
-		if !strings.Contains(err.Error(), "-reps") {
-			t.Errorf("error %q should name the -reps flag", err)
+// TestBadFlagsFail: a flag value no benchmark can run with is an error
+// that names the flag, raised before any run starts (a machine failure,
+// a matrix of zeros or a silently dropped selection is not).
+func TestBadFlagsFail(t *testing.T) {
+	ok := config{Procs: 4, Reps: 1, Elems: 100}
+	for _, tc := range []struct {
+		name, flag string
+		edit       func(*config)
+	}{
+		{"table 1 reps 0", "-reps", func(c *config) { c.Table, c.Reps = []int{1}, 0 }},
+		{"table 2 reps 0", "-reps", func(c *config) { c.Table, c.Reps = []int{2}, 0 }},
+		{"shapes p 0", "-p", func(c *config) { c.Shapes, c.Procs = true, 0 }},
+		{"table 2 p -1", "-p", func(c *config) { c.Table, c.Procs = []int{2}, -1 }},
+		{"locality p 0", "-p", func(c *config) { c.Locality, c.Procs = true, 0 }},
+		{"table 2 elems 0", "-elems", func(c *config) { c.Table, c.Elems = []int{2}, 0 }},
+		{"table 3 figure 7", "-table", func(c *config) { c.Table, c.Figure = []int{3}, 7 }},
+		{"table 1 table 3", "-table", func(c *config) { c.Table = []int{1, 3} }},
+		{"figure 8", "-figure", func(c *config) { c.Figure = 8 }},
+	} {
+		cfg := ok
+		tc.edit(&cfg)
+		err := runConfig(cfg)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.flag+" ") {
+			t.Errorf("%s: error %v, want one naming %s", tc.name, err, tc.flag)
 		}
 	}
 }

@@ -14,6 +14,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -48,58 +49,23 @@ func construct(m Method, pr core.Problem) (core.Sequence, error) {
 	}
 }
 
-// timeMaxOverProcs measures the wall time of constructing the AM table on
-// every processor and returns the maximum per-processor time, repeating
-// reps times and keeping the minimum of the maxima (minimum filters
-// scheduler noise; maximum matches the paper's reporting).
-//
-// A single construction takes well under a microsecond for small k —
-// below the timer's useful resolution — so each per-processor measurement
-// times a batch of identical constructions, sized to the timer, and divides.
-func timeMaxOverProcs(m Method, p, k, l, s int64, reps int) (time.Duration, error) {
-	// Size the batch on processor 0 so one measurement window is
-	// at least ~50µs.
-	const window = 50 * time.Microsecond
-	batch := 1
-	for {
-		pr := core.Problem{P: p, K: k, L: l, S: s, M: 0}
-		t0 := time.Now()
-		for b := 0; b < batch; b++ {
-			seq, err := construct(m, pr)
-			if err != nil {
-				return 0, err
-			}
-			sink += len(seq.Gaps)
+// checkMethods requires every processor's Lattice and Sorting sequences
+// to equal core.Enumerate's before a Table 1 cell is timed, so a wrong
+// method cannot win a cell.
+func checkMethods(p, k, s int64) error {
+	for m := int64(0); m < p; m++ {
+		pr := core.Problem{P: p, K: k, S: s, M: m}
+		want, err := core.Enumerate(pr)
+		lat, latErr := construct(MethodLattice, pr)
+		srt, srtErr := construct(MethodSorting, pr)
+		if err := errors.Join(err, latErr, srtErr); err != nil {
+			return err
 		}
-		if el := time.Since(t0); el >= window || batch >= 1<<20 {
-			break
-		}
-		batch *= 2
-	}
-
-	best := time.Duration(1<<63 - 1)
-	for r := 0; r < reps; r++ {
-		var worst time.Duration
-		for proc := int64(0); proc < p; proc++ {
-			pr := core.Problem{P: p, K: k, L: l, S: s, M: proc}
-			t0 := time.Now()
-			for b := 0; b < batch; b++ {
-				seq, err := construct(m, pr)
-				if err != nil {
-					return 0, err
-				}
-				sink += len(seq.Gaps)
-			}
-			el := time.Since(t0) / time.Duration(batch)
-			if el > worst {
-				worst = el
-			}
-		}
-		if worst < best {
-			best = worst
+		if !lat.Equal(want) || !srt.Equal(want) {
+			return fmt.Errorf("bench: %+v: Lattice %v, Sorting %v, Enumerate %v", pr, lat, srt, want)
 		}
 	}
-	return best, nil
+	return nil
 }
 
 // sink defeats dead-code elimination of the timed constructions.
@@ -130,7 +96,7 @@ func Table1Ks() []int64 { return []int64{4, 8, 16, 32, 64, 128, 256, 512} }
 // Cell is one measurement pair of Table 1.
 type Cell struct {
 	Stride           string
-	Lattice, Sorting time.Duration
+	Lattice, Sorting Spread
 }
 
 // Row is one block-size row of Table 1.
@@ -140,22 +106,29 @@ type Row struct {
 }
 
 // Table1 measures the full table for p processors (the paper uses 32) and
-// lower bound 0.
+// lower bound 0. Each (k, s) cell times Lattice against Sorting.
 func Table1(p int64, reps int) ([]Row, error) {
 	var rows []Row
 	for _, k := range Table1Ks() {
 		row := Row{K: k}
 		for _, sc := range Table1Strides() {
 			s := sc.Stride(k, p*k)
-			lat, err := timeMaxOverProcs(MethodLattice, p, k, 0, s, reps)
+			if err := checkMethods(p, k, s); err != nil {
+				return nil, err
+			}
+			var cells []op
+			for _, m := range []Method{MethodLattice, MethodSorting} {
+				cells = append(cells, func(proc int) error {
+					seq, err := construct(m, core.Problem{P: p, K: k, S: s, M: int64(proc)})
+					sink += len(seq.Gaps)
+					return err
+				})
+			}
+			sp, err := timeCells(int(p), reps, cells)
 			if err != nil {
 				return nil, err
 			}
-			srt, err := timeMaxOverProcs(MethodSorting, p, k, 0, s, reps)
-			if err != nil {
-				return nil, err
-			}
-			row.Cells = append(row.Cells, Cell{Stride: sc.Label, Lattice: lat, Sorting: srt})
+			row.Cells = append(row.Cells, Cell{Stride: sc.Label, Lattice: sp[0], Sorting: sp[1]})
 		}
 		rows = append(rows, row)
 	}
@@ -166,7 +139,7 @@ func Table1(p int64, reps int) ([]Row, error) {
 // microseconds).
 func FormatTable1(rows []Row) string {
 	var b strings.Builder
-	b.WriteString("Table 1: AM-table construction time in microseconds (max over processors)\n")
+	b.WriteString("Table 1: AM-table construction time in microseconds (median over reps of the max over processors)\n")
 	b.WriteString(fmt.Sprintf("%-8s", "Block"))
 	for _, c := range rows[0].Cells {
 		b.WriteString(fmt.Sprintf("%22s", c.Stride))
@@ -180,7 +153,7 @@ func FormatTable1(rows []Row) string {
 	for _, r := range rows {
 		b.WriteString(fmt.Sprintf("k=%-6d", r.K))
 		for _, c := range r.Cells {
-			b.WriteString(fmt.Sprintf("%11.2f%11.2f", us(c.Lattice), us(c.Sorting)))
+			b.WriteString(fmt.Sprintf("%11.2f%11.2f", us(c.Lattice.Median), us(c.Sorting.Median)))
 		}
 		b.WriteString("\n")
 	}
@@ -189,18 +162,15 @@ func FormatTable1(rows []Row) string {
 
 func us(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 
-// Figure7 returns the s=7 column of the Table 1 rows — the data plotted
-// in the paper's Figure 7 (lattice vs sorting versus block size). It
-// reads the cells Table1 measured instead of timing them again, so the
-// table and the figure show one number per cell.
+// Figure7 returns the s=7 column of the Table 1 rows (Table1Strides'
+// first) — the data plotted in the paper's Figure 7 (lattice vs sorting
+// versus block size). It reads the cells Table1 measured instead of
+// timing them again, so the table and the figure show one number per
+// cell.
 func Figure7(table1 []Row) []Row {
 	var rows []Row
 	for _, r := range table1 {
-		for _, c := range r.Cells {
-			if c.Stride == "s=7" {
-				rows = append(rows, Row{K: r.K, Cells: []Cell{c}})
-			}
-		}
+		rows = append(rows, Row{K: r.K, Cells: r.Cells[:1]})
 	}
 	return rows
 }
@@ -213,8 +183,8 @@ func FormatFigure7(rows []Row) string {
 	b.WriteString(fmt.Sprintf("%8s%12s%12s%10s\n", "k", "Lattice", "Sorting", "ratio"))
 	for _, r := range rows {
 		c := r.Cells[0]
-		ratio := float64(c.Sorting) / float64(c.Lattice)
-		b.WriteString(fmt.Sprintf("%8d%12.2f%12.2f%9.2fx\n", r.K, us(c.Lattice), us(c.Sorting), ratio))
+		ratio := float64(c.Sorting.Median) / float64(c.Lattice.Median)
+		b.WriteString(fmt.Sprintf("%8d%12.2f%12.2f%9.2fx\n", r.K, us(c.Lattice.Median), us(c.Sorting.Median), ratio))
 	}
 	return b.String()
 }
@@ -257,7 +227,7 @@ func Table2Cases() []Table2Case {
 // case.
 type Table2Result struct {
 	Case  Table2Case
-	Times map[Shape]time.Duration
+	Times map[Shape]Spread
 }
 
 // Workload holds the prebuilt inputs for one processor's Table 2 sweep:
@@ -337,51 +307,70 @@ func (w *Workload) RunShape(sh Shape) (int64, error) {
 	}
 }
 
+// buildWorkloads prebuilds every processor's workload, offset tables
+// included: table construction is not part of the measurement, as in
+// Section 6.2.
+func buildWorkloads(p, k, s, elems int64) ([]Workload, error) {
+	workloads := make([]Workload, p)
+	for m := range workloads {
+		w, err := BuildWorkload(p, k, s, int64(m), elems)
+		if err == nil {
+			err = w.BuildOffsetTables()
+		}
+		if err != nil {
+			return nil, err
+		}
+		workloads[m] = w
+	}
+	return workloads, nil
+}
+
+// sweepOp runs one full sweep on a processor's workload and checks that
+// it wrote every element.
+func sweepOp(workloads []Workload, sweep func(w *Workload) (int64, error)) op {
+	return func(proc int) error {
+		w := &workloads[proc]
+		n, err := sweep(w)
+		if err == nil && n != w.count {
+			err = fmt.Errorf("bench: sweep wrote %d of %d elements", n, w.count)
+		}
+		return err
+	}
+}
+
+// timeShapes times every Figure 8 shape and the extra sweeps against
+// each other on workloads, returning the shapes' spreads and the extras'.
+func timeShapes(workloads []Workload, reps int, extra ...op) (map[Shape]Spread, []Spread, error) {
+	var cells []op
+	for _, sh := range Shapes() {
+		cells = append(cells, sweepOp(workloads, func(w *Workload) (int64, error) { return w.RunShape(sh) }))
+	}
+	sp, err := timeCells(len(workloads), reps, append(cells, extra...))
+	if err != nil {
+		return nil, nil, err
+	}
+	times := make(map[Shape]Spread)
+	for i, sh := range Shapes() {
+		times[sh] = sp[i]
+	}
+	return times, sp[len(Shapes()):], nil
+}
+
 // Table2 measures the node-code sweeps: each processor assigns to elems
-// section elements (the paper uses 10,000); the reported time per shape
-// is the maximum over processors, minimized over reps repetitions.
+// section elements (the paper uses 10,000), and each case times the
+// shapes against each other.
 func Table2(p, elems int64, reps int) ([]Table2Result, error) {
 	var results []Table2Result
 	for _, tc := range Table2Cases() {
-		res := Table2Result{Case: tc, Times: make(map[Shape]time.Duration)}
-		// Prebuild all workloads (table construction is not part of the
-		// measurement, as in Section 6.2).
-		workloads := make([]Workload, p)
-		for m := int64(0); m < p; m++ {
-			w, err := BuildWorkload(p, tc.K, tc.S, m, elems)
-			if err == nil {
-				err = w.BuildOffsetTables()
-			}
-			if err != nil {
-				return nil, err
-			}
-			workloads[m] = w
+		workloads, err := buildWorkloads(p, tc.K, tc.S, elems)
+		if err != nil {
+			return nil, err
 		}
-		for _, sh := range Shapes() {
-			best := time.Duration(1<<63 - 1)
-			for r := 0; r < reps; r++ {
-				var worst time.Duration
-				for m := range workloads {
-					t0 := time.Now()
-					n, err := workloads[m].RunShape(sh)
-					el := time.Since(t0)
-					if err != nil {
-						return nil, err
-					}
-					if n != elems {
-						return nil, fmt.Errorf("bench: shape %s wrote %d of %d elements", sh, n, elems)
-					}
-					if el > worst {
-						worst = el
-					}
-				}
-				if worst < best {
-					best = worst
-				}
-			}
-			res.Times[sh] = best
+		times, _, err := timeShapes(workloads, reps)
+		if err != nil {
+			return nil, err
 		}
-		results = append(results, res)
+		results = append(results, Table2Result{Case: tc, Times: times})
 	}
 	return results, nil
 }
@@ -389,7 +378,7 @@ func Table2(p, elems int64, reps int) ([]Table2Result, error) {
 // FormatTable2 renders the results in the paper's layout.
 func FormatTable2(results []Table2Result) string {
 	var b strings.Builder
-	b.WriteString("Table 2: node-code execution time in microseconds (max over processors)\n")
+	b.WriteString("Table 2: node-code execution time in microseconds (median over reps of the max over processors)\n")
 	b.WriteString(fmt.Sprintf("%-14s", "Code shape"))
 	for _, sh := range Shapes() {
 		b.WriteString(fmt.Sprintf("%12s", sh))
@@ -398,7 +387,7 @@ func FormatTable2(results []Table2Result) string {
 	for _, r := range results {
 		b.WriteString(fmt.Sprintf("k=%-4d s=%-5d", r.Case.K, r.Case.S))
 		for _, sh := range Shapes() {
-			b.WriteString(fmt.Sprintf("%12.1f", us(r.Times[sh])))
+			b.WriteString(fmt.Sprintf("%12.1f", us(r.Times[sh].Median)))
 		}
 		b.WriteString("\n")
 	}

@@ -1,10 +1,12 @@
 package bench
 
 import (
-	"repro/internal/core"
+	"errors"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 func TestConstructMethods(t *testing.T) {
@@ -60,7 +62,7 @@ func TestTable1Small(t *testing.T) {
 			t.Fatalf("row k=%d has %d cells", r.K, len(r.Cells))
 		}
 		for _, c := range r.Cells {
-			if c.Lattice <= 0 || c.Sorting <= 0 {
+			if c.Lattice.Median <= 0 || c.Sorting.Median <= 0 {
 				t.Errorf("k=%d %s: nonpositive times %v/%v", r.K, c.Stride, c.Lattice, c.Sorting)
 			}
 		}
@@ -104,7 +106,7 @@ func TestTable2Small(t *testing.T) {
 	}
 	for _, r := range results {
 		for _, sh := range Shapes() {
-			if r.Times[sh] <= 0 {
+			if r.Times[sh].Median <= 0 {
 				t.Errorf("case %+v shape %s: time %v", r.Case, sh, r.Times[sh])
 			}
 		}
@@ -140,13 +142,48 @@ func TestBuildWorkloadCounts(t *testing.T) {
 	}
 }
 
-func TestTimeMaxOverProcsPositive(t *testing.T) {
-	d, err := timeMaxOverProcs(MethodLattice, 4, 16, 0, 7, 2)
+// TestTimeCells: every cell of a set runs the same batch on every
+// processor (one untimed call plus the timed batch per rep), and each
+// spread is a positive median inside its quartiles.
+func TestTimeCells(t *testing.T) {
+	const procs, reps = 3, 5
+	var calls [2][procs]int
+	cells := []op{
+		func(proc int) error { calls[0][proc]++; return nil },
+		func(proc int) error {
+			calls[1][proc]++
+			seq, err := core.Lattice(coreProblem(4, 16, 7, int64(proc)))
+			sink += len(seq.Gaps)
+			return err
+		},
+	}
+	spreads, err := timeCells(procs, reps, cells)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d <= 0 || d > time.Second {
-		t.Errorf("implausible duration %v", d)
+	for i, sp := range spreads {
+		if sp.Q1 <= 0 || sp.Q1 > sp.Median || sp.Median > sp.Q3 || sp.Q3 > time.Second {
+			t.Errorf("cell %d: implausible spread %+v", i, sp)
+		}
+	}
+	// Processor 0 also sized the batch; the others ran only the reps.
+	per := calls[0][1]
+	if per%reps != 0 || per/reps < 2 {
+		t.Errorf("processor 1 ran %d calls over %d reps, want reps × (batch + 1)", per, reps)
+	}
+	for c := range calls {
+		for proc := 1; proc < procs; proc++ {
+			if calls[c][proc] != per {
+				t.Errorf("cell %d processor %d ran %d calls, want %d (one batch per set)", c, proc, calls[c][proc], per)
+			}
+		}
+	}
+	fail := errors.New("cell failed")
+	if _, err := timeCells(procs, reps, []op{func(int) error { return fail }}); !errors.Is(err, fail) {
+		t.Errorf("a failing cell returned %v, want %v", err, fail)
+	}
+	if _, err := timeCells(procs, 0, cells); err == nil {
+		t.Error("reps 0 should fail")
 	}
 }
 

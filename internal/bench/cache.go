@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"time"
 
 	"repro/internal/comm"
 	"repro/internal/dist"
@@ -24,20 +23,19 @@ import (
 // CacheBenchResult is one family's cold-vs-warm measurement.
 type CacheBenchResult struct {
 	Name                string
-	UncachedNsPerOp     float64
-	CachedNsPerOp       float64
+	Uncached, Cached    Spread // time per op
 	UncachedAllocsPerOp float64
 	CachedAllocsPerOp   float64
-	HitRate             float64 // combined cache hit rate over the warm run
-	SteadyMisses        int64   // cache misses during the warm run (want 0)
+	HitRate             float64 // combined cache hit rate over the counted warm ops
+	SteadyMisses        int64   // cache misses during the counted warm ops (want 0)
 }
 
-// Speedup returns the cold/warm time ratio.
+// Speedup returns the cold/warm ratio of the median times.
 func (r CacheBenchResult) Speedup() float64 {
-	if r.CachedNsPerOp == 0 {
+	if r.Cached.Median == 0 {
 		return 0
 	}
-	return r.UncachedNsPerOp / r.CachedNsPerOp
+	return float64(r.Uncached.Median) / float64(r.Cached.Median)
 }
 
 // resetRuntimeCaches clears every process-wide runtime cache: section
@@ -63,35 +61,35 @@ func cacheTotals() (hits, misses int64) {
 	return hits, misses
 }
 
-// measureOp times iters runs of op and reports mean ns/op and heap
-// allocations per op (runtime.MemStats.Mallocs delta). With uncached
-// set, every run is preceded by a full cache reset so each iteration
-// pays the complete planning cost (the resets themselves are orders of
-// magnitude cheaper than the planning they force).
-func measureOp(iters int, uncached bool, op func() error) (nsPerOp, allocsPerOp float64, err error) {
-	if err := op(); err != nil { // warm-up / sanity run
-		return 0, 0, err
+// countIters is how many operations countOp counts over.
+const countIters = 20
+
+// countOp runs op once to warm every cache, then countIters times, and
+// reports the heap allocations per op (runtime.MemStats.Mallocs delta)
+// and the caches' hit rate and misses over the counted runs.
+func countOp(op func() error) (allocsPerOp, hitRate float64, misses int64, err error) {
+	if err := op(); err != nil {
+		return 0, 0, 0, err
 	}
 	var before, after runtime.MemStats
+	h0, m0 := cacheTotals()
 	runtime.ReadMemStats(&before)
-	t0 := time.Now()
-	for i := 0; i < iters; i++ {
-		if uncached {
-			resetRuntimeCaches()
-		}
+	for i := 0; i < countIters; i++ {
 		if err := op(); err != nil {
-			return 0, 0, err
+			return 0, 0, 0, err
 		}
 	}
-	elapsed := time.Since(t0)
 	runtime.ReadMemStats(&after)
-	nsPerOp = float64(elapsed.Nanoseconds()) / float64(iters)
-	allocsPerOp = float64(after.Mallocs-before.Mallocs) / float64(iters)
-	return nsPerOp, allocsPerOp, nil
+	h1, m1 := cacheTotals()
+	hits, misses := h1-h0, m1-m0
+	hitRate = float64(hits) / float64(max(hits+misses, 1))
+	return float64(after.Mallocs-before.Mallocs) / countIters, hitRate, misses, nil
 }
 
 // CacheBenchmarks measures the three steady-state families on procs
-// simulated processors, iters iterations per measurement:
+// simulated processors, timing each family's uncached operation against
+// its cached one over reps reps (one machine run is one operation, so
+// the harness sees one processor):
 //
 //   - section-assign: FillSection + MapSection of a strided section
 //     (pure addressing, no communication)
@@ -99,13 +97,7 @@ func measureOp(iters int, uncached bool, op func() error) (nsPerOp, allocsPerOp 
 //     sections, pointwise scale, Copy back
 //   - redistribute: a cyclic(4) ⇄ cyclic(7) bounce, two whole-array
 //     comm.Copy calls
-func CacheBenchmarks(procs int64, iters int) ([]CacheBenchResult, error) {
-	if procs < 1 {
-		return nil, fmt.Errorf("bench: need at least one processor, got %d", procs)
-	}
-	if iters < 1 {
-		iters = 50
-	}
+func CacheBenchmarks(procs int64, reps int) ([]CacheBenchResult, error) {
 	m := machine.MustNew(int(procs))
 	n := procs * 32
 
@@ -155,29 +147,32 @@ func CacheBenchmarks(procs int64, iters int) ([]CacheBenchResult, error) {
 
 	var out []CacheBenchResult
 	for _, f := range families {
-		uNs, uAllocs, err := measureOp(iters, true, f.op)
+		// Every uncached operation pays the complete planning cost; the
+		// reset itself is orders of magnitude cheaper than the planning
+		// it forces.
+		uncached := func() error {
+			resetRuntimeCaches()
+			return f.op()
+		}
+		sp, err := timeCells(1, reps, []op{
+			func(int) error { return uncached() },
+			func(int) error { return f.op() },
+		})
+		if err != nil {
+			return nil, fmt.Errorf("bench: %s: %w", f.name, err)
+		}
+		uAllocs, _, _, err := countOp(uncached)
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s uncached: %w", f.name, err)
 		}
-		resetRuntimeCaches()
-		if err := f.op(); err != nil { // warm every cache once
-			return nil, fmt.Errorf("bench: %s warm-up: %w", f.name, err)
-		}
-		h0, m0 := cacheTotals()
-		cNs, cAllocs, err := measureOp(iters, false, f.op)
+		cAllocs, hitRate, misses, err := countOp(f.op)
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s cached: %w", f.name, err)
 		}
-		h1, m1 := cacheTotals()
-		hits, misses := h1-h0, m1-m0
-		hitRate := 0.0
-		if hits+misses > 0 {
-			hitRate = float64(hits) / float64(hits+misses)
-		}
 		out = append(out, CacheBenchResult{
 			Name:                f.name,
-			UncachedNsPerOp:     uNs,
-			CachedNsPerOp:       cNs,
+			Uncached:            sp[0],
+			Cached:              sp[1],
 			UncachedAllocsPerOp: uAllocs,
 			CachedAllocsPerOp:   cAllocs,
 			HitRate:             hitRate,
@@ -190,13 +185,13 @@ func CacheBenchmarks(procs int64, iters int) ([]CacheBenchResult, error) {
 // FormatCacheBench renders the cold-vs-warm comparison.
 func FormatCacheBench(results []CacheBenchResult) string {
 	var b strings.Builder
-	b.WriteString("Plan cache: steady-state iteration cost, cold vs warm caches\n")
+	b.WriteString("Plan cache: steady-state iteration cost, cold vs warm caches (median ns per op)\n")
 	b.WriteString(fmt.Sprintf("%-16s%14s%14s%9s%15s%15s%10s%8s\n",
 		"family", "cold ns/op", "warm ns/op", "speedup",
 		"cold allocs/op", "warm allocs/op", "hit rate", "misses"))
 	for _, r := range results {
 		b.WriteString(fmt.Sprintf("%-16s%14.0f%14.0f%8.1fx%15.1f%15.1f%9.1f%%%8d\n",
-			r.Name, r.UncachedNsPerOp, r.CachedNsPerOp, r.Speedup(),
+			r.Name, float64(r.Uncached.Median), float64(r.Cached.Median), r.Speedup(),
 			r.UncachedAllocsPerOp, r.CachedAllocsPerOp, 100*r.HitRate, r.SteadyMisses))
 	}
 	return b.String()

@@ -20,7 +20,7 @@ func TestCacheBenchmarksSteadyState(t *testing.T) {
 		if r.HitRate <= 0 {
 			t.Errorf("%s: hit rate %f, want > 0", r.Name, r.HitRate)
 		}
-		if r.UncachedNsPerOp <= 0 || r.CachedNsPerOp <= 0 {
+		if r.Uncached.Median <= 0 || r.Cached.Median <= 0 {
 			t.Errorf("%s: non-positive timing", r.Name)
 		}
 	}

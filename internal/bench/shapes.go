@@ -9,9 +9,7 @@ package bench
 
 import (
 	"fmt"
-	"slices"
 	"strings"
-	"time"
 
 	"repro/internal/codegen"
 )
@@ -66,17 +64,6 @@ func (w *Workload) SpecializedKernel() codegen.Kernel {
 	})
 }
 
-// Spread is one timing's median and quartiles over the measured reps,
-// each by the nearest rank.
-type Spread struct{ Q1, Median, Q3 time.Duration }
-
-// spreadOf sorts ds in place and reads its quartiles; ds is non-empty.
-func spreadOf(ds []time.Duration) Spread {
-	slices.Sort(ds)
-	at := func(q float64) time.Duration { return ds[int(q*float64(len(ds)-1)+0.5)] }
-	return Spread{at(0.25), at(0.5), at(0.75)}
-}
-
 // ShapeBenchResult is the measured matrix row of one family.
 type ShapeBenchResult struct {
 	Family      string
@@ -97,109 +84,43 @@ func (r ShapeBenchResult) Speedup() float64 {
 	return float64(r.Generic[ShapeB].Median) / float64(r.Specialized.Median)
 }
 
-// timeSweeps measures one full-sweep operation across all workloads:
-// max over processors of the per-sweep time, once per rep, with the
-// sweep batched so each timing window is long enough to trust. It
-// returns the spread of those reps: kernels about 10 % apart need the
-// quartiles to tell, which a minimum hides.
-func timeSweeps(workloads []Workload, reps int, op func(w *Workload) (int64, error)) (Spread, error) {
-	const window = 50 * time.Microsecond
-	batch := 1
-	for {
-		w := &workloads[0]
-		t0 := time.Now()
-		for b := 0; b < batch; b++ {
-			n, err := op(w)
-			if err != nil {
-				return Spread{}, err
-			}
-			if n != w.count {
-				return Spread{}, fmt.Errorf("bench: sweep wrote %d of %d elements", n, w.count)
-			}
-		}
-		if el := time.Since(t0); el >= window || batch >= 1<<20 {
-			break
-		}
-		batch *= 2
-	}
-	worst := make([]time.Duration, reps)
-	for r := range worst {
-		for m := range workloads {
-			w := &workloads[m]
-			t0 := time.Now()
-			for b := 0; b < batch; b++ {
-				if _, err := op(w); err != nil {
-					return Spread{}, err
-				}
-			}
-			worst[r] = max(worst[r], time.Since(t0)/time.Duration(batch))
-		}
-	}
-	return spreadOf(worst), nil
-}
-
 // ShapeBench measures the full matrix: for each family, every generic
 // Figure 8 shape and the specialized kernel, each sweeping elems
 // assignments per processor (max over processors; median and quartiles
 // over reps).
 func ShapeBench(p, elems int64, reps int) ([]ShapeBenchResult, error) {
-	if reps < 1 {
-		return nil, fmt.Errorf("bench: shapes matrix needs reps ≥ 1, got %d", reps)
-	}
 	var results []ShapeBenchResult
 	for _, fam := range ShapeFamilies() {
 		k := fam.K
 		if k == 0 {
 			k = blockK(fam.S, elems)
 		}
-		workloads := make([]Workload, p)
-		kernels := make([]codegen.Kernel, p)
-		var kind codegen.KernelKind
-		for m := int64(0); m < p; m++ {
-			w, err := BuildWorkload(p, k, fam.S, m, elems)
-			if err == nil {
-				err = w.BuildOffsetTables()
-			}
-			if err != nil {
-				return nil, fmt.Errorf("family %s: %w", fam.Name, err)
-			}
-			kn := w.SpecializedKernel()
-			workloads[m] = w
-			kernels[m] = kn
-			if m == 0 {
-				kind = kn.Kind()
-			} else if kn.Kind() != kind {
-				// All processors of a family share (p, k, l, s); selection
-				// differs only through degenerate bounds, which BuildWorkload
-				// rules out.
-				return nil, fmt.Errorf("family %s: kernel kind differs across processors (%v vs %v)",
-					fam.Name, kind, kn.Kind())
-			}
-		}
-		res := ShapeBenchResult{
-			Family: fam.Name, K: k, S: fam.S, Elems: elems,
-			Kernel:  kind,
-			Generic: make(map[Shape]Spread),
-		}
-		for _, sh := range Shapes() {
-			sh := sh
-			d, err := timeSweeps(workloads, reps, func(w *Workload) (int64, error) {
-				return w.RunShape(sh)
-			})
-			if err != nil {
-				return nil, fmt.Errorf("family %s shape %s: %w", fam.Name, sh, err)
-			}
-			res.Generic[sh] = d
-		}
-		d, err := timeSweeps(workloads, reps, func(w *Workload) (int64, error) {
-			m := w.pr.M
-			return kernels[m].Fill(w.mem, 1.0), nil
-		})
+		workloads, err := buildWorkloads(p, k, fam.S, elems)
 		if err != nil {
-			return nil, fmt.Errorf("family %s specialized: %w", fam.Name, err)
+			return nil, fmt.Errorf("family %s: %w", fam.Name, err)
 		}
-		res.Specialized = d
-		results = append(results, res)
+		kernels := make([]codegen.Kernel, p)
+		for m := range workloads {
+			kernels[m] = workloads[m].SpecializedKernel()
+			// All processors of a family share (p, k, l, s); selection
+			// differs only through degenerate bounds, which BuildWorkload
+			// rules out.
+			if kernels[m].Kind() != kernels[0].Kind() {
+				return nil, fmt.Errorf("family %s: kernel kind differs across processors (%v vs %v)",
+					fam.Name, kernels[0].Kind(), kernels[m].Kind())
+			}
+		}
+		specialized := sweepOp(workloads, func(w *Workload) (int64, error) {
+			return kernels[w.pr.M].Fill(w.mem, 1.0), nil
+		})
+		generic, sp, err := timeShapes(workloads, reps, specialized)
+		if err != nil {
+			return nil, fmt.Errorf("family %s: %w", fam.Name, err)
+		}
+		results = append(results, ShapeBenchResult{
+			Family: fam.Name, K: k, S: fam.S, Elems: elems,
+			Kernel: kernels[0].Kind(), Generic: generic, Specialized: sp[0],
+		})
 	}
 	return results, nil
 }

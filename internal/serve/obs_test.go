@@ -73,6 +73,9 @@ func TestHerdTrace(t *testing.T) {
 	if n := len(spans["hpfd.wait"]); n != herd-1 {
 		t.Fatalf("got %d hpfd.wait spans, want %d", n, herd-1)
 	}
+	if n := len(spans["hpfd.write"]); n != herd {
+		t.Fatalf("got %d hpfd.write spans, want %d", n, herd)
+	}
 	for _, w := range spans["hpfd.wait"] {
 		if w.Link != build.Span {
 			t.Errorf("wait span links to %x, want build span %x", w.Link, build.Span)
@@ -94,35 +97,90 @@ func TestHerdTrace(t *testing.T) {
 	}
 
 	// The builder's own request span: same trace as the build span; the
-	// admission + build durations must account for it (within slack —
-	// the remainder is JSON write and handler overhead, far below the
-	// 20 ms the compile hook sleeps).
-	var reqSpan, admSpan *telemetry.Event
-	for i := range spans["hpfd.request"] {
-		e := &spans["hpfd.request"][i]
-		if e.TraceHi == build.TraceHi && e.TraceLo == build.TraceLo {
-			reqSpan = e
+	// admission + build + write durations must account for it (within
+	// slack — the remainder is handler overhead, far below the 20 ms the
+	// compile hook sleeps).
+	inBuilderTrace := func(name string) *telemetry.Event {
+		for i := range spans[name] {
+			if e := &spans[name][i]; e.TraceHi == build.TraceHi && e.TraceLo == build.TraceLo {
+				return e
+			}
+		}
+		t.Fatalf("builder's trace lacks a %s span", name)
+		return nil
+	}
+	reqSpan := inBuilderTrace("hpfd.request")
+	admSpan := inBuilderTrace("hpfd.admission")
+	writeSpan := inBuilderTrace("hpfd.write")
+	for _, e := range []*telemetry.Event{&build, admSpan, writeSpan} {
+		if e.Parent != reqSpan.Span {
+			t.Errorf("%s parent %x, want request span %x", e.Name, e.Parent, reqSpan.Span)
 		}
 	}
-	for i := range spans["hpfd.admission"] {
-		e := &spans["hpfd.admission"][i]
-		if e.TraceHi == build.TraceHi && e.TraceLo == build.TraceLo {
-			admSpan = e
-		}
-	}
-	if reqSpan == nil || admSpan == nil {
-		t.Fatal("builder's trace lacks a request or admission span")
-	}
-	if build.Parent != reqSpan.Span || admSpan.Parent != reqSpan.Span {
-		t.Errorf("build parent %x, admission parent %x, want request span %x",
-			build.Parent, admSpan.Parent, reqSpan.Span)
-	}
-	phaseSum := admSpan.Dur + build.Dur
+	phaseSum := admSpan.Dur + build.Dur + writeSpan.Dur
 	if phaseSum > reqSpan.Dur {
-		t.Errorf("admission+build = %d ns exceeds the request span %d ns", phaseSum, reqSpan.Dur)
+		t.Errorf("admission+build+write = %d ns exceeds the request span %d ns", phaseSum, reqSpan.Dur)
 	}
 	if phaseSum < reqSpan.Dur/2 {
-		t.Errorf("admission+build = %d ns accounts for under half the request span %d ns", phaseSum, reqSpan.Dur)
+		t.Errorf("admission+build+write = %d ns accounts for under half the request span %d ns", phaseSum, reqSpan.Dur)
+	}
+}
+
+// TestWriteSpan: a traced POST, GET and batch request each record
+// exactly one hpfd.write span, a child of that request's hpfd.request
+// span whose interval lies inside it.
+func TestWriteSpan(t *testing.T) {
+	tr := telemetry.StartTracing(0, 1<<13)
+	defer telemetry.StopTracing()
+	_, ts := newTestServer(t, Config{})
+
+	key := PlanRequest{P: 4, K: 8, L: 4, U: 319, S: 9, N: 320}
+	post := postPlan(t, ts.URL, key, nil)
+	get, err := http.Get(ts.URL + "/v1/plan?p=4&k=8&l=4&u=319&s=9&n=320")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := json.Marshal(batchRequest{Requests: []PlanRequest{key, {P: 4, K: 8, L: 1, U: 99, S: 3}}})
+	batch, err := http.Post(ts.URL+"/v1/plan/batch", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, resp := range []*http.Response{post, get, batch} {
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: status %d", resp.Request.Method, resp.Request.URL.Path, resp.StatusCode)
+		}
+	}
+
+	requests := map[uint64]telemetry.Event{}
+	writes := map[uint64]int{}
+	for _, e := range tr.Events() {
+		if e.Kind == telemetry.KindSpan && e.Name == "hpfd.request" {
+			requests[e.Span] = e
+		}
+	}
+	for _, e := range tr.Events() {
+		if e.Kind != telemetry.KindSpan || e.Name != "hpfd.write" {
+			continue
+		}
+		req, ok := requests[e.Parent]
+		if !ok || e.TraceHi != req.TraceHi || e.TraceLo != req.TraceLo {
+			t.Errorf("hpfd.write span %x is not a child of a request span", e.Span)
+			continue
+		}
+		writes[e.Parent]++
+		if e.Start < req.Start || e.Start+e.Dur > req.Start+req.Dur {
+			t.Errorf("hpfd.write [%d, +%d] lies outside its request [%d, +%d]", e.Start, e.Dur, req.Start, req.Dur)
+		}
+	}
+	if len(requests) != 3 {
+		t.Fatalf("got %d hpfd.request spans, want 3", len(requests))
+	}
+	for id := range requests {
+		if writes[id] != 1 {
+			t.Errorf("request span %x has %d hpfd.write children, want 1", id, writes[id])
+		}
 	}
 }
 

@@ -286,7 +286,9 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	s.ok.Inc()
 	w.Header().Set("Content-Type", "application/json")
+	_, span := telemetry.StartSpan(r.Context(), "hpfd.write")
 	w.Write(cp.body)
+	span.End()
 }
 
 // batchRequest and batchResult are the /v1/plan/batch wire types. Each
@@ -350,8 +352,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.ok.Inc()
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.Encode(resp)
+	_, span := telemetry.StartSpan(r.Context(), "hpfd.write")
+	json.NewEncoder(w).Encode(resp)
+	span.End()
 }
 
 // decodeBody decodes a POST body that must hold exactly one JSON value:
