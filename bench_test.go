@@ -78,8 +78,8 @@ func BenchmarkTable2(b *testing.B) {
 		for _, sh := range bench.Shapes() {
 			b.Run(fmt.Sprintf("k=%d/s=%d/%s", tc.K, tc.S, sh), func(b *testing.B) {
 				w, err := bench.BuildWorkload(benchProcs, tc.K, tc.S, 0, elems)
-				if err == nil && sh == bench.ShapeD {
-					err = w.BuildOffsetTables()
+				if err == nil {
+					err = w.BuildTables()
 				}
 				if err != nil {
 					b.Fatal(err)
@@ -122,7 +122,7 @@ func BenchmarkAblation(b *testing.B) {
 	for _, k := range []int64{32, 256} {
 		wTab, err := bench.BuildWorkload(benchProcs, k, 15, 0, elems)
 		if err == nil {
-			err = wTab.BuildOffsetTables()
+			err = wTab.BuildTables()
 		}
 		if err != nil {
 			b.Fatal(err)

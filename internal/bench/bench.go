@@ -232,16 +232,18 @@ type Table2Result struct {
 
 // Workload holds the prebuilt inputs for one processor's Table 2 sweep:
 // local memory sized for exactly the requested number of owned elements
-// and the gap table shapes A–C consume. ShapeD's offset tables are O(k)
-// and only the Table 2 and shapes-matrix sweeps run it, so they are
-// built by BuildOffsetTables, not by BuildWorkload. Exported so the root
-// benchmark suite can time individual shapes.
+// and the gap table shapes A–C consume. ShapeD's offset tables and
+// ShapeWalker's walker each cost an O(k) start scan, and only the
+// Table 2 and shapes-matrix sweeps run those shapes, so they are built
+// by BuildTables, not by BuildWorkload. Exported so the root benchmark
+// suite can time individual shapes.
 type Workload struct {
 	mem         []float64
 	start, last int64
 	count       int64
 	gaps        []int64
 	offTab      *core.OffsetTable
+	walker      *core.Walker
 	pr          core.Problem
 }
 
@@ -266,10 +268,11 @@ func BuildWorkload(p, k, s, m, elems int64) (Workload, error) {
 	}, nil
 }
 
-// BuildOffsetTables builds the Figure 8(d) offset tables ShapeD reads.
-// Sweeps that time ShapeD call it before timing starts; RunShape builds
-// them on first use otherwise. Repeated calls are no-ops.
-func (w *Workload) BuildOffsetTables() error {
+// BuildTables builds what ShapeD and ShapeWalker start from: the
+// Figure 8(d) offset tables and a walker at the first owned element.
+// Sweeps that time those shapes call it before timing starts; RunShape
+// builds them on first use otherwise. Repeated calls are no-ops.
+func (w *Workload) BuildTables() error {
 	if w.offTab != nil {
 		return nil
 	}
@@ -277,7 +280,11 @@ func (w *Workload) BuildOffsetTables() error {
 	if err != nil {
 		return err
 	}
-	w.offTab = &tab
+	walker, ok, err := core.NewWalker(w.pr)
+	if err != nil || !ok {
+		return fmt.Errorf("bench: walker unavailable: %v", err)
+	}
+	w.offTab, w.walker = &tab, walker
 	return nil
 }
 
@@ -292,30 +299,30 @@ func (w *Workload) RunShape(sh Shape) (int64, error) {
 	case ShapeC:
 		return codegen.ShapeC(w.mem, w.start, w.last, w.gaps, 1.0), nil
 	case ShapeD:
-		if err := w.BuildOffsetTables(); err != nil {
+		if err := w.BuildTables(); err != nil {
 			return 0, err
 		}
 		return codegen.ShapeD(w.mem, w.start, w.last, *w.offTab, 1.0), nil
 	case ShapeWalker:
-		walker, ok, err := core.NewWalker(w.pr)
-		if err != nil || !ok {
-			return 0, fmt.Errorf("bench: walker unavailable: %v", err)
+		if err := w.BuildTables(); err != nil {
+			return 0, err
 		}
-		return codegen.ShapeWalker(w.mem, w.last, walker, 1.0), nil
+		walker := *w.walker // a walk advances its walker; each sweep starts afresh
+		return codegen.ShapeWalker(w.mem, w.last, &walker, 1.0), nil
 	default:
 		return 0, fmt.Errorf("bench: unknown shape %q", sh)
 	}
 }
 
 // buildWorkloads prebuilds every processor's workload, offset tables
-// included: table construction is not part of the measurement, as in
-// Section 6.2.
+// and walker included: table construction is not part of the
+// measurement, as in Section 6.2.
 func buildWorkloads(p, k, s, elems int64) ([]Workload, error) {
 	workloads := make([]Workload, p)
 	for m := range workloads {
 		w, err := BuildWorkload(p, k, s, int64(m), elems)
 		if err == nil {
-			err = w.BuildOffsetTables()
+			err = w.BuildTables()
 		}
 		if err != nil {
 			return nil, err

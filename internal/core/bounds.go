@@ -23,7 +23,7 @@ func (pr Problem) Count(u int64) (int64, error) {
 	lo := pr.K*pr.M - pr.L
 	var count int64
 	for i := intmath.CeilDiv(lo, d) * d; i < lo+pr.K; i += d {
-		j0 := mulMod(intmath.FloorMod(i, pk)/d, x, nd)
+		j0 := intmath.MulMod(intmath.FloorMod(i, pk)/d, x, nd)
 		if j0 < n {
 			count += (n-1-j0)/nd + 1
 		}
@@ -49,7 +49,7 @@ func (pr Problem) Last(u int64) (int64, error) {
 	lo := pr.K*pr.M - pr.L
 	last := int64(-1)
 	for i := intmath.CeilDiv(lo, d) * d; i < lo+pr.K; i += d {
-		j0 := mulMod(intmath.FloorMod(i, pk)/d, x, nd)
+		j0 := intmath.MulMod(intmath.FloorMod(i, pk)/d, x, nd)
 		if j0 >= n {
 			continue
 		}

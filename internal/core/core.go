@@ -124,12 +124,6 @@ func (s Sequence) Address(n int64) int64 {
 	return addr
 }
 
-// mulMod multiplies modulo n, picking the overflow-safe path only when
-// needed.
-func mulMod(a, b, n int64) int64 {
-	return intmath.MulModAuto(a, b, n)
-}
-
 // startScan computes the starting location for processor M and the AM
 // table length (the number of solvable offset equations), shared verbatim
 // between the Lattice and Sorting methods as in the paper's Section 6.1.
@@ -138,26 +132,10 @@ func mulMod(a, b, n int64) int64 {
 // extended Euclid's algorithm on (S, pk).
 func (pr Problem) startScan(pk, d, x int64, collect *[]int64) (start int64, length int64) {
 	start = math.MaxInt64
-	nd := pk / d
 	lo := pr.K*pr.M - pr.L
-	// The Bézout coefficient is loop invariant; reduce it once. The loop
-	// body then needs only nonnegative operands, so plain % suffices.
-	xr := intmath.FloorMod(x, nd)
-	bigMod := nd >= 3037000499 // nd² overflows int64; use the slow path
-	// Solvable equations are exactly the i ≡ 0 (mod d); step over them
-	// directly (Section 5's "successive solvable equations are d offsets
-	// apart").
-	for i := intmath.CeilDiv(lo, d) * d; i < lo+pr.K; i += d {
-		var j int64
-		if bigMod {
-			j = intmath.MulModBig(intmath.FloorMod(i, pk)/d, xr, nd)
-		} else {
-			j = (intmath.FloorMod(i, pk) / d * xr) % nd
-		}
+	for _, j := range problemLattice(pr, pk, d, x).Solvable(lo, lo+pr.K) {
 		loc := pr.L + j*pr.S
-		if loc < start {
-			start = loc
-		}
+		start = min(start, loc)
 		length++
 		if collect != nil {
 			*collect = append(*collect, loc)

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"errors"
+	"math/big"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -588,5 +591,85 @@ func TestLargeParameters(t *testing.T) {
 	}
 	if (seq.Start-pr.L)%pr.S != 0 {
 		t.Error("start not a section element")
+	}
+}
+
+// windowOracle builds processor M's sequence from its definition: the
+// minimum, over the offsets of M's k-window, of each offset's smallest
+// section index (solved with math/big, so no int64 mul-mod is shared
+// with the code under test), then the local gaps between the sorted
+// indices and on to the next cycle.
+func windowOracle(pr Problem) Sequence {
+	pk := pr.P * pr.K
+	d := gcd64(pr.S, pk)
+	nd := big.NewInt(pk / d)
+	inv := new(big.Int).ModInverse(big.NewInt(pr.S/d), nd)
+	var locs []int64
+	for o := pr.K * pr.M; o < pr.K*(pr.M+1); o++ {
+		r := new(big.Int).Mod(big.NewInt(o-pr.L), big.NewInt(pk))
+		if new(big.Int).Mod(r, big.NewInt(d)).Sign() != 0 {
+			continue
+		}
+		j := r.Div(r, big.NewInt(d)).Mul(r, inv).Mod(r, nd)
+		locs = append(locs, pr.L+j.Int64()*pr.S)
+	}
+	if len(locs) == 0 {
+		return Sequence{Start: -1}
+	}
+	slices.Sort(locs)
+	local := func(g int64) int64 { return g/pk*pr.K + g%pr.K }
+	locs = append(locs, locs[0]+nd.Int64()*pr.S)
+	gaps := make([]int64, len(locs)-1)
+	for t := range gaps {
+		gaps[t] = local(locs[t+1]) - local(locs[t])
+	}
+	return Sequence{Start: locs[0], StartLocal: local(locs[0]), Gaps: gaps}
+}
+
+// TestLargeModulusAgreement checks every table builder, and the walker,
+// where pk/d reaches 2³³–2³⁴, past the 3,037,000,499 at which a mul-mod
+// needs its doubling path and far past Enumerate's O(pk/d) reach: p = 2³¹
+// with k = 8, against windowOracle.
+func TestLargeModulusAgreement(t *testing.T) {
+	const p, k = 1 << 31, 8
+	for _, c := range []struct{ l, s, m int64 }{
+		{0, 1<<28 + 3, 0},
+		{12345, 1<<28 + 3, p - 1},
+		{3, 5, 1 << 30},
+		{7, 6, 99},       // d = 2, and s < k: Hiranandani applies
+		{1 << 40, 12, 5}, // d = 4
+		{1 << 40, 12, 6},
+	} {
+		pr := Problem{P: p, K: k, L: c.l, S: c.s, M: c.m}
+		want := windowOracle(pr)
+		if want.Length() < 2 {
+			t.Fatalf("%+v: oracle table has length %d; pick a case with a basis", pr, want.Length())
+		}
+		ts, err := NewTableSet(p, k, c.l, c.s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		builders := map[string]func(Problem) (Sequence, error){
+			"Lattice": Lattice, "Sorting": Sorting, "SortingRadix": SortingRadix,
+			"Hiranandani": Hiranandani, "TableSet": func(pr Problem) (Sequence, error) { return ts.Sequence(pr.M) },
+		}
+		for name, build := range builders {
+			got, err := build(pr)
+			if errors.Is(err, ErrStrideTooLarge) {
+				continue
+			}
+			if err != nil || !got.Equal(want) {
+				t.Errorf("%+v: %s = %v (err %v), want %v", pr, name, got, err, want)
+			}
+		}
+		w, ok, err := NewWalker(pr)
+		if err != nil || !ok || w.Start() != want.Start || w.StartLocal() != want.StartLocal {
+			t.Fatalf("%+v: walker start %v (ok %v, err %v), want %v", pr, w, ok, err, want)
+		}
+		for n, g := range want.Gaps {
+			if got := w.Next(); got != g {
+				t.Errorf("%+v: walker gap %d = %d, want %d", pr, n, got, g)
+			}
+		}
 	}
 }

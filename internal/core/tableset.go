@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/intmath"
+	"repro/internal/lattice"
 )
 
 // TableSet amortizes AM-table construction across all processors of one
@@ -152,12 +154,11 @@ type Span struct {
 
 // Spans returns every processor's span for upper bound u in one pass —
 // Section 6.1's "only the starting locations for all the processors need
-// to be found". Per processor it costs one multiplication mod pk/d for
-// the first solvable offset and one addition per further offset, since
-// consecutive solvable offsets i and i+d have smallest section indices
-// j₀(i+d) ≡ j₀(i) + x (mod pk/d). With n = Q·(pk/d) + R section
-// elements, the offset whose smallest index is j₀ owns Q + [j₀ < R] of
-// them, so no division runs per offset. Count and Last agree with
+// to be found". Per processor it walks the solvable offsets once with
+// lattice.Solvable: one multiplication mod pk/d, then one addition per
+// offset. With n = Q·(pk/d) + R section elements, the offset whose
+// smallest index is j₀ owns Q + [j₀ < R] of them, so no division runs
+// per offset. Count and Last agree with
 // Problem.Count and Problem.Last, which remain the independent
 // per-processor oracle.
 //
@@ -175,8 +176,8 @@ func (ts *TableSet) Spans(u int64) []Span {
 // spans is Spans for a section of n elements.
 func (ts *TableSet) spans(n int64) []Span {
 	out := make([]Span, ts.p)
+	lat := lattice.Lattice{P: ts.pk, K: ts.k, S: ts.s, D: ts.d, X: ts.x}
 	nd := ts.pk / ts.d
-	xr := intmath.FloorMod(ts.x, nd)
 	q, r := n/nd, n%nd
 	// cyc[0] is the length-1 table every single-offset processor shares;
 	// cycles are appended after it, each twice, and pos[o]-1 is the
@@ -191,26 +192,19 @@ func (ts *TableSet) spans(n int64) []Span {
 	cyc[0] = ts.singleGap
 	for m := range out {
 		lo := ts.k*int64(m) - ts.l
-		i := intmath.CeilDiv(lo, ts.d) * ts.d
-		if i >= lo+ts.k {
-			out[m] = Span{Sequence: Sequence{Start: -1}, Last: -1}
-			continue
-		}
-		j := mulMod(intmath.FloorMod(i, ts.pk)/ts.d, xr, nd)
-		minJ, maxJ, maxBelow := j, j, int64(-1)
+		minJ, maxJ, maxBelow := int64(math.MaxInt64), int64(-1), int64(-1)
 		var length, below int64
-		for ; i < lo+ts.k; i += ts.d {
+		for _, j := range lat.Solvable(lo, lo+ts.k) {
 			minJ, maxJ = min(minJ, j), max(maxJ, j)
 			if j < r {
 				below++
 				maxBelow = max(maxBelow, j)
 			}
 			length++
-			if j >= nd-xr {
-				j -= nd - xr
-			} else {
-				j += xr
-			}
+		}
+		if length == 0 {
+			out[m] = Span{Sequence: Sequence{Start: -1}, Last: -1}
+			continue
 		}
 		start := ts.l + minJ*ts.s
 		sp := Span{

@@ -60,7 +60,7 @@ func virtualCyclic(pr core.Problem, u int64) ([]virtualAccess, error) {
 	// offset are accessed in increasing order" (Section 7).
 	lo := pr.K*pr.M - pr.L
 	for i := intmath.CeilDiv(lo, d) * d; i < lo+pr.K; i += d {
-		j0 := intmath.MulModAuto(intmath.FloorMod(i, pk)/d, x, nd)
+		j0 := intmath.MulMod(intmath.FloorMod(i, pk)/d, x, nd)
 		for j := j0; j < n; j += nd {
 			g := pr.L + j*pr.S
 			out = append(out, virtualAccess{

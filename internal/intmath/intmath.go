@@ -140,39 +140,20 @@ func AddChecked(a, b int64) (int64, error) {
 	return s, nil
 }
 
-// MulMod returns (a*b) mod n using FloorMod semantics (result in [0, n) for
-// n > 0). It requires n > 0 and reduces its operands first; it is safe from
-// overflow whenever n ≤ 3 037 000 499 (√maxInt64). For larger moduli use
-// MulModBig.
+// MulMod returns (a*b) mod n with FloorMod semantics: the result lies in
+// [0, n). It requires n > 0. Below n = 3 037 000 499 (√maxInt64) the
+// reduced operands' product fits in an int64 and one % suffices; for
+// larger moduli it falls back to Russian-peasant doubling, which never
+// overflows but costs O(log n) steps.
 func MulMod(a, b, n int64) int64 {
 	if n <= 0 {
 		panic("intmath: MulMod with nonpositive modulus")
 	}
 	a = FloorMod(a, n)
 	b = FloorMod(b, n)
-	return FloorMod(a*b, n)
-}
-
-// MulModAuto returns (a*b) mod n (FloorMod semantics, n > 0), choosing
-// the overflow-safe doubling implementation only when n² does not fit in
-// an int64. This is the right default for address-generation hot paths,
-// where n = pk/d is almost always small.
-func MulModAuto(a, b, n int64) int64 {
-	if n < 3037000499 { // floor(sqrt(maxInt64))
-		return FloorMod(FloorMod(a, n)*FloorMod(b, n), n)
+	if n < 3037000499 {
+		return a * b % n
 	}
-	return MulModBig(a, b, n)
-}
-
-// MulModBig returns (a*b) mod n without intermediate overflow for any
-// n > 0, using Russian-peasant doubling. It is slower than MulMod but safe
-// for the full int64 range.
-func MulModBig(a, b, n int64) int64 {
-	if n <= 0 {
-		panic("intmath: MulModBig with nonpositive modulus")
-	}
-	a = FloorMod(a, n)
-	b = FloorMod(b, n)
 	var acc int64
 	for b > 0 {
 		if b&1 == 1 {
@@ -207,5 +188,5 @@ func SolveCongruence(a, c, n int64) (x int64, ok bool) {
 	nd := n / d
 	// x ≡ (c/d)·inv (mod n/d); inv may be negative, c/d may be huge:
 	// reduce both before multiplying.
-	return MulModAuto(FloorMod(c, n)/d, inv, nd), true
+	return MulMod(FloorMod(c, n)/d, inv, nd), true
 }

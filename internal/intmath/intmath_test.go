@@ -2,6 +2,7 @@ package intmath
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -183,34 +184,45 @@ func TestMulAddChecked(t *testing.T) {
 	}
 }
 
+// TestMulMod covers both of MulMod's paths: one % below n = 3,037,000,499
+// and the doubling loop from there up to maxInt64, against math/big.
 func TestMulMod(t *testing.T) {
-	if got := MulMod(25, 7, 32); got != FloorMod(25*7, 32) {
-		t.Errorf("MulMod(25,7,32) = %d", got)
+	cases := []struct{ a, b, n, want int64 }{
+		{25, 7, 32, 15},
+		{-3, 5, 7, 6}, // FloorMod(-15, 7)
+		{3, -5, 7, 6},
+		{5, 0, 1, 0},
+		{3037000498, 3037000498, 3037000498, 0}, // last modulus on the % path
+		{3037000498, 3037000498, 3037000499, 1}, // first on the doubling path: (-1)²
+		{1 << 62, 1 << 62, 1<<62 + 1, 1},        // 2⁶² ≡ -1 (mod 2⁶²+1)
+		{math.MaxInt64 - 1, math.MaxInt64 - 1, math.MaxInt64, 1},
+		{math.MinInt64, 2, math.MaxInt64, math.MaxInt64 - 2}, // -2⁶³ ≡ -1
+		{-(1 << 40), 1<<40 + 3, 1<<34 + 1, -1},               // want from math/big
 	}
-	if got := MulMod(-3, 5, 7); got != FloorMod(-15, 7) {
-		t.Errorf("MulMod(-3,5,7) = %d, want %d", got, FloorMod(-15, 7))
-	}
-}
-
-func TestMulModBigAgainstSmall(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	for i := 0; i < 5000; i++ {
-		a := r.Int63n(1<<30) - (1 << 29)
-		b := r.Int63n(1<<30) - (1 << 29)
+	for i := 0; i < 4000; i++ {
 		n := r.Int63n(1<<30) + 1
-		if got, want := MulModBig(a, b, n), MulMod(a, b, n); got != want {
-			t.Fatalf("MulModBig(%d,%d,%d) = %d, want %d", a, b, n, got, want)
+		if i%2 == 1 {
+			n = 3037000499 + r.Int63n(math.MaxInt64-3037000499)
+		}
+		cases = append(cases, struct{ a, b, n, want int64 }{r.Int63() - r.Int63(), r.Int63() - r.Int63(), n, -1})
+	}
+	for _, c := range cases {
+		want := c.want
+		if want < 0 {
+			prod := new(big.Int).Mul(big.NewInt(c.a), big.NewInt(c.b))
+			want = prod.Mod(prod, big.NewInt(c.n)).Int64()
+		}
+		if got := MulMod(c.a, c.b, c.n); got != want {
+			t.Fatalf("MulMod(%d, %d, %d) = %d, want %d", c.a, c.b, c.n, got, want)
 		}
 	}
-}
-
-func TestMulModBigHuge(t *testing.T) {
-	// (2^62)·(2^62) mod (2^62+1): 2^62 ≡ -1, so product ≡ 1.
-	n := int64(1)<<62 + 1
-	a := int64(1) << 62
-	if got := MulModBig(a, a, n); got != 1 {
-		t.Errorf("MulModBig(2^62, 2^62, 2^62+1) = %d, want 1", got)
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("MulMod with modulus 0 did not panic")
+		}
+	}()
+	MulMod(1, 1, 0)
 }
 
 func TestSolveCongruence(t *testing.T) {

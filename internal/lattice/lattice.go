@@ -21,6 +21,7 @@ package lattice
 
 import (
 	"fmt"
+	"iter"
 	"math"
 
 	"repro/internal/intmath"
@@ -115,7 +116,7 @@ func (l *Lattice) SmallestIndexWithOffset(b int64) (Point, bool) {
 	}
 	// j ≡ (b/D)·X (mod P/D); smallest nonnegative representative.
 	nd := l.P / l.D
-	j := intmath.MulModAuto(intmath.FloorMod(b, l.P)/l.D, l.X, nd)
+	j := intmath.MulMod(intmath.FloorMod(b, l.P)/l.D, l.X, nd)
 	return l.PointFor(j), true
 }
 
@@ -159,6 +160,38 @@ type Basis struct {
 	GapR, GapL int64
 }
 
+// Solvable yields, in ascending order, every solvable offset i of the
+// window [lo, hi) — offsets counted from the section's lower bound, so
+// the solvable ones are the multiples of D — together with j, the
+// smallest nonnegative section index at that offset: the j in [0, P/D)
+// with j·S ≡ i (mod P), that is j = ((i mod P)/D · X) mod P/D. This is the
+// walk of Figure 5's start scan and basis scan, which Section 5 notes
+// are "d offsets apart". Only the first j costs a multiplication
+// mod P/D: consecutive solvable offsets have j(i+D) ≡ j(i) + X
+// (mod P/D), including where i mod P wraps to 0 and j to 0, so every
+// later step is one overflow-free addition and no division.
+func (l *Lattice) Solvable(lo, hi int64) iter.Seq2[int64, int64] {
+	return func(yield func(i, j int64) bool) {
+		i := intmath.CeilDiv(lo, l.D) * l.D
+		if i >= hi {
+			return
+		}
+		nd := l.P / l.D
+		xr := intmath.FloorMod(l.X, nd)
+		j := intmath.MulMod(intmath.FloorMod(i, l.P)/l.D, xr, nd)
+		for ; i < hi; i += l.D {
+			if !yield(i, j) {
+				return
+			}
+			if j >= nd-xr {
+				j -= nd - xr
+			} else {
+				j += xr
+			}
+		}
+	}
+}
+
 // RL constructs the R and L basis vectors by the O(k) scan of the paper's
 // Figure 5, lines 19–30: over the solvable offsets in (0, K) compute the
 // smallest positive section index per offset; the minimum index yields R
@@ -169,49 +202,25 @@ type Basis struct {
 // degenerate cases the algorithm special-cases (at most one access per
 // row, AM table of length ≤ 1).
 func (l *Lattice) RL() (Basis, bool) {
-	if l.D >= l.K && l.K > 0 {
-		// No i in (0, K) divisible by D ⇒ no solvable offsets.
-		// (Multiples of D start at D ≥ K.)
+	minJ := int64(math.MaxInt64)
+	maxJ := int64(0)
+	for _, j := range l.Solvable(1, l.K) {
+		minJ = min(minJ, j)
+		maxJ = max(maxJ, j)
+	}
+	if maxJ == 0 {
 		return Basis{}, false
 	}
-	minLoc := int64(math.MaxInt64)
-	maxLoc := int64(0)
-	nd := l.P / l.D
-	// The Bézout coefficient is loop invariant; reduce it once so the loop
-	// body works on nonnegative operands with plain %.
-	xr := intmath.FloorMod(l.X, nd)
-	bigMod := nd >= 3037000499
-	// Solvable offsets are exactly the multiples of D; step straight over
-	// them instead of testing every offset (the paper notes this
-	// simplification in Section 5: "successive solvable equations are d
-	// offsets apart").
-	for b := l.D; b < l.K; b += l.D {
-		var j int64
-		if bigMod {
-			j = intmath.MulModBig(b/l.D, xr, nd)
-		} else {
-			j = (b / l.D * xr) % nd
-		}
-		loc := j * l.S
-		if loc < minLoc {
-			minLoc = loc
-		}
-		if loc > maxLoc {
-			maxLoc = loc
-		}
-	}
-	if maxLoc == 0 {
-		return Basis{}, false
-	}
+	minLoc, maxLoc := minJ*l.S, maxJ*l.S
 	r := Point{
 		B: intmath.FloorMod(minLoc, l.P),
 		A: intmath.FloorDiv(minLoc, l.P),
-		I: minLoc / l.S,
+		I: minJ,
 	}
 	lv := Point{
 		B: intmath.FloorMod(maxLoc, l.P),
 		A: intmath.FloorDiv(maxLoc, l.P) - l.S/l.D,
-		I: maxLoc/l.S - l.P/l.D,
+		I: maxJ - l.P/l.D,
 	}
 	return Basis{
 		R:    r,

@@ -1,7 +1,13 @@
 package lattice
 
 import (
+	"math"
+	"math/big"
 	"math/rand"
+	"os/exec"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -319,6 +325,104 @@ func TestVerifyRejectsBadBasis(t *testing.T) {
 	bad.L.I = 1
 	if err := l.Verify(bad); err == nil {
 		t.Error("Verify accepted L with positive index")
+	}
+}
+
+// TestSolvable compares every (i, j) pair the walk yields with a
+// per-step math/big evaluation of j = ((i mod P)/D · X) mod P/D over the
+// same window, and checks j·S ≡ i (mod P) and 0 ≤ j < P/D, on windows
+// where no Enumerate oracle can look: P/D of 2³² and more (the doubling
+// mul-mod's range), negative lower ends, D > 1, windows that cross a
+// multiple of P (where j wraps to 0), and hpfd's limits p·k = 2²²,
+// l, s ≤ 2⁴⁰.
+func TestSolvable(t *testing.T) {
+	const hpfdPK, hpfdN = 1 << 22, 1 << 40
+	cases := []struct {
+		name    string
+		p, k, s int64
+		lo, hi  int64
+	}{
+		{"paper rank 1", 4, 8, 9, 4, 12},
+		{"d=2 negative lo", 4, 8, 6, -21, 11},
+		{"d=12 across P", 3, 8, 12, 24 - 30, 24 + 30},
+		{"s > P", 3, 5, 38, -7, 40},
+		{"hpfd limits odd s", 1 << 10, 1 << 12, hpfdN - 1, 5<<12 - (hpfdN - 1), 6<<12 - (hpfdN - 1)},
+		{"hpfd limits d=2^22", 1 << 10, 1 << 12, hpfdN, 3<<12 - (hpfdN - 1), 4<<12 - (hpfdN - 1)},
+		{"hpfd limits d=2 across P", 1 << 10, 1 << 12, hpfdN - 2, hpfdPK - 2000, hpfdPK + 2000},
+		{"nd=2^33 d=2", 1 << 31, 8, 6, -(1 << 40), -(1 << 40) + 64},
+		{"nd=2^34 across P", 1 << 31, 8, 1<<28 + 3, 1<<34 - 40, 1<<34 + 40},
+		{"nd=2^34 far negative", 1 << 31, 8, 1<<28 + 3, math.MinInt64 / 4, math.MinInt64/4 + 97},
+		{"nd=2^61-1", 1<<61 - 1, 1, 3, 1<<61 - 1 - 50, 1<<61 - 1 + 50},
+		{"nd=2^62 d=1", 1 << 31, 1 << 31, 1, -3, 5},
+		{"empty window", 4, 8, 12, 1, 4},
+	}
+	for _, c := range cases {
+		lat, err := New(c.p, c.k, c.s)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		var got [][2]int64
+		for i, j := range lat.Solvable(c.lo, c.hi) {
+			got = append(got, [2]int64{i, j})
+		}
+		P, D, S, X := big.NewInt(lat.P), big.NewInt(lat.D), big.NewInt(lat.S), big.NewInt(lat.X)
+		nd := new(big.Int).Div(P, D)
+		var want [][2]int64
+		for i := c.lo; i < c.hi; i++ {
+			bi := big.NewInt(i)
+			if new(big.Int).Mod(bi, D).Sign() != 0 {
+				continue
+			}
+			j := new(big.Int).Mod(bi, P)
+			j.Div(j, D).Mul(j, X).Mod(j, nd)
+			check := new(big.Int).Mul(j, S)
+			if check.Sub(check, bi).Mod(check, P).Sign() != 0 || j.Cmp(nd) >= 0 {
+				t.Fatalf("%s: oracle j = %v for i = %d is not the smallest solution", c.name, j, i)
+			}
+			want = append(want, [2]int64{i, j.Int64()})
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d pairs, want %d", c.name, len(got), len(want))
+		}
+		for n := range want {
+			if got[n] != want[n] {
+				t.Fatalf("%s: pair %d = %v, want %v", c.name, n, got[n], want[n])
+			}
+		}
+		for range lat.Solvable(c.lo, c.hi) {
+			break // an early stop must not reach yield again
+		}
+	}
+}
+
+// TestSolvableInlined pins what keeps the start scan, the basis scan and
+// TableSet's spans as fast as hand-written loops: the compiler inlines
+// Solvable, its closure and the ranged loop body at all three call
+// sites, so no offset pays a closure call. Only the compiler's report
+// shows that per-offset cost; the allocation tests would see only the
+// closure Solvable returns, once per call, if Solvable itself stopped
+// being inlined.
+func TestSolvableInlined(t *testing.T) {
+	gotool := filepath.Join(runtime.GOROOT(), "bin", "go")
+	out, err := exec.Command(gotool, "build", "-gcflags=-m", ".", "../core").CombinedOutput()
+	if err != nil {
+		t.Skipf("cannot run %s build -gcflags=-m: %v\n%s", gotool, err, out)
+	}
+	var inlined int
+	for _, line := range strings.Split(string(out), "\n") {
+		if strings.Contains(line, ": inlining call to ") && strings.HasSuffix(line, "(*Lattice).Solvable") {
+			inlined++
+		}
+	}
+	if inlined != 3 {
+		t.Errorf("Solvable is inlined at %d call sites, want 3 (RL, startScan, spans)", inlined)
+	}
+	for _, caller := range []string{"(*Lattice).RL", "Problem.startScan", "(*TableSet).spans"} {
+		for _, call := range []string{caller + ".(*Lattice).Solvable.func1", caller + "-range1"} {
+			if !strings.Contains(string(out), "inlining call to "+call+"\n") {
+				t.Errorf("%s is not inlined into %s", call, caller)
+			}
+		}
 	}
 }
 
