@@ -184,8 +184,8 @@ func TestMulAddChecked(t *testing.T) {
 	}
 }
 
-// TestMulMod covers both of MulMod's paths: one % below n = 3,037,000,499
-// and the doubling loop from there up to maxInt64, against math/big.
+// TestMulMod covers MulMod's fixed cases on both sides of the switch at
+// n = 3,037,000,499 between one % and the doubling loop.
 func TestMulMod(t *testing.T) {
 	cases := []struct{ a, b, n, want int64 }{
 		{25, 7, 32, 15},
@@ -194,28 +194,10 @@ func TestMulMod(t *testing.T) {
 		{5, 0, 1, 0},
 		{3037000498, 3037000498, 3037000498, 0}, // last modulus on the % path
 		{3037000498, 3037000498, 3037000499, 1}, // first on the doubling path: (-1)²
-		{1 << 62, 1 << 62, 1<<62 + 1, 1},        // 2⁶² ≡ -1 (mod 2⁶²+1)
-		{math.MaxInt64 - 1, math.MaxInt64 - 1, math.MaxInt64, 1},
-		{math.MinInt64, 2, math.MaxInt64, math.MaxInt64 - 2}, // -2⁶³ ≡ -1
-		{-(1 << 40), 1<<40 + 3, 1<<34 + 1, -1},               // want from math/big
-	}
-	r := rand.New(rand.NewSource(1))
-	for i := 0; i < 4000; i++ {
-		n := r.Int63n(1<<30) + 1
-		if i%2 == 1 {
-			n = 3037000499 + r.Int63n(math.MaxInt64-3037000499)
-		}
-		cases = append(cases, struct{ a, b, n, want int64 }{r.Int63() - r.Int63(), r.Int63() - r.Int63(), n, -1})
+		{-(1 << 40), 1<<40 + 3, 1<<34 + 1, -1},  // want from math/big
 	}
 	for _, c := range cases {
-		want := c.want
-		if want < 0 {
-			prod := new(big.Int).Mul(big.NewInt(c.a), big.NewInt(c.b))
-			want = prod.Mod(prod, big.NewInt(c.n)).Int64()
-		}
-		if got := MulMod(c.a, c.b, c.n); got != want {
-			t.Fatalf("MulMod(%d, %d, %d) = %d, want %d", c.a, c.b, c.n, got, want)
-		}
+		checkMulMod(t, c.a, c.b, c.n, c.want)
 	}
 	defer func() {
 		if recover() == nil {
@@ -223,6 +205,40 @@ func TestMulMod(t *testing.T) {
 		}
 	}()
 	MulMod(1, 1, 0)
+}
+
+// TestMulModBigAgainstSmall compares MulMod with math/big on random
+// full-range operands, half with moduli on the one-% path and half with
+// moduli on the doubling path.
+func TestMulModBigAgainstSmall(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 4000; i++ {
+		n := r.Int63n(1<<30) + 1
+		if i%2 == 1 {
+			n = 3037000499 + r.Int63n(math.MaxInt64-3037000499)
+		}
+		checkMulMod(t, r.Int63()-r.Int63(), r.Int63()-r.Int63(), n, -1)
+	}
+}
+
+// TestMulModBigHuge checks the doubling path where a*b overflows by far.
+func TestMulModBigHuge(t *testing.T) {
+	checkMulMod(t, 1<<62, 1<<62, 1<<62+1, 1) // 2⁶² ≡ -1 (mod 2⁶²+1)
+	checkMulMod(t, math.MaxInt64-1, math.MaxInt64-1, math.MaxInt64, 1)
+	checkMulMod(t, math.MinInt64, 2, math.MaxInt64, math.MaxInt64-2) // -2⁶³ ≡ -1
+}
+
+// checkMulMod fails t unless MulMod(a, b, n) is want; a negative want is
+// taken from math/big instead.
+func checkMulMod(t *testing.T, a, b, n, want int64) {
+	t.Helper()
+	if want < 0 {
+		prod := new(big.Int).Mul(big.NewInt(a), big.NewInt(b))
+		want = prod.Mod(prod, big.NewInt(n)).Int64()
+	}
+	if got := MulMod(a, b, n); got != want {
+		t.Fatalf("MulMod(%d, %d, %d) = %d, want %d", a, b, n, got, want)
+	}
 }
 
 func TestSolveCongruence(t *testing.T) {
